@@ -28,6 +28,7 @@ from .errors import (
     NoBracket,
     NonConvergent,
     NotAttainable,
+    ToleranceNotMet,
 )
 from .families import (
     CoefficientFamily,
@@ -344,7 +345,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameter, NonConvergent, DivergentMoment, OSError) as exc:
+    except (
+        InvalidParameter,
+        NonConvergent,
+        DivergentMoment,
+        ToleranceNotMet,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

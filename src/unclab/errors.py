@@ -24,7 +24,7 @@ class DivergentMoment(UncLabError):
 
 
 class ToleranceNotMet(UncLabError):
-    """Adaptive quadrature hit its evaluation cap before the error budget."""
+    """Quadrature would exceed its evaluation cap before meeting its tolerance."""
 
 
 class NotAttainable(UncLabError):

@@ -1,10 +1,12 @@
 """CLI surface: exit codes, CSV schema and determinism, JSON output."""
 
+import functools
 import json
 import math
 
 import pytest
 
+import unclab.cli
 from unclab.cli import (
     EXIT_DIVERGENT_ROWS,
     EXIT_INCONCLUSIVE,
@@ -221,6 +223,17 @@ class TestVerify:
         rc = main(["verify", "--family", "exp", "--alpha", "1",
                    "--tol", "1e-18"])
         assert rc == EXIT_VERIFY_FAILED
+
+    def test_over_budget_is_a_clean_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            unclab.cli,
+            "compare_report",
+            functools.partial(unclab.cli.compare_report, max_evals=10),
+        )
+        rc = main(["verify", "--family", "exp", "--alpha", "1"])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_evals=10" in err
 
 
 class TestThreadsEnv:

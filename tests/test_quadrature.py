@@ -1,7 +1,9 @@
-"""Adaptive Simpson integrator and the series-vs-quadrature comparison."""
+"""Adaptive Simpson, the shared FFT mesh, and the series-vs-quadrature comparison."""
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from unclab import (
     adaptive_simpson,
     build_spectrum,
     compare_report,
+    evaluate_state,
+    exp_closed,
     exponential_family,
     polynomial_family,
     quad_lz_moment,
@@ -21,9 +25,121 @@ from unclab import (
     table_family,
     two_mode_family,
 )
+from unclab.quadrature import _node_values, _panel_count
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
+
+# The table state on which adaptive Simpson converged falsely
+PINNED_TABLE = {
+    0: 1.2403705806321854,
+    -1: 0.97265625,
+    -4: -1.9778407743282225j,
+    6: 0.5706432505115271j,
+    -6: -1.9279289510115802j,
+}
+
+# compare row name -> the quad_* call that computes it directly
+QUAD_CALLS = {
+    "norm": lambda s: quad_norm(s),
+    "mean_phi": lambda s: quad_phi_moment(s, 1),
+    "second_phi": lambda s: quad_phi_moment(s, 2),
+    "mean_lz": lambda s: quad_lz_moment(s, 1),
+    "second_lz": lambda s: quad_lz_moment(s, 2),
+    "mean_sin": lambda s: quad_trig_moment(s, "sin"),
+    "mean_cos": lambda s: quad_trig_moment(s, "cos"),
+    "sin_sq": lambda s: quad_trig_moment(s, "sin2"),
+    "cos_sq": lambda s: quad_trig_moment(s, "cos2"),
+}
+
+
+def exp_exact(alpha: float) -> dict[str, float]:
+    ev = exp_closed(alpha)
+    return {
+        "norm": 1.0,
+        "mean_phi": 0.0,
+        "second_phi": ev.var_phi,
+        "var_phi": ev.var_phi,
+        "mean_lz": 0.0,
+        "second_lz": ev.var_lz,
+        "var_lz": ev.var_lz,
+        "mean_sin": 0.0,
+        "mean_cos": ev.mean_cos,
+        "sin_sq": ev.var_sin,
+        "cos_sq": ev.var_cos + ev.mean_cos**2,
+        "var_sin": ev.var_sin,
+        "var_cos": ev.var_cos,
+    }
+
+
+def _weight_transform(name: str, k: int):
+    """Integral over [-pi, pi] of weight(phi) e^{i k phi}, exactly."""
+    pi = mpmath.pi
+    if name == "norm":
+        return 2 * pi if k == 0 else 0
+    if name == "phi":
+        return 0 if k == 0 else -2j * pi * (-1) ** k / k
+    if name == "phi2":
+        return 2 * pi**3 / 3 if k == 0 else 4 * pi * (-1) ** k / k**2
+    if name == "sin":
+        return {1: 1j * pi, -1: -1j * pi}.get(k, 0)
+    if name == "cos":
+        return pi if abs(k) == 1 else 0
+    sign = -1 if name == "sin2" else 1
+    return {0: pi, 2: sign * pi / 2, -2: sign * pi / 2}.get(k, 0)
+
+
+def finite_exact(s) -> dict[str, float]:
+    """Moments of a finite-support state from exact pair integrals at 40 digits."""
+    with mpmath.workdps(40):
+        c = {n: mpmath.mpc(s.coefficient(n)) for n in range(-s.cutoff, s.cutoff + 1)}
+        c = {n: v for n, v in c.items() if v != 0}
+        a2 = mpmath.mpf(s.norm_sq)
+
+        def moment(name):
+            return a2 * mpmath.fsum(
+                mpmath.conj(c[m]) * c[n] * _weight_transform(name, n - m)
+                for m in c
+                for n in c
+            ).real
+
+        q = {name: moment(name) for name in ("norm", "phi", "phi2", "sin", "cos", "sin2", "cos2")}
+        q["lz"] = 2 * mpmath.pi * a2 * mpmath.fsum(n * abs(v) ** 2 for n, v in c.items())
+        q["lz2"] = 2 * mpmath.pi * a2 * mpmath.fsum(n * n * abs(v) ** 2 for n, v in c.items())
+        rows = {
+            "norm": q["norm"],
+            "mean_phi": q["phi"],
+            "second_phi": q["phi2"],
+            "var_phi": q["phi2"] - q["phi"] ** 2,
+            "mean_lz": q["lz"],
+            "second_lz": q["lz2"],
+            "var_lz": q["lz2"] - q["lz"] ** 2,
+            "mean_sin": q["sin"],
+            "mean_cos": q["cos"],
+            "sin_sq": q["sin2"],
+            "cos_sq": q["cos2"],
+            "var_sin": q["sin2"] - q["sin"] ** 2,
+            "var_cos": q["cos2"] - q["cos"] ** 2,
+        }
+        return {k: float(v) for k, v in rows.items()}
+
+
+def bound_case(case: str):
+    """(spectrum, exact moments) for the error-bound tests."""
+    if case.startswith("exp"):
+        alpha = float(case[3:])
+        # rel_tol 1e-15 keeps the truncation far below the bounds checked
+        return build_spectrum(exponential_family(), alpha, rel_tol=1e-15), exp_exact(alpha)
+    family = {
+        "single_mode": single_mode_family(2),
+        "two_mode": two_mode_family(),
+        "pinned": table_family("pinned", PINNED_TABLE),
+    }[case]
+    s = build_spectrum(family, 1.0)
+    return s, finite_exact(s)
+
+
+BOUND_CASES = ["exp0.1", "exp1", "exp3", "single_mode", "two_mode", "pinned"]
 
 
 class TestAdaptiveSimpson:
@@ -144,6 +260,99 @@ class TestCompareReport:
         d = compare_report(s, tol=1e-8).as_dict()
         assert d["all_passed"] is True
         assert {row["name"] for row in d["rows"]} >= {"norm", "var_phi"}
+
+
+class TestErrorBounds:
+    @pytest.mark.parametrize("case", BOUND_CASES)
+    def test_quad_functions_bound_their_error(self, case):
+        s, exact = bound_case(case)
+        for row, call in QUAD_CALLS.items():
+            r = call(s)
+            assert abs(r.value - exact[row]) <= r.est_error, (row, r)
+
+    @pytest.mark.parametrize("case", BOUND_CASES)
+    def test_compare_rows_bound_their_error(self, case):
+        s, exact = bound_case(case)
+        for r in compare_report(s, tol=1e-9).rows:
+            assert abs(r.quadrature - exact[r.name]) <= r.est_error, r
+
+    def test_variance_rows_propagate_error(self):
+        s = build_spectrum(table_family("pinned", PINNED_TABLE), 1.0)
+        rows = {r.name: r for r in compare_report(s).rows}
+        q1 = quad_lz_moment(s, 1)
+        q2 = quad_lz_moment(s, 2)
+        assert rows["var_lz"].est_error == pytest.approx(
+            q2.est_error + 2.0 * abs(q1.value) * q1.est_error
+        )
+
+    def test_not_applicable_rows_carry_no_bound(self):
+        s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-5)
+        d = compare_report(s, tol=1e-8).as_dict()
+        for row in d["rows"]:
+            if row["passed"] is None:
+                assert row["est_error"] is None
+            else:
+                assert row["est_error"] > 0.0
+
+
+class TestSharedMesh:
+    def test_panel_count_is_smallest_smooth_above_bandwidth(self):
+        def smooth(p):
+            for f in (2, 3, 5):
+                while p % f == 0:
+                    p //= f
+            return p == 1
+
+        for cutoff in range(0, 3000):
+            p = _panel_count(cutoff)
+            need = max(2 * cutoff + 3, 32)
+            assert p >= need and smooth(p)
+            assert not any(smooth(q) for q in range(need, p))
+
+    @pytest.mark.parametrize("which", ["exp", "table"])
+    def test_fft_node_values_match_evaluate_state(self, which):
+        if which == "exp":
+            s = build_spectrum(exponential_family(), 0.01)
+        else:
+            rng = np.random.default_rng(11)
+            coeffs = {
+                int(n): complex(rng.normal(), rng.normal())
+                for n in rng.integers(-1100, 1101, size=60)
+            }
+            s = build_spectrum(table_family("wide", coeffs), 1.0)
+        assert s.cutoff >= 1000
+        panels = _panel_count(s.cutoff)
+        h = 2.0 * PI / panels
+        delta = 0.3 * h
+        values = s.amplitude * _node_values(s, np.zeros(panels, dtype=complex), delta)
+        scale = s.amplitude * np.abs(s.coeffs).sum()
+        for j in (0, 1, panels // 3, panels // 2, panels - 1):
+            want = evaluate_state(s, -PI + delta + h * j).value
+            assert abs(values[j] - want) <= 1e-13 * scale, j
+
+    def test_budget_is_checked_before_any_transform(self, monkeypatch):
+        s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-8)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("transform ran before the budget check")
+
+        monkeypatch.setattr(np.fft, "ifft", no_fft)
+        t0 = time.perf_counter()
+        with pytest.raises(ToleranceNotMet):
+            compare_report(s, tol=1e-8, max_evals=1000)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_tight_poly_verify_ends(self):
+        # N = 17757: ran for more than 500 s under adaptive Simpson
+        s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-8)
+        rep = compare_report(s, tol=1e-8)
+        assert rep.all_passed
+        assert max(r.diff for r in rep.rows if r.diff is not None) < 1e-12
+
+    def test_abs_tol_must_be_positive(self):
+        s = build_spectrum(single_mode_family(0), 1.0)
+        with pytest.raises(InvalidParameter):
+            quad_norm(s, abs_tol=0.0)
 
 
 class TestConvergenceWithRelTol:
