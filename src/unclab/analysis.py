@@ -11,8 +11,6 @@ non-monotone.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,16 +39,6 @@ _TIE_MARGIN = 1e-6
 ALPHA_STAR_BUDGET = 1e4
 # Crossing search window.
 CROSSING_WINDOW = (1e-3, 50.0)
-
-
-def _max_workers() -> int:
-    env = os.environ.get("UNC_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidParameter(f"UNC_LAB_THREADS must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
 
 
 # --------------------------------------------------------------------------
@@ -121,9 +109,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Uncertainty-product profile over an alpha grid, ordered by alpha.
 
-    Rows are computed concurrently (UNC_LAB_THREADS caps the pool) and
-    emitted in grid order.  With ``keep_going`` a divergent sigma_Lz
-    yields a row with NaN variance instead of aborting the sweep.
+    Rows are computed one at a time, in grid order, on the calling thread.
+    With ``keep_going`` a divergent sigma_Lz yields a row with NaN variance
+    instead of aborting the sweep.
     """
     if not (0.0 < alpha_min < alpha_max):
         raise InvalidParameter(
@@ -138,23 +126,24 @@ def sweep(
     else:
         raise InvalidParameter(f"scale must be 'linear' or 'log', got {scale!r}")
 
-    def one(alpha: float) -> SweepRow:
+    rows = []
+    for alpha in grid:
         try:
-            return evaluate_family(family, float(alpha))
+            rows.append(evaluate_family(family, float(alpha)))
         except DivergentMoment:
             if not keep_going:
                 raise
-            return SweepRow(
-                alpha=float(alpha),
-                var_phi=math.nan,
-                var_lz=math.nan,
-                product=math.nan,
-                hr_bound=HR_BOUND,
-                state_bound=math.nan,
+            rows.append(
+                SweepRow(
+                    alpha=float(alpha),
+                    var_phi=math.nan,
+                    var_lz=math.nan,
+                    product=math.nan,
+                    hr_bound=HR_BOUND,
+                    state_bound=math.nan,
+                )
             )
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(one, grid))
+    return rows
 
 
 # --------------------------------------------------------------------------

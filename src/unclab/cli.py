@@ -22,6 +22,7 @@ from .analysis import (
     find_bound_crossing,
     sweep,
 )
+from .closed_forms import POLY_PHI_REL_TOL
 from .errors import (
     DivergentMoment,
     InvalidParameter,
@@ -37,7 +38,7 @@ from .families import (
     polynomial_family,
 )
 from .quadrature import compare_report
-from .spectrum import build_spectrum
+from .spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL, build_spectrum
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -110,9 +111,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if family.name == "exp":
         engine = "closed forms"
     elif family.name == "poly":
-        engine = "zeta closed form; series var_phi at rel_tol=1e-08"
+        engine = f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
     else:
-        engine = "generic series at rel_tol=1e-12, n_max=2000000"
+        engine = (
+            f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}"
+        )
     lines = [
         f"# unclab {__version__} sweep",
         f"# family: {family.name}",

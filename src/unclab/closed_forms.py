@@ -86,14 +86,6 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     )
 
 
-def exp_boundary_weight(alpha: float) -> float:
-    """2 pi |f(pi)|^2 for the exponential family, cancellation-free."""
-    if not (alpha > 0.0):
-        raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
-    u = math.exp(-alpha)
-    return (1.0 - u) ** 3 / ((1.0 + u * u) * (1.0 + u))
-
-
 def exp_state_bound(alpha: float) -> float:
     """(1/2) |1 - 2 pi |f(pi)|^2| for the exponential family.
 

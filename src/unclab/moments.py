@@ -62,14 +62,30 @@ class TrigReport:
     cos_relation_residual: float  # var_lz * var_cos - <sin>^2 / 4
 
 
-def _shell_sums(coeffs: np.ndarray) -> np.ndarray:
-    """S_k = sum_n conj(c_n) c_{n+k} for k = 1 .. len(coeffs)-1."""
+def _shell_sums(coeffs: np.ndarray, max_k: int | None = None) -> np.ndarray:
+    """S_k = sum_n conj(c_n) c_{n+k} for k = 1 .. min(len(coeffs)-1, max_k)."""
     m = coeffs.size
+    count = m - 1 if max_k is None else min(m - 1, max_k)
     conj = coeffs.conj()
-    out = np.empty(m - 1, dtype=np.complex128)
-    for k in range(1, m):
+    out = np.empty(count, dtype=np.complex128)
+    for k in range(1, count + 1):
         out[k - 1] = np.dot(conj[: m - k], coeffs[k:])
     return out
+
+
+def _phi_from_shells(
+    shells: np.ndarray, norm_sq: float
+) -> tuple[float, float, float, float]:
+    """(<phi>, <phi^2>, var_phi, xi) from the shell sums S_1 .. S_{2N}."""
+    if shells.size == 0:
+        return 0.0, PI_SQ_OVER_3, PI_SQ_OVER_3, 0.0
+    k = np.arange(1, shells.size + 1, dtype=float)
+    signs = np.where(np.arange(1, shells.size + 1) % 2 == 0, 1.0, -1.0)
+    four_pi_a2 = 4.0 * math.pi * norm_sq
+    xi = 2.0 * math.fsum(signs * shells.real / (k * k))
+    mean = four_pi_a2 * math.fsum(signs * shells.imag / k)
+    second = PI_SQ_OVER_3 + four_pi_a2 * xi
+    return mean, second, second - mean * mean, xi
 
 
 def xi_sum(s: TruncatedSpectrum) -> float:
@@ -78,26 +94,12 @@ def xi_sum(s: TruncatedSpectrum) -> float:
     Real by Hermiticity of the kernel; evaluated shell-by-shell with an
     exact compensated reduction.
     """
-    shells = _shell_sums(s.coeffs)
-    if shells.size == 0:
-        return 0.0
-    k = np.arange(1, shells.size + 1, dtype=float)
-    signs = np.where(np.arange(1, shells.size + 1) % 2 == 0, 1.0, -1.0)
-    return 2.0 * math.fsum(signs * shells.real / (k * k))
+    return _phi_from_shells(_shell_sums(s.coeffs), s.norm_sq)[3]
 
 
 def phi_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
     """(<phi>, <phi^2>, var_phi) from the coefficient series."""
-    shells = _shell_sums(s.coeffs)
-    four_pi_a2 = 4.0 * math.pi * s.norm_sq
-    if shells.size == 0:
-        return 0.0, PI_SQ_OVER_3, PI_SQ_OVER_3
-    k = np.arange(1, shells.size + 1, dtype=float)
-    signs = np.where(np.arange(1, shells.size + 1) % 2 == 0, 1.0, -1.0)
-    xi = 2.0 * math.fsum(signs * shells.real / (k * k))
-    mean = four_pi_a2 * math.fsum(signs * shells.imag / k)
-    second = PI_SQ_OVER_3 + four_pi_a2 * xi
-    return mean, second, second - mean * mean
+    return _phi_from_shells(_shell_sums(s.coeffs), s.norm_sq)[:3]
 
 
 def lz_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
@@ -121,9 +123,10 @@ def lz_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
 
 def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:
     """Full angle/angular-momentum moment set plus both lower bounds."""
-    mean_phi, second_phi, var_phi = phi_moments(s)
+    mean_phi, second_phi, var_phi, xi = _phi_from_shells(
+        _shell_sums(s.coeffs), s.norm_sq
+    )
     mean_lz, second_lz, var_lz = lz_moments(s)
-    xi = xi_sum(s)
     state_bound = 0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(s))
     return MomentReport(
         mean_phi=mean_phi,
@@ -145,11 +148,9 @@ def trig_report(s: TruncatedSpectrum) -> TrigReport:
     For states whose angular-momentum variance diverges the residuals are
     reported as +inf (the trig relations hold trivially).
     """
-    coeffs = s.coeffs
-    m = coeffs.size
     pi_a2 = math.pi * s.norm_sq
-    s1 = complex(np.dot(coeffs.conj()[: m - 1], coeffs[1:])) if m >= 2 else 0.0j
-    s2 = complex(np.dot(coeffs.conj()[: m - 2], coeffs[2:])) if m >= 3 else 0.0j
+    # S_1 and S_2; a shell wider than the window is empty
+    s1, s2 = ([complex(z) for z in _shell_sums(s.coeffs, max_k=2)] + [0j, 0j])[:2]
     mean_cos = 2.0 * pi_a2 * s1.real
     mean_sin = -2.0 * pi_a2 * s1.imag
     cos_sq = 0.5 + pi_a2 * s2.real

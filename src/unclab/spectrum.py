@@ -139,16 +139,18 @@ def _classify_tail(ns: np.ndarray, ts: np.ndarray) -> _TailEstimate:
     )
 
 
-def _tail_estimate(values: np.ndarray, lo_n: int, hi_n: int) -> _TailEstimate:
-    """Classify value[n-1] decay over the index range [lo_n, hi_n].
+def _tail_estimate(
+    values: np.ndarray, lo_n: int, hi_n: int, first: int = 1
+) -> _TailEstimate:
+    """Classify value[n-first] decay over the index range [lo_n, hi_n].
 
-    ``values`` holds the sequence for n = 1..len(values); samples are
-    log-spaced so that slope fits stay well conditioned.
+    ``values`` holds the sequence for n = first..first+len(values)-1;
+    samples are log-spaced so that slope fits stay well conditioned.
     """
-    lo_n = max(1, lo_n)
+    lo_n = max(first, lo_n)
     if hi_n < lo_n:
         return _UNRESOLVED
-    window = values[lo_n - 1 : hi_n]
+    window = values[lo_n - first : hi_n - first + 1]
     if window.size == 0:
         return _UNRESOLVED
     if float(window.max()) <= _ZERO_FLOOR:
@@ -156,7 +158,7 @@ def _tail_estimate(values: np.ndarray, lo_n: int, hi_n: int) -> _TailEstimate:
     idx = np.unique(
         np.geomspace(lo_n, hi_n, num=min(_TAIL_SAMPLES, hi_n - lo_n + 1)).astype(int)
     )
-    ts = values[idx - 1]
+    ts = values[idx - first]
     if np.any(ts <= _ZERO_FLOOR):
         return _UNRESOLVED
     return _classify_tail(idx.astype(float), ts)
@@ -355,12 +357,7 @@ def build_spectrum(
             f"n^2|C_n|^2 tail: {v_est.kind})"
         )
 
-    cp = np.concatenate([r[0] for r in rings])
-    cm = np.concatenate([r[1] for r in rings])
-    u = np.abs(cp) ** 2 + np.abs(cm) ** 2
-    ns = np.arange(1, n_edge + 1, dtype=float)
-    v = ns * ns * u
-    x = (np.abs(cp) + np.abs(cm)) / (ns * ns)
+    # cp, cm, u, ns, v and x still hold the whole grown window
     u_cum = np.cumsum(u)
     v_cum = np.cumsum(v)
     x_cum = np.cumsum(x)
@@ -502,7 +499,7 @@ def tail_second_moment(
             blocks.append(math.fsum(values[-1]))
             retained = math.fsum(blocks)
             seq = np.concatenate(values)  # index 0 <-> n = N+1
-            est = _tail_estimate_true_n(seq, N, hi - N)
+            est = _tail_estimate(seq, (N + hi) // 2, hi, first=N + 1)
             if est.kind == "divergent":
                 raise NonConvergent(
                     f"family {family.name!r} at alpha={alpha}: n^2|C_n|^2 "
@@ -527,18 +524,3 @@ def tail_second_moment(
             )
         out.append(value)
     return out
-
-
-def _tail_estimate_true_n(seq: np.ndarray, N: int, span: int) -> _TailEstimate:
-    """Tail classification for a sequence starting at n = N+1."""
-    lo_n = N + max(1, span // 2)
-    hi_n = N + span
-    if float(seq[max(0, span // 2 - 1) :].max(initial=0.0)) <= _ZERO_FLOOR:
-        return _TailEstimate("zero", 0.0, 0.0)
-    idx = np.unique(
-        np.geomspace(lo_n, hi_n, num=min(_TAIL_SAMPLES, hi_n - lo_n + 1)).astype(int)
-    )
-    ts = seq[idx - (N + 1)]
-    if np.any(ts <= _ZERO_FLOOR):
-        return _UNRESOLVED
-    return _classify_tail(idx.astype(float), ts)

@@ -1,6 +1,7 @@
 """Dominance, admissibility, alpha-star search, crossings, asymptotics, sweeps."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -221,13 +222,18 @@ class TestSweep:
         with pytest.raises(InvalidParameter):
             sweep(exponential_family(), 1.0, 2.0, 5, scale="cubic")
 
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("UNC_LAB_THREADS", "1")
-        rows = sweep(exponential_family(), 0.5, 2.0, 6)
+    def test_rows_run_on_the_calling_thread(self):
+        threads = set()
+        exp = exponential_family()
+
+        def rule(n, alpha):
+            threads.add(threading.get_ident())
+            return exp.rule(n, alpha)
+
+        family = CoefficientFamily(name="exp_traced", rule=rule)
+        rows = sweep(family, 0.5, 2.0, 6)
         assert len(rows) == 6
-        monkeypatch.setenv("UNC_LAB_THREADS", "zebra")
-        with pytest.raises(InvalidParameter):
-            sweep(exponential_family(), 0.5, 2.0, 6)
+        assert threads == {threading.get_ident()}
 
 
 class TestTheoremOneNumerically:

@@ -17,6 +17,8 @@ from unclab.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from unclab.closed_forms import POLY_PHI_REL_TOL
+from unclab.spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL
 
 SINGLE_MODE_SPEC = {
     "name": "single",
@@ -96,6 +98,31 @@ class TestSweep:
         )
         assert rc == EXIT_DIVERGENT_ROWS
         assert "divergent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, engine",
+        [
+            ("exp", "closed forms"),
+            (
+                "poly",
+                f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}",
+            ),
+            (
+                "custom",
+                f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}",
+            ),
+        ],
+    )
+    def test_engine_line_names_the_tolerances(self, family, engine, tmp_path, capsys):
+        spec = tmp_path / "single.json"
+        spec.write_text(json.dumps(SINGLE_MODE_SPEC))
+        rc = main(["sweep", "--family", family, "--spec", str(spec),
+                   "--min", "2", "--max", "3", "--steps", "2"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("# engine:")] == [
+            f"# engine: {engine}"
+        ]
 
     def test_invalid_range(self, capsys):
         rc = main(["sweep", "--family", "exp", "--min", "1", "--max", "1",
@@ -234,11 +261,3 @@ class TestVerify:
         assert rc == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "max_evals=10" in err
-
-
-class TestThreadsEnv:
-    def test_sweep_respects_thread_cap(self, monkeypatch, capsys):
-        monkeypatch.setenv("UNC_LAB_THREADS", "1")
-        rc = main(["sweep", "--family", "exp", "--min", "0.5", "--max", "2",
-                   "--steps", "5"])
-        assert rc == EXIT_OK

@@ -20,7 +20,6 @@ from unclab import (
     polynomial_family,
     xi_sum,
 )
-from unclab.closed_forms import exp_boundary_weight
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
@@ -88,8 +87,8 @@ class TestExpClosed:
 class TestExpBoundary:
     def test_weight_matches_naive_expression(self):
         for a in (0.3, 1.0, 5.0):
-            naive = math.tanh(a) * math.tanh(a / 2.0) ** 2
-            assert exp_boundary_weight(a) == pytest.approx(naive, rel=1e-14)
+            naive = 0.5 * (1.0 - math.tanh(a) * math.tanh(a / 2.0) ** 2)
+            assert exp_state_bound(a) == pytest.approx(naive, rel=1e-14)
 
     def test_state_bound_is_cancellation_free_at_large_alpha(self):
         # 1 - 2 pi |f(pi)|^2 ~ 4 e^-alpha: the direct form loses digits,

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unclab import (
+    CoefficientFamily,
     DivergentMoment,
     build_spectrum,
     compare_report,
@@ -23,6 +24,7 @@ from unclab import (
     uncertainty_report,
     xi_sum,
 )
+from unclab import moments
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
@@ -216,6 +218,30 @@ class TestUncertaintyReport:
         assert rep.var_phi == pytest.approx(
             rep.second_phi - rep.mean_phi**2, abs=1e-12
         )
+
+    def test_one_shell_pass_shared_with_phi_moments_and_xi(self, monkeypatch):
+        poly = polynomial_family()
+        states = [
+            build_spectrum(exponential_family(), 0.3),
+            build_spectrum(CoefficientFamily(name="poly_generic", rule=poly.rule), 2.2),
+            build_spectrum(table_family("pinned", PINNED_TABLE), 1.0),
+        ]
+        passes = []
+        shell_sums = moments._shell_sums
+
+        def counted(coeffs, *args, **kwargs):
+            passes.append(coeffs.size)
+            return shell_sums(coeffs, *args, **kwargs)
+
+        for s in states:
+            passes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(moments, "_shell_sums", counted)
+                rep = uncertainty_report(s)
+            assert passes == [s.coeffs.size]
+            mean, second, var = phi_moments(s)
+            assert (rep.mean_phi, rep.second_phi, rep.var_phi) == (mean, second, var)
+            assert rep.xi == xi_sum(s)
 
 
 class TestTrigReport:

@@ -22,6 +22,7 @@ from unclab import (
     tail_second_moment,
     two_mode_family,
 )
+from unclab.spectrum import _tail_estimate
 
 PI = math.pi
 
@@ -220,6 +221,22 @@ class TestTailSecondMoment:
     def test_divergent_tail_raises(self):
         with pytest.raises(NonConvergent):
             tail_second_moment(polynomial_family(), [1.2], 10)
+
+    @pytest.mark.parametrize(
+        "kind, term",
+        [
+            ("geometric", lambda n: 0.9**n),
+            ("power", lambda n: n**-3.0),
+            ("zero", lambda n: 0.0 * n),
+        ],
+    )
+    def test_offset_classifier_matches_zero_padded_sequence(self, kind, term):
+        N, hi = 40, 40 + 512
+        seq = term(np.arange(N + 1, hi + 1, dtype=float))
+        padded = np.concatenate([np.zeros(N), seq])
+        est = _tail_estimate(seq, (N + hi) // 2, hi, first=N + 1)
+        assert est.kind == kind
+        assert est == _tail_estimate(padded, (N + hi) // 2, hi)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
