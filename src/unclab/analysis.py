@@ -265,7 +265,7 @@ def check_admissibility(
     reading is reported alongside.
     """
     grid = _validate_grid(alpha_grid)
-    if kappa <= 0.0 or eps <= 0.0 or N < 1:
+    if not (kappa > 0.0) or not (eps > 0.0) or N < 1:
         raise InvalidParameter("need kappa > 0, eps > 0, N >= 1")
     notes: list[str] = []
 
@@ -343,7 +343,7 @@ def find_alpha_star(
     product seen) when the doubling budget is exhausted, which is the
     expected outcome for families without a dominant coefficient.
     """
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
     if alpha_hint <= 0.0:
         raise InvalidParameter(f"alpha_hint must be positive, got {alpha_hint!r}")
@@ -400,6 +400,8 @@ def find_bound_crossing(
     product - target, then bisects to |delta alpha| < 1e-6.  Raises
     NoBracket when the product never crosses the target in the window.
     """
+    if not math.isfinite(target):
+        raise InvalidParameter(f"target must be finite, got {target!r}")
     lo_w, hi_w = window
     if not (0.0 < lo_w < hi_w):
         raise InvalidParameter(f"bad search window {window!r}")

@@ -103,7 +103,7 @@ def adaptive_simpson(
     """
     if not (b > a):
         raise InvalidParameter(f"need b > a, got [{a}, {b}]")
-    if abs_tol <= 0.0:
+    if not (abs_tol > 0.0):
         raise InvalidParameter(f"abs_tol must be positive, got {abs_tol!r}")
 
     n_root = 8  # root intervals; helps oscillatory integrands start sane
@@ -305,7 +305,7 @@ def _mesh_integrals(
     the two passes any answer needs) and raises ToleranceNotMet when
     exceeded.
     """
-    if abs_tol <= 0.0:
+    if not (abs_tol > 0.0):
         raise InvalidParameter(f"abs_tol must be positive, got {abs_tol!r}")
     derivative = any(name in _DERIVATIVE_INTEGRALS for name in names)
     panels = _panel_count(s.cutoff)
@@ -450,7 +450,7 @@ def compare_report(
     not-applicable rows.  Raises ToleranceNotMet when the mesh would need
     more than ``max_evals`` node evaluations.
     """
-    if tol <= 0.0:
+    if not (tol > 0.0):
         raise InvalidParameter(f"tol must be positive, got {tol!r}")
     rows: list[ComparisonRow] = []
 

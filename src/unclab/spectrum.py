@@ -12,8 +12,9 @@ hbar^2 and uncertainty products in units of hbar.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +34,9 @@ _TAIL_SAMPLES = 9
 _DIVERGENT_SLOPE = 1.01
 
 _ZERO_FLOOR = 1e-300
+# Relative rounding of a tail summed term by term: forming each n^2 |C_n|^2
+# from its amplitudes costs a few ulps, and math.fsum adds half of one.
+_TERM_ROUND = 8.0 * sys.float_info.epsilon
 
 
 # --------------------------------------------------------------------------
@@ -254,6 +258,24 @@ def _probe_ok(
     return True
 
 
+def _grow(
+    family: CoefficientFamily, alpha: float, first: int, width: int, n_max: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (edge, cp, cm): the amplitudes at +n and -n for n = first..edge.
+
+    The window grows outward one ring at a time, each ring as wide as the
+    window before it (the first ring is ``width`` wide), up to n_max.
+    """
+    cp = cm = np.empty(0, dtype=np.complex128)
+    edge = first - 1
+    while edge < n_max:
+        ring = np.arange(edge + 1, min(edge + max(width, edge - first + 1), n_max) + 1)
+        cp = np.concatenate((cp, family.coefficients(ring, alpha)))
+        cm = np.concatenate((cm, family.coefficients(-ring, alpha)))
+        edge = int(ring[-1])
+        yield edge, cp, cm
+
+
 def build_spectrum(
     family: CoefficientFamily,
     alpha: float,
@@ -285,22 +307,32 @@ def build_spectrum(
     u0 = abs(c0) ** 2
     w0 = abs(c0)
     must_cover = min(family.support_hint or 0, n_max)
+    u_est = v_est = _UNRESOLVED
 
-    rings: list[tuple[np.ndarray, np.ndarray]] = []
-    n_edge = 0
-    u_est = v_est = x_est = _UNRESOLVED
-    resolved = False
+    def meets(cand: int) -> bool:
+        """Whether truncating the grown window at cand meets every tail test."""
+        if cand < must_cover:
+            return False
+        u_ret, v_ret, x_ret = (
+            c[cand - 1] if cand else 0.0 for c in (u_cum, v_cum, x_cum)
+        )
+        s0_c = u0 + u_ret
+        if s0_c <= _ZERO_FLOOR:
+            return False
+        if (u_cum[-1] - u_ret) + u_est.outer > rel_tol * s0_c:
+            return False
+        if (x_cum[-1] - x_ret) + x_est.outer > rel_tol * max(w0 + x_ret, _ZERO_FLOOR):
+            return False
+        if v_est.kind == "divergent":
+            return True
+        if v_est.kind == "power":
+            # the Euler-Maclaurin completion is kept, so only its error counts
+            return v_est.err <= rel_tol * max(v_cum[-1] + v_est.bound, _ZERO_FLOOR)
+        return (v_cum[-1] - v_ret) + v_est.bound <= rel_tol * max(v_ret, _ZERO_FLOOR)
 
-    while n_edge < n_max:
-        new_edge = min(max(16, 2 * n_edge), n_max)
-        ring = np.arange(n_edge + 1, new_edge + 1)
-        rings.append((family.coefficients(ring, alpha), family.coefficients(-ring, alpha)))
-        n_edge = new_edge
+    for n_edge, cp, cm in _grow(family, alpha, 1, 16, n_max):
         if n_edge < must_cover:
             continue
-
-        cp = np.concatenate([r[0] for r in rings])
-        cm = np.concatenate([r[1] for r in rings])
         u = np.abs(cp) ** 2 + np.abs(cm) ** 2
         ns = np.arange(1, n_edge + 1, dtype=float)
         v = ns * ns * u
@@ -316,71 +348,27 @@ def build_spectrum(
                 f"family {family.name!r} at alpha={alpha}: the normalization "
                 f"sum |C_n|^2 diverges (slope {u_est.slope:.3f} <= 1)"
             )
-
-        s0 = u0 + math.fsum(u)
-        s2 = math.fsum(v)
-        sx = w0 + math.fsum(x)
-        if s0 <= _ZERO_FLOOR and u_est.kind == "zero":
+        u_cum = np.cumsum(u)
+        v_cum = np.cumsum(v)
+        x_cum = np.cumsum(x)
+        mass = u0 + u_cum[-1]
+        if mass <= _ZERO_FLOOR and u_est.kind == "zero":
             if _probe_ok(family, alpha, n_edge, n_max, _ZERO_FLOOR):
                 raise DegenerateState(
                     f"family {family.name!r} at alpha={alpha}: all amplitudes "
                     "below the underflow threshold"
                 )
-
-        u_ok = (
-            u_est.kind in ("zero", "geometric", "power")
-            and u_est.outer <= rel_tol * s0
-        )
-        x_ok = (
-            x_est.kind in ("zero", "geometric", "power")
-            and x_est.outer <= rel_tol * sx
-        )
-        if v_est.kind == "zero" or v_est.kind == "divergent":
-            v_ok = True
-        elif v_est.kind == "geometric":
-            v_ok = v_est.bound <= rel_tol * max(s2, _ZERO_FLOOR)
-        elif v_est.kind == "power":
-            v_ok = v_est.err <= rel_tol * max(s2 + v_est.bound, _ZERO_FLOOR)
-        else:
-            v_ok = False
-
-        if u_ok and v_ok and x_ok:
-            probe_threshold = max(rel_tol * max(s2, s0), _ZERO_FLOOR)
-            if _probe_ok(family, alpha, n_edge, n_max, probe_threshold, v_est):
-                resolved = True
-                break
-
-    if not resolved:
+        probe_threshold = max(rel_tol * max(v_cum[-1], mass), _ZERO_FLOOR)
+        if meets(n_edge) and _probe_ok(
+            family, alpha, n_edge, n_max, probe_threshold, v_est
+        ):
+            break
+    else:
         raise NonConvergent(
             f"family {family.name!r} at alpha={alpha}: tail criteria not met "
             f"within n_max={n_max} (|C_n|^2 tail: {u_est.kind}, "
             f"n^2|C_n|^2 tail: {v_est.kind})"
         )
-
-    # cp, cm, u, ns, v and x still hold the whole grown window
-    u_cum = np.cumsum(u)
-    v_cum = np.cumsum(v)
-    x_cum = np.cumsum(x)
-    u_total = float(u_cum[-1])
-    v_total = float(v_cum[-1])
-    x_total = float(x_cum[-1])
-
-    def meets(cand: int) -> bool:
-        if cand < must_cover:
-            return False
-        u_ret = u_cum[cand - 1] if cand >= 1 else 0.0
-        s0_c = u0 + u_ret
-        if s0_c <= _ZERO_FLOOR:
-            return False
-        if (u_total - u_ret) + u_est.outer > rel_tol * s0_c:
-            return False
-        x_ret = x_cum[cand - 1] if cand >= 1 else 0.0
-        if (x_total - x_ret) + x_est.outer > rel_tol * max(w0 + x_ret, _ZERO_FLOOR):
-            return False
-        if v_est.kind in ("divergent", "power"):
-            return True
-        v_ret = v_cum[cand - 1] if cand >= 1 else 0.0
-        return (v_total - v_ret) + v_est.bound <= rel_tol * max(v_ret, _ZERO_FLOOR)
 
     lo, hi = 0, n_edge  # hi is known-good
     while lo < hi:
@@ -398,24 +386,21 @@ def build_spectrum(
         coeffs[:cutoff] = cm[:cutoff][::-1]
     coeffs.flags.writeable = False  # value object, safe to share across threads
 
-    win_u = u[:cutoff]
     n_win = ns[:cutoff]
-    s0 = u0 + math.fsum(win_u)
-    if s0 <= _ZERO_FLOOR:
-        raise DegenerateState(
-            f"family {family.name!r} at alpha={alpha}: zero total mass"
-        )
+    s0 = u0 + math.fsum(u[:cutoff])  # meets(cutoff) held, so s0 > _ZERO_FLOOR
     s2 = math.fsum(v[:cutoff])
     cp_sq = np.abs(cp[:cutoff]) ** 2
     cm_sq = np.abs(cm[:cutoff]) ** 2
     s1 = math.fsum(n_win * cp_sq) - math.fsum(n_win * cm_sq)
 
+    # the dropped part of the window is summed directly, never as a
+    # difference of window totals, which would cancel it below eps * total
     if math.isinf(v_est.bound):
         tail_bound, tail_err = math.inf, math.inf
     else:
-        tail_bound = (v_total - s2) + v_est.bound
-        tail_err = v_est.err
-    norm_tail = (u_total - math.fsum(win_u)) + u_est.bound
+        tail_bound = math.fsum(v[cutoff:]) + v_est.bound
+        tail_err = v_est.err + _TERM_ROUND * tail_bound
+    norm_tail = math.fsum(u[cutoff:]) + u_est.bound
 
     return TruncatedSpectrum(
         family_name=family.name,
@@ -485,20 +470,9 @@ def tail_second_moment(
     for alpha in alpha_grid:
         if not (alpha > 0.0):
             raise InvalidParameter(f"grid alphas must be positive, got {alpha!r}")
-        blocks: list[float] = []
-        values: list[np.ndarray] = []
-        lo = N + 1
-        block = 256
-        value = None
-        while lo <= N + _TAIL_BUDGET:
-            hi = min(lo + block - 1, N + _TAIL_BUDGET)
-            ring = np.arange(lo, hi + 1)
-            cpq = np.abs(family.coefficients(ring, alpha)) ** 2
-            cmq = np.abs(family.coefficients(-ring, alpha)) ** 2
-            values.append(ring.astype(float) ** 2 * (cpq + cmq))
-            blocks.append(math.fsum(values[-1]))
-            retained = math.fsum(blocks)
-            seq = np.concatenate(values)  # index 0 <-> n = N+1
+        for hi, cp, cm in _grow(family, alpha, N + 1, 256, N + _TAIL_BUDGET):
+            ns = np.arange(N + 1, hi + 1, dtype=float)
+            seq = ns * ns * (np.abs(cp) ** 2 + np.abs(cm) ** 2)  # seq[0] <-> n = N+1
             est = _tail_estimate(seq, (N + hi) // 2, hi, first=N + 1)
             if est.kind == "divergent":
                 raise NonConvergent(
@@ -506,21 +480,16 @@ def tail_second_moment(
                     f"diverges (slope {est.slope:.3f} <= 1)"
                 )
             if est.kind in ("zero", "geometric", "power"):
-                total = retained + (0.0 if math.isinf(est.bound) else est.bound)
-                scale = max(total, _ZERO_FLOOR)
-                err = est.bound if est.kind == "geometric" else est.err
-                if err <= _TAIL_REL * scale:
-                    if _probe_ok(
-                        family, alpha, hi, hi + 8 * block, _TAIL_REL * scale, est
-                    ):
-                        value = retained + (0.0 if est.kind == "zero" else est.bound)
-                        break
-            lo = hi + 1
-            block *= 2
-        if value is None:
+                retained = math.fsum(seq)
+                scale = max(retained + est.bound, _ZERO_FLOOR)
+                if est.err <= _TAIL_REL * scale and _probe_ok(
+                    family, alpha, hi, hi + 8 * (hi - N), _TAIL_REL * scale, est
+                ):
+                    out.append(retained + est.bound)
+                    break
+        else:
             raise NonConvergent(
                 f"family {family.name!r} at alpha={alpha}: tail beyond N={N} "
                 f"not resolved within probe budget"
             )
-        out.append(value)
     return out

@@ -261,3 +261,20 @@ class TestVerify:
         assert rc == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "max_evals=10" in err
+
+
+class TestNonFiniteThresholds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha-star", "--family", "exp", "--epsilon", "nan"],
+            ["verify", "--family", "exp", "--alpha", "1", "--tol", "nan"],
+            ["check", "--family", "exp", "--kappa", "nan"],
+            ["check", "--family", "exp", "--eps", "nan"],
+            ["crossing", "--family", "exp", "--target", "nan"],
+            ["crossing", "--family", "exp", "--target", "inf"],
+        ],
+    )
+    def test_rejected_as_invalid(self, argv, capsys):
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")

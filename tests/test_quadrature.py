@@ -167,6 +167,11 @@ class TestAdaptiveSimpson:
         with pytest.raises(InvalidParameter):
             adaptive_simpson(math.sin, 1.0, 1.0)
 
+    @pytest.mark.parametrize("abs_tol", [0.0, math.nan])
+    def test_abs_tol_must_be_positive(self, abs_tol):
+        with pytest.raises(InvalidParameter):
+            adaptive_simpson(math.sin, 0.0, 1.0, abs_tol=abs_tol)
+
 
 class TestPhiMomentQuadrature:
     def test_single_mode_second_moment(self):
@@ -351,8 +356,9 @@ class TestSharedMesh:
 
     def test_abs_tol_must_be_positive(self):
         s = build_spectrum(single_mode_family(0), 1.0)
-        with pytest.raises(InvalidParameter):
-            quad_norm(s, abs_tol=0.0)
+        for abs_tol in (0.0, math.nan):
+            with pytest.raises(InvalidParameter):
+                quad_norm(s, abs_tol=abs_tol)
 
 
 class TestConvergenceWithRelTol:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,19 @@ from unclab import (
 from unclab.spectrum import _tail_estimate
 
 PI = math.pi
+
+
+def exact_tails(family, alpha, N):
+    """40-digit (sum_{|n|>N} n^2 |C_n|^2, sum_{|n|>N} |C_n|^2) for exp or poly."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        M = N + 1
+        if family == "exp":
+            # sum_{n>=M} n^2 r^n = r^M (M^2 - (2M^2 - 2M - 1) r + (M-1)^2 r^2) / (1-r)^3
+            r = mpmath.exp(-2 * a)
+            v = r**M * (M * M - (2 * M * M - 2 * M - 1) * r + (M - 1) ** 2 * r * r)
+            return float(2 * v / (1 - r) ** 3), float(2 * r**M / (1 - r))
+        return float(2 * mpmath.zeta(2 * a - 2, M)), float(2 * mpmath.zeta(2 * a, M))
 
 
 def coeff_dicts(max_index=6):
@@ -102,6 +116,32 @@ class TestBuildSpectrum:
     def test_nonconvergent_for_non_normalizable_family(self):
         with pytest.raises(NonConvergent):
             build_spectrum(polynomial_family(), 0.4, rel_tol=1e-6, n_max=5000)
+
+    @pytest.mark.parametrize(
+        "family, alpha",
+        [("exp", 0.01), ("exp", 0.3), ("exp", 1.0), ("exp", 3.0),
+         ("poly", 2.2), ("poly", 3.0)],
+    )
+    def test_tail_fields_bound_the_exact_tails(self, family, alpha):
+        fam = exponential_family() if family == "exp" else polynomial_family()
+        s = build_spectrum(fam, alpha)
+        v_exact, u_exact = exact_tails(family, alpha, s.cutoff)
+        assert abs(s.tail_bound - v_exact) <= s.tail_err
+        assert s.norm_tail >= 0.0
+        assert abs(s.norm_tail - u_exact) <= 1e-6 * u_exact
+
+    @pytest.mark.parametrize(
+        "family, alpha, rel_tol, cutoff",
+        [
+            (exponential_family(), 0.01, 1e-12, 1703),
+            (exponential_family(), 0.005, 1e-12, 3405),
+            (polynomial_family(), 2.2, 1e-12, 3827),
+            (polynomial_family(), 1.6, 1e-8, 2820),
+            (polynomial_family(), 1.4, 1e-8, 17757),
+        ],
+    )
+    def test_wide_window_cutoffs(self, family, alpha, rel_tol, cutoff):
+        assert build_spectrum(family, alpha, rel_tol=rel_tol).cutoff == cutoff
 
     def test_degenerate_state(self):
         zero = table_family("nothing", {0: 0.0})
@@ -207,6 +247,14 @@ class TestTailSecondMoment:
         tails = tail_second_moment(exponential_family(), grid, 50)
         assert len(tails) == len(grid)
         assert max(tails) < 1e-15
+
+    @pytest.mark.parametrize(
+        "alpha, N", [(0.001, 5), (0.01, 10), (0.05, 10), (0.2, 10), (1.0, 3), (0.3, 50)]
+    )
+    def test_exponential_matches_exact_tail(self, alpha, N):
+        got = tail_second_moment(exponential_family(), [alpha], N)[0]
+        want = exact_tails("exp", alpha, N)[0]
+        assert abs(got - want) <= 1e-12 * want
 
     def test_single_mode_exact_zero(self):
         assert tail_second_moment(single_mode_family(0), [1.0, 2.0], 1) == [0.0, 0.0]
