@@ -113,6 +113,9 @@ def sweep(
     With ``keep_going`` a divergent sigma_Lz yields a row with NaN variance
     instead of aborting the sweep.
     """
+    for name, end in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
+        if not math.isfinite(end):
+            raise InvalidParameter(f"{name} must be finite, got {end!r}")
     if not (0.0 < alpha_min < alpha_max):
         raise InvalidParameter(
             f"need 0 < alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]"
@@ -164,6 +167,8 @@ def _validate_grid(alpha_grid: Sequence[float], min_points: int = 8) -> np.ndarr
     grid = np.asarray(list(alpha_grid), dtype=float)
     if grid.size < min_points:
         raise InvalidParameter(f"grid needs >= {min_points} points, got {grid.size}")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidParameter(f"grid must be finite, got [{grid[0]}, {grid[-1]}]")
     if np.any(np.diff(grid) <= 0.0) or np.any(grid <= 0.0):
         raise InvalidParameter("grid must be strictly increasing and positive")
     if grid[-1] < 10.0 * grid[0]:

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentMoment, InvalidParameter, ToleranceNotMet
-from .moments import lz_moments, phi_moments, trig_report
+from .moments import _smooth_length, lz_moments, phi_moments, trig_report
 from .spectrum import TruncatedSpectrum
 
 DEFAULT_ABS_TOL = 1e-10
@@ -170,19 +170,7 @@ def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _panel_count(cutoff: int) -> int:
     """Smallest 2^a 3^b 5^c that is at least max(2 cutoff + 3, 32)."""
-    need = max(2 * cutoff + 3, _MIN_PANELS)
-    best = 1 << (need - 1).bit_length()
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            p = f35
-            while p < need:
-                p *= 2
-            best = min(best, p)
-            f35 *= 3
-        f5 *= 5
-    return best
+    return _smooth_length(max(2 * cutoff + 3, _MIN_PANELS))
 
 
 def _node_values(s: TruncatedSpectrum, b: np.ndarray, delta: float) -> np.ndarray:

@@ -83,6 +83,9 @@ class TestDominance:
             check_dominance(exponential_family(), [1.0, 2.0, 3.0])  # short
         with pytest.raises(InvalidParameter):
             check_dominance(exponential_family(), np.linspace(1.0, 2.0, 10))  # narrow
+        with pytest.raises(InvalidParameter, match="grid must be finite"):
+            grid = [0.5 * 2.0**i for i in range(7)] + [math.inf]
+            check_dominance(exponential_family(), grid)
 
 
 class TestAdmissibility:
@@ -221,6 +224,9 @@ class TestSweep:
             sweep(exponential_family(), 1.0, 2.0, 1)
         with pytest.raises(InvalidParameter):
             sweep(exponential_family(), 1.0, 2.0, 5, scale="cubic")
+        for lo, hi, bad in ((0.5, math.inf, "alpha_max"), (math.nan, 2.0, "alpha_min")):
+            with pytest.raises(InvalidParameter, match=bad):
+                sweep(exponential_family(), lo, hi, 3)
 
     def test_rows_run_on_the_calling_thread(self):
         threads = set()

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import warnings
 
 import pytest
 
@@ -273,8 +274,19 @@ class TestNonFiniteThresholds:
             ["check", "--family", "exp", "--eps", "nan"],
             ["crossing", "--family", "exp", "--target", "nan"],
             ["crossing", "--family", "exp", "--target", "inf"],
+            ["sweep", "--family", "exp", "--min", "0.5", "--max", "inf",
+             "--steps", "3"],
+            ["sweep", "--family", "exp", "--min", "nan", "--max", "2",
+             "--steps", "3"],
+            ["sweep", "--family", "exp", "--min", "0.5", "--max", "nan",
+             "--steps", "3"],
+            ["check", "--family", "exp", "--grid-max", "inf"],
+            ["check", "--family", "exp", "--grid-max", "nan"],
         ],
     )
     def test_rejected_as_invalid(self, argv, capsys):
-        assert main(argv) == EXIT_INVALID
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_INVALID
+        assert caught == []
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,6 +1,10 @@
 """Series moments against hand values, brute-force pair sums, and quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +246,61 @@ class TestUncertaintyReport:
             mean, second, var = phi_moments(s)
             assert (rep.mean_phi, rep.second_phi, rep.var_phi) == (mean, second, var)
             assert rep.xi == xi_sum(s)
+
+
+class TestShellSums:
+    """The FFT shells against the pair-sum definition, shell by shell.
+
+    The autocorrelation's error is absolute, about eps * sum |c|^2 per
+    shell; the largest seen on these windows is 3.8 eps sum |c|^2, and
+    the bound allows 16.
+    """
+
+    @pytest.mark.parametrize("which", ["poly", "exp_phased"])
+    def test_matches_pair_sums(self, which):
+        if which == "poly":
+            s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-8)
+            assert s.cutoff == 17757
+        else:
+            exp = exponential_family()
+            phased = CoefficientFamily(
+                name="exp_phased",
+                rule=lambda n, a: exp.rule(n, a) * np.exp(0.7j * n),
+                is_real=False,
+            )
+            s = build_spectrum(phased, 0.005)
+            assert s.cutoff == 3405
+        c = s.coeffs
+        if np.any(c.imag):
+            want = np.correlate(c, c, "full")[c.size :]
+        else:
+            want = np.correlate(c.real, c.real, "full")[c.size :]
+        got = moments._shell_sums(c)
+        assert got.shape == want.shape
+        bound = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(c) ** 2))
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_real_window_gives_exactly_real_shells(self):
+        for s in (
+            build_spectrum(exponential_family(), 0.01),
+            build_spectrum(polynomial_family(), 2.2),
+            build_spectrum(two_mode_family(), 1.0),
+        ):
+            assert not np.any(moments._shell_sums(s.coeffs).imag)
+            assert phi_moments(s)[0] == 0.0
+
+    def test_import_leaves_numpy_fft_unloaded(self):
+        src = str(Path(moments.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = "import sys, unclab; print('numpy.fft' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestTrigReport:
