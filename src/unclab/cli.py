@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     check_admissibility,
@@ -83,10 +85,12 @@ def _grid_args(p: argparse.ArgumentParser) -> None:
 
 
 def _log_grid(lo: float, hi: float, num: int) -> list[float]:
+    for name, end in (("--grid-min", lo), ("--grid-max", hi)):
+        if not math.isfinite(end):
+            raise InvalidParameter(f"{name} must be finite, got {end!r}")
     if not (0.0 < lo < hi) or num < 2:
         raise InvalidParameter(f"bad grid [{lo}, {hi}] x {num}")
-    ratio = (hi / lo) ** (1.0 / (num - 1))
-    return [lo * ratio**i for i in range(num)]
+    return np.geomspace(lo, hi, num).tolist()
 
 
 # --------------------------------------------------------------------------

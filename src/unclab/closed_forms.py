@@ -8,9 +8,9 @@ Exponential family C_n = e^{-alpha |n|}  (u = e^{-alpha}):
     sigma_Lz^2 = 2 u^2 / (1 - u^2)^2            [= 1 / (2 sinh^2 alpha)]
     sigma_phi^2 = pi^2/3 + 4 Li2(-u) + g(alpha)
     g(alpha)   = -4 tanh(alpha) ln(1 + u)
-    <cos phi>  = 1 / cosh(alpha)
+    <cos phi>  = 1 / cosh(alpha) = 2 u / (1 + u^2)
     sigma_sin^2 = tanh(alpha) (1 - u^2) / 2
-    <cos^2>     = (1 - u^2)/2 + u / cosh(alpha)
+    <cos^2>     = (1 - u^2)/2 + u <cos phi>
     2 pi |f(pi)|^2 = (1-u)^3 / ((1+u^2)(1+u))
 
 Polynomial family C_n = |n|^{-alpha}, C_0 = 0:
@@ -70,9 +70,9 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     li2 = dilog(-u).value
     g = -4.0 * th * ln1p(u)
     var_phi = PI_SQ_OVER_3 + 4.0 * li2 + g
-    mean_cos = 1.0 / math.cosh(alpha)
+    mean_cos = 2.0 * u / (1.0 + u * u)  # 1 / cosh(alpha), finite for any alpha
     var_sin = th * one_minus_u2 / 2.0
-    cos_sq = one_minus_u2 / 2.0 + u / math.cosh(alpha)
+    cos_sq = one_minus_u2 / 2.0 + u * mean_cos
     var_cos = cos_sq - mean_cos * mean_cos
     return ExpFamilyEval(
         alpha=float(alpha),

@@ -11,6 +11,7 @@ hbar^2 and uncertainty products in units of hbar.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -70,29 +71,40 @@ class _TailEstimate:
 _UNRESOLVED = _TailEstimate("unresolved", math.inf, math.inf)
 
 
-def _classify_tail(ns: np.ndarray, ts: np.ndarray) -> _TailEstimate:
-    """Classify the decay of t_n > 0 from log-spaced samples (n, t_n).
+@functools.lru_cache(maxsize=64)
+def _tail_samples(lo_n: int, hi_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-spaced sample indices over [lo_n, hi_n], as ints and floats, and
+    the fit design with columns [1, n/n_last, ln n].
 
-    Fits ln t = A + B n + C ln n, separating a geometric rate B from a
-    power prefactor C (pure ratio tests misread mixed decays like
-    n^2 e^{-2 alpha n}).  A clear geometric rate gets a majorant from the
-    largest future per-step ratio exp(B + max(C, 0)/n); a pure power law
-    t ~ n^-s gets an Euler-Maclaurin tail estimate, with fitted slopes
-    s <= 1 flagged divergent.  Anything ambiguous is unresolved.
+    The cached arrays are read-only: every ring over the range shares them.
     """
-    if ns.size < 4:
-        return _UNRESOLVED
+    idx = np.unique(
+        np.geomspace(lo_n, hi_n, num=min(_TAIL_SAMPLES, hi_n - lo_n + 1)).astype(int)
+    )
+    ns = idx.astype(float)
+    design = np.column_stack([np.ones_like(ns), ns / ns[-1], np.log(ns)])
+    for arr in (idx, ns, design):
+        arr.flags.writeable = False
+    return idx, ns, design
+
+
+def _classify_tail(
+    ns: np.ndarray, t_last: float, coef: np.ndarray, max_resid: float
+) -> _TailEstimate:
+    """Classify the decay of t_n > 0 from its fit over log-spaced samples ns.
+
+    The fit is ln t = A + B n + C ln n (``coef`` holds A, B n_last, C),
+    separating a geometric rate B from a power prefactor C (pure ratio
+    tests misread mixed decays like n^2 e^{-2 alpha n}); ``max_resid`` is
+    its largest absolute residual.  A clear geometric rate gets a majorant
+    from the largest future per-step ratio exp(B + max(C, 0)/n); a pure
+    power law t ~ n^-s gets an Euler-Maclaurin tail estimate, with fitted
+    slopes s <= 1 flagged divergent.  Anything ambiguous is unresolved.
+    """
     n_last = float(ns[-1])
-    t_last = float(ts[-1])
     span = float(ns[-1] - ns[0])
-    if span <= 0.0:
-        return _UNRESOLVED
-    logt = np.log(ts)
-    design = np.column_stack([np.ones_like(ns), ns / n_last, np.log(ns)])
-    coef, *_ = np.linalg.lstsq(design, logt, rcond=None)
     b_rate = float(coef[1]) / n_last
     c_pow = float(coef[2])
-    max_resid = float(np.abs(design @ coef - logt).max())
     if max_resid > 0.1:
         return _UNRESOLVED
 
@@ -144,28 +156,40 @@ def _classify_tail(ns: np.ndarray, ts: np.ndarray) -> _TailEstimate:
 
 
 def _tail_estimate(
-    values: np.ndarray, lo_n: int, hi_n: int, first: int = 1
-) -> _TailEstimate:
-    """Classify value[n-first] decay over the index range [lo_n, hi_n].
+    columns: tuple[np.ndarray, ...], lo_n: int, hi_n: int, first: int = 1
+) -> tuple[_TailEstimate, ...]:
+    """Classify each column's decay over the index range [lo_n, hi_n].
 
-    ``values`` holds the sequence for n = first..first+len(values)-1;
-    samples are log-spaced so that slope fits stay well conditioned.
+    Every column holds a sequence for n = first..first+len-1, all of one
+    length.  They share one log-spaced sample set (samples spread out so
+    that slope fits stay well conditioned) and one least-squares fit with
+    a right-hand side per column; all-zero windows and samples at the
+    underflow floor are sorted out per column before the fit.
     """
     lo_n = max(first, lo_n)
-    if hi_n < lo_n:
-        return _UNRESOLVED
-    window = values[lo_n - first : hi_n - first + 1]
-    if window.size == 0:
-        return _UNRESOLVED
-    if float(window.max()) <= _ZERO_FLOOR:
-        return _TailEstimate("zero", 0.0, 0.0)
-    idx = np.unique(
-        np.geomspace(lo_n, hi_n, num=min(_TAIL_SAMPLES, hi_n - lo_n + 1)).astype(int)
-    )
-    ts = values[idx - first]
-    if np.any(ts <= _ZERO_FLOOR):
-        return _UNRESOLVED
-    return _classify_tail(idx.astype(float), ts)
+    if hi_n < lo_n or columns[0].size <= lo_n - first:
+        return (_UNRESOLVED,) * len(columns)
+    idx, ns, design = _tail_samples(lo_n, hi_n)
+    out: list[_TailEstimate] = []
+    fit: list[int] = []
+    for values in columns:
+        if float(values[lo_n - first : hi_n - first + 1].max()) <= _ZERO_FLOOR:
+            out.append(_TailEstimate("zero", 0.0, 0.0))
+        elif idx.size < 4 or np.any(values[idx - first] <= _ZERO_FLOOR):
+            out.append(_UNRESOLVED)
+        else:
+            fit.append(len(out))
+            out.append(_UNRESOLVED)
+    if fit:
+        ts = np.column_stack([columns[j][idx - first] for j in fit])
+        logt = np.log(ts)
+        coef, *_ = np.linalg.lstsq(design, logt, rcond=None)
+        max_resid = np.abs(design @ coef - logt).max(axis=0)
+        for k, j in enumerate(fit):
+            out[j] = _classify_tail(
+                ns, float(ts[-1, k]), coef[:, k], float(max_resid[k])
+            )
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -340,9 +364,7 @@ def build_spectrum(
         # dropped amplitude at n; quadratic mass criteria alone miss it
         x = (np.abs(cp) + np.abs(cm)) / (ns * ns)
 
-        u_est = _tail_estimate(u, n_edge // 2, n_edge)
-        v_est = _tail_estimate(v, n_edge // 2, n_edge)
-        x_est = _tail_estimate(x, n_edge // 2, n_edge)
+        u_est, v_est, x_est = _tail_estimate((u, v, x), n_edge // 2, n_edge)
         if u_est.kind == "divergent":
             raise NonConvergent(
                 f"family {family.name!r} at alpha={alpha}: the normalization "
@@ -473,7 +495,7 @@ def tail_second_moment(
         for hi, cp, cm in _grow(family, alpha, N + 1, 256, N + _TAIL_BUDGET):
             ns = np.arange(N + 1, hi + 1, dtype=float)
             seq = ns * ns * (np.abs(cp) ** 2 + np.abs(cm) ** 2)  # seq[0] <-> n = N+1
-            est = _tail_estimate(seq, (N + hi) // 2, hi, first=N + 1)
+            (est,) = _tail_estimate((seq,), (N + hi) // 2, hi, first=N + 1)
             if est.kind == "divergent":
                 raise NonConvergent(
                     f"family {family.name!r} at alpha={alpha}: n^2|C_n|^2 "

@@ -125,6 +125,12 @@ class TestSweep:
             f"# engine: {engine}"
         ]
 
+    def test_exponential_beyond_cosh_overflow(self, capsys):
+        rc = main(["sweep", "--family", "exp", "--min", "1", "--max", "800",
+                   "--steps", "2"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].startswith("800,")
+
     def test_invalid_range(self, capsys):
         rc = main(["sweep", "--family", "exp", "--min", "1", "--max", "1",
                    "--steps", "2"])
@@ -157,6 +163,22 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["dominance"]["verdict"] == "dominant"
         assert payload["admissibility"]["cond_iii"] is True
+
+    def test_json_grid_ends_are_the_given_ends(self, capsys):
+        assert main(["check", "--family", "exp", "--json"]) == EXIT_OK
+        grid = json.loads(capsys.readouterr().out)["dominance"]["grid"]
+        assert len(grid) == 16
+        assert [grid[0], grid[-1]] == [0.5, 20.0]
+
+    # exp amplitudes at alpha near 1.7e308 underflow to 0 through an
+    # overflowing -alpha |n|, which numpy reports on the way
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_grid_spanning_the_float_range(self, capsys):
+        rc = main(["check", "--family", "exp", "--grid-min", "1e-3",
+                   "--grid-max", "1.7e308", "--json"])
+        assert rc == EXIT_OK
+        grid = json.loads(capsys.readouterr().out)["dominance"]["grid"]
+        assert [grid[0], grid[-1]] == [1e-3, 1.7e308]
 
     def test_inconclusive_family_exit_code(self, tmp_path, capsys):
         # two alpha-independent amplitudes with ratio 0.5: neither decayed

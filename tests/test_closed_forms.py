@@ -61,6 +61,22 @@ class TestExpClosed:
         assert ev.var_phi == pytest.approx(PI2_3, abs=1e-12)
         assert exp_state_bound(500.0) >= 0.0
 
+    @pytest.mark.parametrize("alpha", [800.0, 1e308])
+    def test_finite_beyond_cosh_overflow(self, alpha):
+        ev = exp_closed(alpha)
+        assert all(
+            math.isfinite(getattr(ev, f))
+            for f in ("var_phi", "var_lz", "g_value", "dilog_value",
+                      "mean_cos", "var_sin", "var_cos")
+        )
+        assert ev.mean_cos == 0.0
+        assert ev.var_phi == pytest.approx(PI2_3, abs=1e-12)
+
+    def test_mean_cos_is_sech(self):
+        for a in np.geomspace(1e-3, 700.0, 400):
+            sech = 1.0 / math.cosh(a)
+            assert abs(exp_closed(a).mean_cos - sech) <= 4 * np.finfo(float).eps * sech
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_agrees_with_series_engine(self, alpha):
         ev = exp_closed(alpha)

@@ -23,7 +23,8 @@ from unclab import (
     tail_second_moment,
     two_mode_family,
 )
-from unclab.spectrum import _tail_estimate
+from unclab import spectrum
+from unclab.spectrum import _tail_estimate, _tail_samples
 
 PI = math.pi
 
@@ -129,6 +130,40 @@ class TestBuildSpectrum:
         assert abs(s.tail_bound - v_exact) <= s.tail_err
         assert s.norm_tail >= 0.0
         assert abs(s.norm_tail - u_exact) <= 1e-6 * u_exact
+
+    @pytest.mark.parametrize(
+        "alpha, rel_tol",
+        [(a, 1e-8) for a in (1.7, 1.8, 3.5, 4.0, 5.0, 6.0, 8.0, 10.0)]
+        + [(a, 1e-12) for a in (4.5, 5.0, 6.0, 8.0, 10.0)],
+    )
+    def test_tail_err_bounds_power_law_tails(self, alpha, rel_tol):
+        # Euler-Maclaurin completions whose tail_err is at its tightest
+        # (|tail_bound - exact| / tail_err reaches 0.9986 at 1e-12)
+        s = build_spectrum(polynomial_family(), alpha, rel_tol=rel_tol)
+        v_exact, _ = exact_tails("poly", alpha, s.cutoff)
+        assert abs(s.tail_bound - v_exact) <= s.tail_err
+        assert s.norm_tail >= 0.0
+
+    def test_one_tail_fit_per_ring(self, monkeypatch):
+        fits, edges = [], []
+        real_lstsq, real_grow = np.linalg.lstsq, spectrum._grow
+
+        def lstsq(a, b, *args, **kwargs):
+            fits.append(b.shape)
+            return real_lstsq(a, b, *args, **kwargs)
+
+        def grow(*args):
+            for ring in real_grow(*args):
+                edges.append(ring[0])
+                yield ring
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        monkeypatch.setattr(spectrum, "_grow", grow)
+        build_spectrum(polynomial_family(), 2.2, rel_tol=1e-8)
+        assert len(edges) > 1
+        # one fit per ring, its right-hand sides the u, v and x tails
+        assert len(fits) == len(edges)
+        assert all(len(shape) == 2 and shape[1] == 3 for shape in fits)
 
     @pytest.mark.parametrize(
         "family, alpha, rel_tol, cutoff",
@@ -282,9 +317,9 @@ class TestTailSecondMoment:
         N, hi = 40, 40 + 512
         seq = term(np.arange(N + 1, hi + 1, dtype=float))
         padded = np.concatenate([np.zeros(N), seq])
-        est = _tail_estimate(seq, (N + hi) // 2, hi, first=N + 1)
+        (est,) = _tail_estimate((seq,), (N + hi) // 2, hi, first=N + 1)
         assert est.kind == kind
-        assert est == _tail_estimate(padded, (N + hi) // 2, hi)
+        assert (est,) == _tail_estimate((padded,), (N + hi) // 2, hi)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
@@ -293,3 +328,64 @@ class TestTailSecondMoment:
             tail_second_moment(exponential_family(), [1.0], 0)
         with pytest.raises(InvalidParameter):
             tail_second_moment(exponential_family(), [-1.0], 5)
+
+
+def ring_columns(family, alpha, edge):
+    """The u, v, x tail sequences build_spectrum classifies on one ring."""
+    ns = np.arange(1, edge + 1)
+    cp = np.abs(family.coefficients(ns, alpha))
+    cm = np.abs(family.coefficients(-ns, alpha))
+    u = cp**2 + cm**2
+    return u, ns * ns * u, (cp + cm) / (ns * ns)
+
+
+_NS = np.arange(1, 513, dtype=float)
+
+
+class TestTailEstimate:
+    # The fit's columns [1, n/n_last, ln n] are nearly collinear over
+    # [n/2, n] (condition number about 2e3), so LAPACK rounds a fit with
+    # several right-hand sides differently from one with a single side:
+    # the slope moves by up to 5e-14, a bound by up to 1.4e-13 relative on
+    # exp and poly rings.  The classification must not move at all.
+    BOUND_REL = 1e-12
+
+    @pytest.mark.parametrize(
+        "columns, kinds",
+        [
+            # the last column misfits its own fit by more than 0.1
+            (
+                (0.9**_NS, _NS**-3.0, 0.0 * _NS, _NS**-3.0 * np.exp(0.5 * np.sin(_NS))),
+                ("geometric", "power", "zero", "unresolved"),
+            ),
+            (
+                (_NS**-2.2, _NS**2 * np.exp(-0.05 * _NS), np.exp(-1e-3 * _NS) / _NS**2),
+                ("power", "geometric", "unresolved"),
+            ),
+            ((0.0 * _NS, _NS**-0.5, 0.5**_NS), ("zero", "divergent", "geometric")),
+            (ring_columns(polynomial_family(), 2.2, 512), ("power",) * 3),
+            (ring_columns(polynomial_family(), 1.8, 1024), ("power",) * 3),
+            (ring_columns(exponential_family(), 0.01, 512), ("geometric",) * 3),
+            # u and v reach the underflow floor inside the window, x does not
+            (
+                ring_columns(exponential_family(), 1.0, 512),
+                ("unresolved", "unresolved", "geometric"),
+            ),
+        ],
+    )
+    def test_each_column_classified_as_alone(self, columns, kinds):
+        hi = columns[0].size
+        multi = _tail_estimate(columns, hi // 2, hi)
+        assert tuple(est.kind for est in multi) == kinds
+        for values, est in zip(columns, multi):
+            (alone,) = _tail_estimate((values,), hi // 2, hi)
+            assert est.kind == alone.kind
+            if alone.kind in ("geometric", "power"):
+                assert abs(est.bound - alone.bound) <= self.BOUND_REL * alone.bound
+            elif alone.kind != "divergent":
+                assert est == alone
+
+    def test_cached_samples_are_read_only(self):
+        for arr in _tail_samples(256, 512):
+            assert not arr.flags.writeable
+        assert _tail_samples(256, 512)[0] is _tail_samples(256, 512)[0]
