@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_forms import _poly_eval, exp_closed, exp_state_bound
+from .closed_forms import POLY_PHI_REL_TOL, _poly_eval, exp_closed, exp_state_bound
 from .errors import (
     DivergentMoment,
     InvalidParameter,
@@ -24,9 +24,10 @@ from .errors import (
     NonConvergent,
     NotAttainable,
 )
-from .families import CoefficientFamily
+from .families import CoefficientFamily, exponential_family, polynomial_family
 from .moments import PI_SQ_OVER_3, uncertainty_report
-from .spectrum import boundary_density, build_spectrum, tail_second_moment
+from .spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL, boundary_density, build_spectrum
+from .spectrum import tail_second_moment
 
 HR_BOUND = 0.5  # hbar / 2 with hbar = 1
 
@@ -61,30 +62,48 @@ class SweepRow:
         return math.isnan(self.var_lz)
 
 
-def evaluate_family(
-    family: CoefficientFamily,
-    alpha: float,
-    rel_tol: float | None = None,
-) -> SweepRow:
+def _exp_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
+    ev = exp_closed(alpha)
+    return ev.var_phi, ev.var_lz, exp_state_bound(alpha)
+
+
+def _poly_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
+    ev, spec = _poly_eval(alpha)
+    return ev.var_phi, ev.var_lz, 0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(spec))
+
+
+def _series_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
+    rep = uncertainty_report(build_spectrum(family, alpha))
+    return rep.var_phi, rep.var_lz, rep.state_bound
+
+
+# (var_phi, var_lz, state_bound) evaluator and sweep "# engine:" note of each
+# built-in family.  A family matches by dataclass == (name, rule and flags),
+# so one that only borrows a built-in's name runs the generic series engine.
+_POLY_NOTE = f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
+_CLOSED_FORMS = (
+    (exponential_family(), (_exp_row, "closed forms")),
+    (polynomial_family(), (_poly_row, _POLY_NOTE)),
+)
+_SERIES = (_series_row, f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}")
+
+
+def _engine(family: CoefficientFamily):
+    """The (row evaluator, engine note) pair that serves ``family``."""
+    for builtin, engine in _CLOSED_FORMS:
+        if family is builtin or family == builtin:  # callers mostly pass the constant
+            return engine
+    return _SERIES
+
+
+def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
     """One SweepRow for ``family`` at ``alpha``.
 
-    The built-in exponential and polynomial families go through their
-    closed forms; anything else runs the generic series engine.
-    Divergent sigma_Lz propagates as DivergentMoment.
+    The built-in exponential and polynomial family values go through their
+    closed forms; any other family, whatever its name, runs the generic
+    series engine.  Divergent sigma_Lz propagates as DivergentMoment.
     """
-    if family.name == "exp":
-        ev = exp_closed(alpha)
-        var_phi, var_lz = ev.var_phi, ev.var_lz
-        state_bound = exp_state_bound(alpha)
-    elif family.name == "poly":
-        ev, spec = _poly_eval(alpha)
-        var_phi, var_lz = ev.var_phi, ev.var_lz
-        state_bound = 0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(spec))
-    else:
-        kwargs = {} if rel_tol is None else {"rel_tol": rel_tol}
-        rep = uncertainty_report(build_spectrum(family, alpha, **kwargs))
-        var_phi, var_lz = rep.var_phi, rep.var_lz
-        state_bound = rep.state_bound
+    var_phi, var_lz, state_bound = _engine(family)[0](family, alpha)
     return SweepRow(
         alpha=float(alpha),
         var_phi=var_phi,
@@ -163,10 +182,10 @@ class DominanceVerdict:
     grid: tuple[float, ...] = ()
 
 
-def _validate_grid(alpha_grid: Sequence[float], min_points: int = 8) -> np.ndarray:
+def _validate_grid(alpha_grid: Sequence[float]) -> np.ndarray:
     grid = np.asarray(list(alpha_grid), dtype=float)
-    if grid.size < min_points:
-        raise InvalidParameter(f"grid needs >= {min_points} points, got {grid.size}")
+    if grid.size < 8:
+        raise InvalidParameter(f"grid needs >= 8 points, got {grid.size}")
     if not np.all(np.isfinite(grid)):
         raise InvalidParameter(f"grid must be finite, got [{grid[0]}, {grid[-1]}]")
     if np.any(np.diff(grid) <= 0.0) or np.any(grid <= 0.0):
@@ -180,13 +199,12 @@ def check_dominance(
     family: CoefficientFamily,
     alpha_grid: Sequence[float],
     n_probe: int = 8,
-    threshold: float = DOMINANCE_THRESHOLD,
 ) -> DominanceVerdict:
     """Locate the dominant index k, if any, from amplitude-ratio traces.
 
     Candidate k is the largest amplitude at the largest alpha; any index
     (positive, negative or zero) qualifies.  The verdict is dominant when
-    every other trace has fallen below ``threshold`` at the grid tail with
+    every other trace has fallen below DOMINANCE_THRESHOLD at the grid tail with
     a decreasing trend, no_unique_dominant when a second index shares the
     candidate's decay, inconclusive otherwise.
     """
@@ -220,7 +238,7 @@ def check_dominance(
     decayed = True
     for j in others:
         ratios = mags[:, j] / ref
-        if ratios[-1] >= threshold:
+        if ratios[-1] >= DOMINANCE_THRESHOLD:
             decayed = False
             break
         head = float(np.mean(ratios[:third]))
@@ -394,22 +412,16 @@ def find_alpha_star(
     return hi
 
 
-def find_bound_crossing(
-    family: CoefficientFamily,
-    target: float,
-    window: tuple[float, float] = CROSSING_WINDOW,
-) -> float:
+def find_bound_crossing(family: CoefficientFamily, target: float) -> float:
     """Solve product(alpha) = target by bracketing and bisection.
 
-    Scans a log grid over ``window`` for a sign change of
+    Scans a log grid over CROSSING_WINDOW for a sign change of
     product - target, then bisects to |delta alpha| < 1e-6.  Raises
     NoBracket when the product never crosses the target in the window.
     """
     if not math.isfinite(target):
         raise InvalidParameter(f"target must be finite, got {target!r}")
-    lo_w, hi_w = window
-    if not (0.0 < lo_w < hi_w):
-        raise InvalidParameter(f"bad search window {window!r}")
+    lo_w, hi_w = CROSSING_WINDOW
 
     def diff(a: float) -> float:
         try:
@@ -491,7 +503,7 @@ def asymptotic_check(family: CoefficientFamily, regime: str) -> FitReport:
     e^{2 alpha} sigma_Lz^2 / 2 -> 1, with limits extrapolated against the
     leading correction (e^-alpha and e^-2alpha) and checked to 1e-4.
     """
-    if family.name != "exp":
+    if _engine(family)[0] is not _exp_row:
         raise InvalidParameter(
             "asymptotic laws are stated for the exponential family only; "
             f"got family {family.name!r}"

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _engine,
     check_admissibility,
     check_dominance,
     evaluate_family,
@@ -24,7 +25,6 @@ from .analysis import (
     find_bound_crossing,
     sweep,
 )
-from .closed_forms import POLY_PHI_REL_TOL
 from .errors import (
     DivergentMoment,
     InvalidParameter,
@@ -40,7 +40,7 @@ from .families import (
     polynomial_family,
 )
 from .quadrature import compare_report
-from .spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL, build_spectrum
+from .spectrum import build_spectrum
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -112,14 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: divergent sigma_Lz in sweep range: {exc}", file=sys.stderr)
         print("hint: rerun with --keep-going to mark such rows 'div'", file=sys.stderr)
         return EXIT_DIVERGENT_ROWS
-    if family.name == "exp":
-        engine = "closed forms"
-    elif family.name == "poly":
-        engine = f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
-    else:
-        engine = (
-            f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}"
-        )
+    _, engine = _engine(family)
     lines = [
         f"# unclab {__version__} sweep",
         f"# family: {family.name}",

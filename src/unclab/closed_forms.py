@@ -10,7 +10,7 @@ Exponential family C_n = e^{-alpha |n|}  (u = e^{-alpha}):
     g(alpha)   = -4 tanh(alpha) ln(1 + u)
     <cos phi>  = 1 / cosh(alpha) = 2 u / (1 + u^2)
     sigma_sin^2 = tanh(alpha) (1 - u^2) / 2
-    <cos^2>     = (1 - u^2)/2 + u <cos phi>
+    sigma_cos^2 = (1 - u^2)^3 / (2 (1 + u^2)^2)   (no cancellation at small alpha)
     2 pi |f(pi)|^2 = (1-u)^3 / ((1+u^2)(1+u))
 
 Polynomial family C_n = |n|^{-alpha}, C_0 = 0:
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import DivergentMoment, InvalidParameter, NonConvergent
 from .families import polynomial_family
 from .moments import PI_SQ_OVER_3, phi_moments
-from .spectrum import DEFAULT_N_MAX, TruncatedSpectrum, build_spectrum
+from .spectrum import TruncatedSpectrum, build_spectrum
 from .special import dilog, ln1p, zeta
 
 # Window tolerance for the polynomial sigma_phi^2 series; the xi sum
@@ -72,8 +72,7 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     var_phi = PI_SQ_OVER_3 + 4.0 * li2 + g
     mean_cos = 2.0 * u / (1.0 + u * u)  # 1 / cosh(alpha), finite for any alpha
     var_sin = th * one_minus_u2 / 2.0
-    cos_sq = one_minus_u2 / 2.0 + u * mean_cos
-    var_cos = cos_sq - mean_cos * mean_cos
+    var_cos = one_minus_u2**3 / (2.0 * (1.0 + u * u) ** 2)
     return ExpFamilyEval(
         alpha=float(alpha),
         var_phi=var_phi,
@@ -98,9 +97,7 @@ def exp_state_bound(alpha: float) -> float:
     return u * (2.0 - u + u * u) / ((1.0 + u * u) * (1.0 + u))
 
 
-def _poly_eval(
-    alpha: float, rel_tol: float = POLY_PHI_REL_TOL, n_max: int = DEFAULT_N_MAX
-) -> tuple[PolyFamilyEval, TruncatedSpectrum]:
+def _poly_eval(alpha: float) -> tuple[PolyFamilyEval, TruncatedSpectrum]:
     if not (alpha > 0.0) or math.isnan(alpha):
         raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
     if alpha <= 1.5:
@@ -110,7 +107,7 @@ def _poly_eval(
         )
     z_norm = zeta(2.0 * alpha).value
     var_lz = zeta(2.0 * alpha - 2.0).value / z_norm
-    spec = build_spectrum(polynomial_family(), alpha, rel_tol=rel_tol, n_max=n_max)
+    spec = build_spectrum(polynomial_family(), alpha, rel_tol=POLY_PHI_REL_TOL)
     _, _, var_phi = phi_moments(spec)
     ev = PolyFamilyEval(
         alpha=float(alpha),

@@ -1,9 +1,12 @@
 """One-parameter Fourier-coefficient families and their JSON interface.
 
-A family is a rule (n, alpha) -> complex amplitude, defined for every
-integer n and every alpha > 0, plus symmetry metadata.  The two built-in
-families are the exponential decay e^{-alpha |n|} and the polynomial
-decay |n|^{-alpha} with the n = 0 amplitude removed.
+A family is a value: a rule (n, alpha) -> complex amplitude, defined for
+every integer n and every alpha > 0, plus symmetry metadata.  The built-in
+exponential decay e^{-alpha |n|} and polynomial decay |n|^{-alpha} (n = 0
+removed) are module-level constants, which the closed-form engines
+recognise by value, not by name.  Tables, single modes and JSON documents
+share one finite-support rule: the amplitudes at the listed indices, placed
+by one sorted lookup, and zero elsewhere.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,36 +64,59 @@ class CoefficientFamily:
         return complex(self.coefficients([n], alpha)[0])
 
 
-def exponential_family() -> CoefficientFamily:
-    """C_n(alpha) = e^{-alpha |n|}: dominant index 0, delta-like as alpha->0."""
-
-    def rule(n: np.ndarray, alpha: float) -> np.ndarray:
+def _exp_rule(n: np.ndarray, alpha: float) -> np.ndarray:
+    with np.errstate(over="ignore"):  # alpha |n| beyond the float range: e^-inf = 0
         return np.exp(-alpha * np.abs(n)).astype(np.complex128)
 
-    return CoefficientFamily(name="exp", rule=rule)
+
+def _poly_rule(n: np.ndarray, alpha: float) -> np.ndarray:
+    absn = np.abs(n).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        vals = np.where(absn == 0.0, 0.0, absn ** (-alpha))
+    return vals.astype(np.complex128)
+
+
+# Frozen, so one shared value each; the closed-form engines match these by ==.
+_EXPONENTIAL = CoefficientFamily(name="exp", rule=_exp_rule)
+_POLYNOMIAL = CoefficientFamily(name="poly", rule=_poly_rule)
+
+
+def exponential_family() -> CoefficientFamily:
+    """C_n(alpha) = e^{-alpha |n|}: dominant index 0, delta-like as alpha->0."""
+    return _EXPONENTIAL
 
 
 def polynomial_family() -> CoefficientFamily:
     """C_n(alpha) = |n|^{-alpha} for n != 0, C_0 = 0: tied indices +-1."""
+    return _POLYNOMIAL
+
+
+def _finite_support(
+    name: str,
+    indices: Sequence[int],
+    amplitudes: Callable[[float], Sequence[complex]],
+    is_real: bool,
+    is_symmetric: bool,
+) -> CoefficientFamily:
+    """Family with ``amplitudes(alpha)`` at the sorted ``indices``, zero elsewhere."""
+    keys = np.asarray(indices, dtype=np.int64)
 
     def rule(n: np.ndarray, alpha: float) -> np.ndarray:
-        absn = np.abs(n).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            vals = np.where(absn == 0.0, 0.0, absn ** (-alpha))
-        return vals.astype(np.complex128)
+        vals = np.asarray(amplitudes(alpha), dtype=np.complex128)
+        out = np.zeros(n.shape, dtype=np.complex128)
+        if keys.size:
+            pos = np.minimum(np.searchsorted(keys, n), keys.size - 1)
+            hit = keys[pos] == n
+            out[hit] = vals[pos[hit]]
+        return out
 
-    return CoefficientFamily(name="poly", rule=rule)
+    support = int(np.abs(keys).max(initial=0))
+    return CoefficientFamily(name, rule, is_real, is_symmetric, support_hint=support)
 
 
 def single_mode_family(m: int = 0) -> CoefficientFamily:
     """C_m = 1 and all other amplitudes zero: an L_z eigenstate."""
-
-    def rule(n: np.ndarray, alpha: float) -> np.ndarray:
-        return (n == m).astype(np.complex128)
-
-    return CoefficientFamily(
-        name=f"mode{m}", rule=rule, is_symmetric=(m == 0), support_hint=abs(m)
-    )
+    return table_family(f"mode{m}", {m: 1.0})
 
 
 def table_family(
@@ -105,25 +131,10 @@ def table_family(
     if is_real is None:
         is_real = all(v.imag == 0.0 for v in fixed.values())
     if is_symmetric is None:
-        is_symmetric = all(
-            math.isclose(abs(v), abs(fixed.get(-k, 0.0)), rel_tol=0.0, abs_tol=0.0)
-            for k, v in fixed.items()
-        )
-
-    def rule(n: np.ndarray, alpha: float) -> np.ndarray:
-        out = np.zeros(n.shape, dtype=np.complex128)
-        for k, v in fixed.items():
-            out[n == k] = v
-        return out
-
-    support = max((abs(k) for k in fixed), default=0)
-    return CoefficientFamily(
-        name=name,
-        rule=rule,
-        is_real=is_real,
-        is_symmetric=is_symmetric,
-        support_hint=support,
-    )
+        is_symmetric = all(abs(v) == abs(fixed.get(-k, 0.0)) for k, v in fixed.items())
+    keys = sorted(fixed)
+    values = np.array([fixed[k] for k in keys], dtype=np.complex128)
+    return _finite_support(name, keys, lambda alpha: values, is_real, is_symmetric)
 
 
 def two_mode_family(amplitude: float = 0.5) -> CoefficientFamily:
@@ -191,9 +202,6 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
         entries = list(spec["entries"])
     except KeyError as exc:
         raise InvalidParameter(f"family spec is missing key {exc}") from exc
-    if name in ("exp", "poly"):
-        # closed-form fast paths dispatch on these names
-        raise InvalidParameter(f"family name {name!r} is reserved for a built-in")
     if not entries:
         raise InvalidParameter("family spec needs at least one entry")
 
@@ -223,20 +231,16 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
     if needs_table and not table:
         raise InvalidParameter("entries reference a table but none was given")
 
-    def rule(narr: np.ndarray, alpha: float) -> np.ndarray:
-        out = np.zeros(narr.shape, dtype=np.complex128)
+    parsed.sort()
+
+    def amplitudes(alpha: float) -> list[complex]:
         tab = _table_lookup(table, alpha) if needs_table else {}
-        for n, expr, scale in parsed:
-            mask = narr == n
-            if not mask.any():
-                continue
-            if expr == "exp":
-                out[mask] = scale * math.exp(-alpha * abs(n))
-            elif expr == "poly":
-                out[mask] = scale * abs(n) ** (-alpha)
-            else:
-                out[mask] = scale * tab.get(n, 0.0)
-        return out
+        return [
+            scale * math.exp(-alpha * abs(n)) if expr == "exp"
+            else scale * abs(n) ** (-alpha) if expr == "poly"
+            else scale * tab.get(n, 0.0)
+            for n, expr, scale in parsed
+        ]
 
     if real:  # fail fast on a table that contradicts the declared metadata
         for a in table:
@@ -246,13 +250,7 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
                     f"family declared real but table at alpha={a} has "
                     f"imaginary parts at n={bad}"
                 )
-    return CoefficientFamily(
-        name=name,
-        rule=rule,
-        is_real=real,
-        is_symmetric=symmetric,
-        support_hint=max(abs(n) for n, _, _ in parsed),
-    )
+    return _finite_support(name, [n for n, _, _ in parsed], amplitudes, real, symmetric)
 
 
 def load_family(path: str | Path) -> CoefficientFamily:

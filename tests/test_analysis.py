@@ -187,8 +187,30 @@ class TestAsymptotics:
     def test_unsupported_family(self):
         with pytest.raises(InvalidParameter):
             asymptotic_check(polynomial_family(), "small_alpha")
+        with pytest.raises(InvalidParameter):  # the name alone is not the family
+            asymptotic_check(CoefficientFamily("exp", polynomial_family().rule),
+                             "small_alpha")
         with pytest.raises(InvalidParameter):
             asymptotic_check(exponential_family(), "mid_alpha")
+
+
+class TestEngineChoice:
+    """Closed forms serve the built-in values, never a family by name alone."""
+
+    @pytest.mark.parametrize("name", ["exp", "poly"])
+    def test_builtin_name_on_a_table_runs_the_series_engine(self, name):
+        coeffs = {0: 1.0, 1: 0.5}
+        row = evaluate_family(table_family(name, coeffs), 1.0)
+        assert row == evaluate_family(table_family("plain", coeffs), 1.0)
+        assert row.var_phi == pytest.approx(1.690, abs=1e-3)
+
+    def test_renamed_builtin_runs_the_series_engine(self):
+        exp = exponential_family()
+        renamed = CoefficientFamily("exp_generic", exp.rule)
+        assert renamed != exp
+        row, closed = evaluate_family(renamed, 1.0), evaluate_family(exp, 1.0)
+        assert row != closed
+        assert row.var_phi == pytest.approx(closed.var_phi, rel=1e-9)
 
 
 class TestSweep:

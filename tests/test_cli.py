@@ -125,6 +125,22 @@ class TestSweep:
             f"# engine: {engine}"
         ]
 
+    @pytest.mark.parametrize("name", ["exp", "poly"])
+    def test_json_family_with_a_builtin_name_runs_the_generic_engine(
+        self, name, tmp_path, capsys
+    ):
+        spec = tmp_path / "named.json"
+        spec.write_text(json.dumps(dict(SINGLE_MODE_SPEC, name=name)))
+        rc = main(["sweep", "--family", "custom", "--spec", str(spec),
+                   "--min", "2", "--max", "3", "--steps", "2"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert f"# family: {name}" in lines
+        assert [ln for ln in lines if ln.startswith("# engine:")] == [
+            f"# engine: generic series at rel_tol={DEFAULT_REL_TOL}, "
+            f"n_max={DEFAULT_N_MAX}"
+        ]
+
     def test_exponential_beyond_cosh_overflow(self, capsys):
         rc = main(["sweep", "--family", "exp", "--min", "1", "--max", "800",
                    "--steps", "2"])
@@ -171,8 +187,7 @@ class TestCheck:
         assert [grid[0], grid[-1]] == [0.5, 20.0]
 
     # exp amplitudes at alpha near 1.7e308 underflow to 0 through an
-    # overflowing -alpha |n|, which numpy reports on the way
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # overflowing -alpha |n|: valid input, so no RuntimeWarning either
     def test_grid_spanning_the_float_range(self, capsys):
         rc = main(["check", "--family", "exp", "--grid-min", "1e-3",
                    "--grid-max", "1.7e308", "--json"])

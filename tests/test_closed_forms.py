@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +77,17 @@ class TestExpClosed:
         for a in np.geomspace(1e-3, 700.0, 400):
             sech = 1.0 / math.cosh(a)
             assert abs(exp_closed(a).mean_cos - sech) <= 4 * np.finfo(float).eps * sech
+
+    def test_var_cos_keeps_full_precision_at_small_alpha(self):
+        # reference: <cos^2> - <cos phi>^2 = (1 - u^2)/2 + u sech - sech^2,
+        # cancelled in 60-digit arithmetic
+        with mpmath.workdps(60):
+            for a in np.geomspace(1e-8, 700.0, 400):
+                x = mpmath.mpf(float(a))
+                u, sech = mpmath.exp(-x), mpmath.sech(x)
+                ref = (1 - u * u) / 2 + u * sech - sech * sech
+                got = exp_closed(float(a)).var_cos
+                assert abs(got - ref) <= 4 * np.finfo(float).eps * ref, a
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_agrees_with_series_engine(self, alpha):

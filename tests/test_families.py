@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from unclab import (
     InvalidParameter,
@@ -52,6 +54,26 @@ class TestBuiltins:
         assert fam.support_hint == 3
         got = fam.coefficients(np.array([2, 3, 4]), 1.0)
         np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
+
+    def test_builtins_are_shared_values(self):
+        assert exponential_family() is exponential_family()
+        assert polynomial_family() is polynomial_family()
+        assert exponential_family() != polynomial_family()
+
+    @pytest.mark.parametrize(
+        "m, is_symmetric", [(-3, False), (0, True), (2, False)]
+    )
+    def test_single_mode_pinned(self, m, is_symmetric):
+        fam = single_mode_family(m)
+        assert fam.name == f"mode{m}"
+        assert fam.is_real
+        assert fam.is_symmetric == is_symmetric
+        assert fam.support_hint == abs(m)
+        n = np.arange(-6, 7)
+        for alpha in (0.1, 1.0, 30.0):
+            got = fam.coefficients(n, alpha)
+            assert got.dtype == np.complex128
+            np.testing.assert_array_equal(got, (n == m).astype(float))
 
     def test_alpha_domain(self):
         with pytest.raises(InvalidParameter):
@@ -153,9 +175,22 @@ class TestJsonInterface:
         with pytest.raises(InvalidParameter):
             load_family(path)
 
-    @pytest.mark.parametrize("name", ["exp", "poly"])
-    def test_builtin_names_are_reserved(self, name):
-        spec = self.spec_single_mode()
-        spec["name"] = name
-        with pytest.raises(InvalidParameter):
-            family_from_dict(spec)
+
+_INDEX = st.integers(-40, 40)
+
+
+@given(
+    entries=st.dictionaries(
+        _INDEX, st.complex_numbers(max_magnitude=1e3, allow_nan=False), max_size=12
+    ),
+    queries=st.lists(_INDEX, max_size=60),
+)
+@example(entries={}, queries=[0, 0, -1])
+@example(entries={-2: 1.0, 0: 2j, 5: -1.0}, queries=[-2, -2, 0, 5, 7, -9, 1])
+def test_finite_support_rule_matches_a_dict_lookup(entries, queries):
+    # negative, zero, repeated and out-of-support queries, and empty tables
+    fam = table_family("t", entries)
+    got = fam.coefficients(np.array(queries, dtype=np.int64), 1.0)
+    want = np.array([entries.get(k, 0.0) for k in queries], dtype=np.complex128)
+    assert got.tolist() == want.tolist()
+    assert fam.support_hint == max(map(abs, entries), default=0)
