@@ -71,7 +71,6 @@ from .quadrature import (
 )
 from .special import EvalResult, dilog, ln1p, zeta
 from .spectrum import (
-    HBAR,
     StateSample,
     TruncatedSpectrum,
     boundary_density,
@@ -93,7 +92,6 @@ __all__ = [
     "EvalResult",
     "ExpFamilyEval",
     "FitReport",
-    "HBAR",
     "InvalidParameter",
     "MomentReport",
     "NoBracket",

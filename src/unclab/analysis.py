@@ -25,8 +25,8 @@ from .errors import (
     NotAttainable,
 )
 from .families import CoefficientFamily, exponential_family, polynomial_family
-from .moments import PI_SQ_OVER_3, uncertainty_report
-from .spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL, boundary_density, build_spectrum
+from .moments import PI_SQ_OVER_3, _state_bound, uncertainty_report
+from .spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL, build_spectrum
 from .spectrum import tail_second_moment
 
 HR_BOUND = 0.5  # hbar / 2 with hbar = 1
@@ -69,7 +69,7 @@ def _exp_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, flo
 
 def _poly_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
     ev, spec = _poly_eval(alpha)
-    return ev.var_phi, ev.var_lz, 0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(spec))
+    return ev.var_phi, ev.var_lz, _state_bound(spec)
 
 
 def _series_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
@@ -209,6 +209,8 @@ def check_dominance(
     candidate's decay, inconclusive otherwise.
     """
     grid = _validate_grid(alpha_grid)
+    if n_probe < 1:
+        raise InvalidParameter(f"n_probe must be >= 1, got {n_probe!r}")
     ns = np.arange(-n_probe, n_probe + 1)
     mags = np.empty((grid.size, ns.size))
     for i, a in enumerate(grid):
@@ -368,8 +370,8 @@ def find_alpha_star(
     """
     if not (epsilon > 0.0):
         raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    if alpha_hint <= 0.0:
-        raise InvalidParameter(f"alpha_hint must be positive, got {alpha_hint!r}")
+    if not (0.0 < alpha_hint < math.inf):
+        raise InvalidParameter(f"alpha_hint must be positive and finite, got {alpha_hint!r}")
 
     def product_at(a: float) -> float:
         try:

@@ -65,8 +65,8 @@ class CoefficientFamily:
 
 
 def _exp_rule(n: np.ndarray, alpha: float) -> np.ndarray:
-    with np.errstate(over="ignore"):  # alpha |n| beyond the float range: e^-inf = 0
-        return np.exp(-alpha * np.abs(n)).astype(np.complex128)
+    # every |n| >= 1 amplitude is exactly 0.0 past alpha ~ 745.2; the clamp stops overflow
+    return np.exp(-min(alpha, 746.0) * np.abs(n)).astype(np.complex128)
 
 
 def _poly_rule(n: np.ndarray, alpha: float) -> np.ndarray:

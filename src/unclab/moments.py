@@ -3,11 +3,11 @@
 Everything here evaluates the coefficient-space series directly; the
 quadrature module provides the independent cross-check.  Off-diagonal
 double sums are folded into shells k = n - m, S_k = sum_n conj(C_n) C_{n+k},
-and one compensated reduction over k.  All shells come from one FFT
-autocorrelation ifft(|fft(C)|^2) of the window, O(N log N) in place of the
-O(N^2) pair sum.  Its error is absolute, about eps * sum |C_n|^2 on every
-shell, not relative to |S_k|: the far shells of a fast-decaying state are
-rounding noise at that level.  Summed with weights 1/k^2 (xi) and 1/k
+and one compensated reduction over k.  Every function here reads the
+state's ``s.shells``, one FFT autocorrelation of the window made on first
+read.  Its error is absolute, about eps * sum |C_n|^2 on every shell, not
+relative to |S_k|: the far shells of a fast-decaying state are rounding
+noise at that level.  Summed with weights 1/k^2 (xi) and 1/k
 (<phi>), it grows by at most pi^2/6 and ln(2N) + 1.
 
 Sign conventions, fixed by requiring agreement with quadrature of the
@@ -66,62 +66,22 @@ class TrigReport:
     cos_relation_residual: float  # var_lz * var_cos - <sin>^2 / 4
 
 
-def _smooth_length(need: int) -> int:
-    """Smallest 2^a 3^b 5^c that is at least ``need``: a fast FFT length."""
-    best = 1 << max(need - 1, 0).bit_length()
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            p = f35
-            while p < need:
-                p *= 2
-            best = min(best, p)
-            f35 *= 3
-        f5 *= 5
-    return best
-
-
-def _shell_sums(coeffs: np.ndarray, max_k: int | None = None) -> np.ndarray:
-    """S_k = sum_n conj(c_n) c_{n+k} for k = 1 .. min(len(coeffs)-1, max_k).
-
-    One autocorrelation ifft(|fft(c, L)|^2) over the nonzero support of the
-    window; L >= 2m - 1 for a support of m modes, so the circular
-    correlation does not wrap.  A real window goes through rfft/irfft and
-    gets exactly real shells; shells wider than the support are exactly 0.
-    """
-    m = coeffs.size
-    count = m - 1 if max_k is None else min(m - 1, max_k)
-    out = np.zeros(count, dtype=np.complex128)
-    nonzero = np.flatnonzero(coeffs)
-    if nonzero.size < 2:
-        return out
-    c = coeffs[nonzero[0] : nonzero[-1] + 1]
-    span = min(c.size - 1, count)
-    length = _smooth_length(2 * c.size - 1)
-    if np.any(c.imag):
-        f = np.fft.fft(c, length)
-        out[:span] = np.fft.ifft(f.real * f.real + f.imag * f.imag)[1 : span + 1]
-    else:
-        f = np.fft.rfft(c.real, length)
-        power = f.real * f.real + f.imag * f.imag
-        out.real[:span] = np.fft.irfft(power, length)[1 : span + 1]
-    return out
-
-
-def _phi_from_shells(
-    shells: np.ndarray, norm_sq: float
-) -> tuple[float, float, float, float]:
-    """(<phi>, <phi^2>, var_phi, xi) from the shell sums S_1 .. S_{2N}."""
+def _phi_from_shells(s: TruncatedSpectrum) -> tuple[float, float, float, float]:
+    """(<phi>, <phi^2>, var_phi, xi) from the state's shells S_1 .. S_{2N}."""
+    shells = s.shells
     if shells.size == 0:
         return 0.0, PI_SQ_OVER_3, PI_SQ_OVER_3, 0.0
     k = np.arange(1, shells.size + 1, dtype=float)
     signs = np.where(np.arange(1, shells.size + 1) % 2 == 0, 1.0, -1.0)
-    four_pi_a2 = 4.0 * math.pi * norm_sq
+    four_pi_a2 = 4.0 * math.pi * s.norm_sq
     xi = 2.0 * math.fsum(signs * shells.real / (k * k))
     mean = four_pi_a2 * math.fsum(signs * shells.imag / k)
     second = PI_SQ_OVER_3 + four_pi_a2 * xi
     return mean, second, second - mean * mean, xi
+
+
+def _state_bound(s: TruncatedSpectrum) -> float:  # (1/2) |1 - 2 pi |f(pi)|^2|
+    return 0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(s))
 
 
 def xi_sum(s: TruncatedSpectrum) -> float:
@@ -130,12 +90,12 @@ def xi_sum(s: TruncatedSpectrum) -> float:
     Real by Hermiticity of the kernel; evaluated shell-by-shell with an
     exact compensated reduction.
     """
-    return _phi_from_shells(_shell_sums(s.coeffs), s.norm_sq)[3]
+    return _phi_from_shells(s)[3]
 
 
 def phi_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
     """(<phi>, <phi^2>, var_phi) from the coefficient series."""
-    return _phi_from_shells(_shell_sums(s.coeffs), s.norm_sq)[:3]
+    return _phi_from_shells(s)[:3]
 
 
 def lz_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
@@ -159,11 +119,8 @@ def lz_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
 
 def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:
     """Full angle/angular-momentum moment set plus both lower bounds."""
-    mean_phi, second_phi, var_phi, xi = _phi_from_shells(
-        _shell_sums(s.coeffs), s.norm_sq
-    )
+    mean_phi, second_phi, var_phi, xi = _phi_from_shells(s)
     mean_lz, second_lz, var_lz = lz_moments(s)
-    state_bound = 0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(s))
     return MomentReport(
         mean_phi=mean_phi,
         second_phi=second_phi,
@@ -174,7 +131,7 @@ def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:
         xi=xi,
         product_sq=var_phi * var_lz,
         hr_bound_sq=HR_BOUND_SQ,
-        state_bound=state_bound,
+        state_bound=_state_bound(s),
     )
 
 
@@ -185,8 +142,8 @@ def trig_report(s: TruncatedSpectrum) -> TrigReport:
     reported as +inf (the trig relations hold trivially).
     """
     pi_a2 = math.pi * s.norm_sq
-    # S_1 and S_2; a shell wider than the window is empty
-    s1, s2 = ([complex(z) for z in _shell_sums(s.coeffs, max_k=2)] + [0j, 0j])[:2]
+    # S_1 and S_2; a single mode (N = 0) has no shells
+    s1, s2 = map(complex, s.shells[:2]) if s.cutoff else (0j, 0j)
     mean_cos = 2.0 * pi_a2 * s1.real
     mean_sin = -2.0 * pi_a2 * s1.imag
     cos_sq = 0.5 + pi_a2 * s2.real

@@ -42,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentMoment, InvalidParameter, ToleranceNotMet
-from .moments import _smooth_length, lz_moments, phi_moments, trig_report
-from .spectrum import TruncatedSpectrum
+from .moments import lz_moments, phi_moments, trig_report
+from .spectrum import TruncatedSpectrum, _smooth_length
 
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_MAX_EVALS = 2_000_000

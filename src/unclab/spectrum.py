@@ -22,9 +22,6 @@ import numpy as np
 from .errors import DegenerateState, InvalidParameter, NonConvergent
 from .families import CoefficientFamily
 
-HBAR = 1.0
-HBAR_NOTE = "hbar = 1 (natural units)"
-
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_N_MAX = 2_000_000
 
@@ -196,6 +193,47 @@ def _tail_estimate(
 # the state object
 # --------------------------------------------------------------------------
 
+def _smooth_length(need: int) -> int:
+    """Smallest 2^a 3^b 5^c that is at least ``need``: a fast FFT length."""
+    best = 1 << max(need - 1, 0).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            p = f35
+            while p < need:
+                p *= 2
+            best = min(best, p)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _shell_sums(coeffs: np.ndarray) -> np.ndarray:
+    """S_k = sum_n conj(c_n) c_{n+k} for k = 1 .. len(coeffs)-1, read-only.
+
+    One autocorrelation ifft(|fft(c, L)|^2) over the nonzero support of the
+    window; L >= 2m - 1 for a support of m modes, so the circular
+    correlation does not wrap.  A real window goes through rfft/irfft and
+    gets exactly real shells; shells wider than the support are exactly 0.
+    """
+    out = np.zeros(coeffs.size - 1, dtype=np.complex128)
+    nonzero = np.flatnonzero(coeffs)
+    if nonzero.size >= 2:
+        c = coeffs[nonzero[0] : nonzero[-1] + 1]
+        span = c.size - 1
+        length = _smooth_length(2 * c.size - 1)
+        if np.any(c.imag):
+            f = np.fft.fft(c, length)
+            out[:span] = np.fft.ifft(f.real * f.real + f.imag * f.imag)[1 : span + 1]
+        else:
+            f = np.fft.rfft(c.real, length)
+            power = f.real * f.real + f.imag * f.imag
+            out.real[:span] = np.fft.irfft(power, length)[1 : span + 1]
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedSpectrum:
     """Normalized coefficient window of one family member at fixed alpha."""
@@ -213,7 +251,6 @@ class TruncatedSpectrum:
     sum_n2: float                           # window sum n^2 |C_n|^2
     is_real: bool
     is_symmetric: bool
-    hbar_convention: str = HBAR_NOTE
 
     @property
     def amplitude(self) -> float:
@@ -225,8 +262,10 @@ class TruncatedSpectrum:
         """True when the family's n^2 |C_n|^2 series is non-summable."""
         return math.isinf(self.tail_bound)
 
-    def n_values(self) -> np.ndarray:
-        return np.arange(-self.cutoff, self.cutoff + 1)
+    @functools.cached_property  # stored in __dict__, which frozen allows
+    def shells(self) -> np.ndarray:
+        """S_k = sum_n conj(C_n) C_{n+k}, k = 1 .. 2N: one pass per state, read-only."""
+        return _shell_sums(self.coeffs)
 
     def coefficient(self, n: int) -> complex:
         if abs(n) > self.cutoff:
@@ -452,7 +491,7 @@ def evaluate_state(s: TruncatedSpectrum, phi: float) -> StateSample:
     """f(phi) = A sum_{|n|<=N} C_n e^{i n phi} for phi in [-pi, pi]."""
     if not (-math.pi - _PHI_SLACK <= phi <= math.pi + _PHI_SLACK):
         raise InvalidParameter(f"phi must lie in [-pi, pi], got {phi!r}")
-    phases = np.exp(1j * phi * s.n_values())
+    phases = np.exp(1j * phi * np.arange(-s.cutoff, s.cutoff + 1))
     value = s.amplitude * complex(np.dot(s.coeffs, phases))
     return StateSample(phi=float(phi), value=value)
 

@@ -87,6 +87,11 @@ class TestDominance:
             grid = [0.5 * 2.0**i for i in range(7)] + [math.inf]
             check_dominance(exponential_family(), grid)
 
+    @pytest.mark.parametrize("n_probe", [0, -1])
+    def test_needs_an_index_to_compare(self, n_probe):
+        with pytest.raises(InvalidParameter, match="n_probe must be >= 1"):
+            check_dominance(exponential_family(), GRID, n_probe=n_probe)
+
 
 class TestAdmissibility:
     def test_polynomial_all_pass(self):
@@ -149,6 +154,11 @@ class TestAlphaStar:
     def test_epsilon_validation(self):
         with pytest.raises(InvalidParameter):
             find_alpha_star(exponential_family(), 0.0)
+
+    @pytest.mark.parametrize("hint", [math.inf, math.nan])
+    def test_hint_must_be_finite(self, hint):
+        with pytest.raises(InvalidParameter, match="alpha_hint must be positive and finite"):
+            find_alpha_star(exponential_family(), 0.01, alpha_hint=hint)
 
 
 class TestBoundCrossing:

@@ -228,6 +228,14 @@ class TestCheck:
     def test_missing_spec_for_custom(self, capsys):
         assert main(["check", "--family", "custom"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("n_probe", ["0", "-1"])
+    def test_probe_width_below_one_is_invalid(self, n_probe, capsys):
+        rc = main(["check", "--family", "exp", "--n-probe", n_probe])
+        assert rc == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_probe must be >= 1")
+
 
 class TestCrossing:
     def test_exponential_hr_target(self, capsys):
@@ -263,6 +271,14 @@ class TestAlphaStar:
         assert payload["error"] == "not_attainable"
         assert abs(payload["edge_product"] - 1.9467583655134124) < 2e-3
         assert payload["best_product"] >= 1.0
+
+    def test_infinite_hint_is_invalid(self, capsys):
+        rc = main(["alpha-star", "--family", "exp", "--epsilon", "0.01",
+                   "--hint", "inf", "--json"])
+        assert rc == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha_hint must be positive and finite")
 
 
 class TestVerify:

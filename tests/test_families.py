@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from unclab import (
     InvalidParameter,
+    build_spectrum,
     exponential_family,
     family_from_dict,
     load_family,
@@ -74,6 +75,25 @@ class TestBuiltins:
             got = fam.coefficients(n, alpha)
             assert got.dtype == np.complex128
             np.testing.assert_array_equal(got, (n == m).astype(float))
+
+    def test_exponential_rule_clamp_changes_no_amplitude(self):
+        # past alpha ~ 745.2 every |n| >= 1 amplitude is already exactly 0.0
+        fam = exponential_family()
+        n = np.arange(-16, 17)
+        alphas = np.concatenate(
+            (np.geomspace(1e-300, 1e308, 400), np.linspace(744.0, 748.0, 401))
+        )
+        for alpha in alphas.tolist():
+            with np.errstate(over="ignore"):
+                want = np.exp(-alpha * np.abs(n))
+            np.testing.assert_array_equal(fam.coefficients(n, alpha), want)
+
+    def test_exponential_infinite_alpha_is_the_delta_state(self):
+        got = exponential_family().coefficients(np.arange(-3, 4), math.inf)
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        s = build_spectrum(exponential_family(), math.inf)
+        assert s.cutoff == 0
+        np.testing.assert_array_equal(s.coeffs, [1.0])
 
     def test_alpha_domain(self):
         with pytest.raises(InvalidParameter):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from unclab import (
     CoefficientFamily,
     DivergentMoment,
+    TrigReport,
     build_spectrum,
     compare_report,
     exp_xi_resummed,
@@ -28,7 +29,7 @@ from unclab import (
     uncertainty_report,
     xi_sum,
 )
-from unclab import moments
+from unclab import moments, spectrum
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
@@ -231,21 +232,29 @@ class TestUncertaintyReport:
             build_spectrum(table_family("pinned", PINNED_TABLE), 1.0),
         ]
         passes = []
-        shell_sums = moments._shell_sums
+        shell_sums = spectrum._shell_sums
 
-        def counted(coeffs, *args, **kwargs):
+        def counted(coeffs):
             passes.append(coeffs.size)
-            return shell_sums(coeffs, *args, **kwargs)
+            return shell_sums(coeffs)
 
+        monkeypatch.setattr(spectrum, "_shell_sums", counted)
         for s in states:
             passes.clear()
-            with monkeypatch.context() as m:
-                m.setattr(moments, "_shell_sums", counted)
-                rep = uncertainty_report(s)
-            assert passes == [s.coeffs.size]
+            rep = uncertainty_report(s)
+            tr = trig_report(s)
             mean, second, var = phi_moments(s)
+            xi = xi_sum(s)
+            compare_report(s)
+            # every angle and trig moment of a state reads one shell pass
+            assert passes == [s.coeffs.size]
             assert (rep.mean_phi, rep.second_phi, rep.var_phi) == (mean, second, var)
-            assert rep.xi == xi_sum(s)
+            assert rep.xi == xi
+            assert tr == trig_report(s)
+            assert s.shells.shape == (2 * s.cutoff,)
+            assert not s.shells.flags.writeable
+            with pytest.raises(ValueError):
+                s.shells[0] = 0.0
 
 
 class TestShellSums:
@@ -275,7 +284,7 @@ class TestShellSums:
             want = np.correlate(c, c, "full")[c.size :]
         else:
             want = np.correlate(c.real, c.real, "full")[c.size :]
-        got = moments._shell_sums(c)
+        got = spectrum._shell_sums(c)
         assert got.shape == want.shape
         bound = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(c) ** 2))
         assert np.max(np.abs(got - want)) <= bound
@@ -286,7 +295,7 @@ class TestShellSums:
             build_spectrum(polynomial_family(), 2.2),
             build_spectrum(two_mode_family(), 1.0),
         ):
-            assert not np.any(moments._shell_sums(s.coeffs).imag)
+            assert not np.any(spectrum._shell_sums(s.coeffs).imag)
             assert phi_moments(s)[0] == 0.0
 
     def test_import_leaves_numpy_fft_unloaded(self):
@@ -325,6 +334,13 @@ class TestTrigReport:
             tr = trig_report(build_spectrum(exponential_family(), float(a)))
             assert tr.sin_relation_residual >= -1e-12
             assert tr.cos_relation_residual >= -1e-12
+
+    def test_single_mode_has_no_shells(self):
+        s = build_spectrum(single_mode_family(0), 1.0)
+        assert s.cutoff == 0
+        tr = trig_report(s)
+        assert tr == TrigReport(-0.0, 0.0, 0.5, 0.5, 0.0, 0.0)
+        assert math.copysign(1.0, tr.mean_sin) == -1.0
 
     def test_divergent_variance_gives_infinite_residuals(self):
         s = build_spectrum(polynomial_family(), 1.2, rel_tol=1e-6)
