@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentMoment
-from .spectrum import TruncatedSpectrum, boundary_density
+from .spectrum import TruncatedSpectrum, _fsum, boundary_density
 
 PI_SQ_OVER_3 = math.pi ** 2 / 3.0
 HR_BOUND_SQ = 0.25  # (hbar/2)^2 with hbar = 1
@@ -74,8 +74,8 @@ def _phi_from_shells(s: TruncatedSpectrum) -> tuple[float, float, float, float]:
     k = np.arange(1, shells.size + 1, dtype=float)
     signs = np.where(np.arange(1, shells.size + 1) % 2 == 0, 1.0, -1.0)
     four_pi_a2 = 4.0 * math.pi * s.norm_sq
-    xi = 2.0 * math.fsum(signs * shells.real / (k * k))
-    mean = four_pi_a2 * math.fsum(signs * shells.imag / k)
+    xi = 2.0 * _fsum(signs * shells.real / (k * k))
+    mean = four_pi_a2 * _fsum(signs * shells.imag / k)
     second = PI_SQ_OVER_3 + four_pi_a2 * xi
     return mean, second, second - mean * mean, xi
 

@@ -316,6 +316,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "max_evals=10" in err
 
+    @pytest.mark.parametrize("family, alpha", [("exp", "1e-8"), ("poly", "0.4")])
+    def test_flat_normalization_fit_is_a_clean_error(self, family, alpha, capsys):
+        rc = main(["verify", "--family", family, "--alpha", alpha])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "diverges or decays too slowly to resolve (fitted slope" in err
+
 
 class TestNonFiniteThresholds:
     @pytest.mark.parametrize(

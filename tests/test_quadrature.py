@@ -25,7 +25,7 @@ from unclab import (
     table_family,
     two_mode_family,
 )
-from unclab.quadrature import _node_values, _panel_count
+from unclab.quadrature import _node_values, _panel_count, _real_node_values
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
@@ -37,6 +37,17 @@ PINNED_TABLE = {
     -4: -1.9778407743282225j,
     6: 0.5706432505115271j,
     -6: -1.9279289510115802j,
+}
+
+# A real-valued state with complex coefficients: c_{-n} = conj(c_n)
+HERMITIAN_TABLE = {
+    0: 0.9,
+    1: 0.4 - 0.3j,
+    -1: 0.4 + 0.3j,
+    3: 0.25j,
+    -3: -0.25j,
+    6: -0.5 + 0.2j,
+    -6: -0.5 - 0.2j,
 }
 
 # compare row name -> the quad_* call that computes it directly
@@ -134,12 +145,13 @@ def bound_case(case: str):
         "single_mode": single_mode_family(2),
         "two_mode": two_mode_family(),
         "pinned": table_family("pinned", PINNED_TABLE),
+        "hermitian": table_family("hermitian", HERMITIAN_TABLE),
     }[case]
     s = build_spectrum(family, 1.0)
     return s, finite_exact(s)
 
 
-BOUND_CASES = ["exp0.1", "exp1", "exp3", "single_mode", "two_mode", "pinned"]
+BOUND_CASES = ["exp0.1", "exp1", "exp3", "single_mode", "two_mode", "pinned", "hermitian"]
 
 
 class TestAdaptiveSimpson:
@@ -281,6 +293,12 @@ class TestErrorBounds:
         for r in compare_report(s, tol=1e-9).rows:
             assert abs(r.quadrature - exact[r.name]) <= r.est_error, r
 
+    def test_real_state_mean_lz_is_exactly_zero(self):
+        s = build_spectrum(table_family("hermitian", HERMITIAN_TABLE), 1.0)
+        assert quad_lz_moment(s, 1).value == 0.0
+        rows = {r.name: r for r in compare_report(s, tol=1e-9).rows}
+        assert rows["mean_lz"].quadrature == 0.0
+
     def test_variance_rows_propagate_error(self):
         s = build_spectrum(table_family("pinned", PINNED_TABLE), 1.0)
         rows = {r.name: r for r in compare_report(s).rows}
@@ -314,26 +332,68 @@ class TestSharedMesh:
             assert p >= need and smooth(p)
             assert not any(smooth(q) for q in range(need, p))
 
-    @pytest.mark.parametrize("which", ["exp", "table"])
+    @pytest.mark.parametrize("which", ["exp", "table", "poly", "hermitian"])
     def test_fft_node_values_match_evaluate_state(self, which):
+        rng = np.random.default_rng(11)
         if which == "exp":
             s = build_spectrum(exponential_family(), 0.01)
-        else:
-            rng = np.random.default_rng(11)
+        elif which == "poly":
+            s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-6)
+        elif which == "table":
             coeffs = {
                 int(n): complex(rng.normal(), rng.normal())
                 for n in rng.integers(-1100, 1101, size=60)
             }
             s = build_spectrum(table_family("wide", coeffs), 1.0)
+        else:
+            coeffs = {0: rng.normal()}
+            for n in rng.integers(1, 1101, size=30):
+                coeffs[int(n)] = complex(rng.normal(), rng.normal())
+                coeffs[-int(n)] = coeffs[int(n)].conjugate()
+            s = build_spectrum(table_family("wide", coeffs), 1.0)
         assert s.cutoff >= 1000
         panels = _panel_count(s.cutoff)
         h = 2.0 * PI / panels
         delta = 0.3 * h
-        values = s.amplitude * _node_values(s, np.zeros(panels, dtype=complex), delta)
+        values = [s.amplitude * _node_values(s, np.zeros(panels, dtype=complex), delta)]
+        if which != "table":
+            half = np.zeros(panels // 2 + 1, dtype=complex)
+            values.append(s.amplitude * _real_node_values(s, half, panels, delta))
         scale = s.amplitude * np.abs(s.coeffs).sum()
         for j in (0, 1, panels // 3, panels // 2, panels - 1):
             want = evaluate_state(s, -PI + delta + h * j).value
-            assert abs(values[j] - want) <= 1e-13 * scale, j
+            for v in values:
+                assert abs(v[j] - want) <= 1e-13 * scale, j
+
+    @pytest.mark.parametrize(
+        "case, path",
+        [("exp", "irfft"), ("poly", "irfft"), ("hermitian", "irfft"), ("pinned", "ifft")],
+    )
+    def test_real_states_take_the_half_length_transform(self, case, path, monkeypatch):
+        s = {
+            "exp": lambda: build_spectrum(exponential_family(), 0.3),
+            "poly": lambda: build_spectrum(polynomial_family(), 2.2),
+            "hermitian": lambda: build_spectrum(table_family("h", HERMITIAN_TABLE), 1.0),
+            "pinned": lambda: build_spectrum(table_family("p", PINNED_TABLE), 1.0),
+        }[case]()
+        calls = {"ifft": 0, "irfft": 0}
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        r = quad_lz_moment(s, 2)
+        # one transform for f and one for f' per length-P grid of nodes
+        grids = r.evaluations // _panel_count(s.cutoff)
+        other = "ifft" if path == "irfft" else "irfft"
+        assert calls == {path: 2 * grids, other: 0}
 
     def test_budget_is_checked_before_any_transform(self, monkeypatch):
         s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-8)
@@ -342,6 +402,7 @@ class TestSharedMesh:
             raise AssertionError("transform ran before the budget check")
 
         monkeypatch.setattr(np.fft, "ifft", no_fft)
+        monkeypatch.setattr(np.fft, "irfft", no_fft)
         t0 = time.perf_counter()
         with pytest.raises(ToleranceNotMet):
             compare_report(s, tol=1e-8, max_evals=1000)

@@ -119,6 +119,21 @@ class TestBuildSpectrum:
             build_spectrum(polynomial_family(), 0.4, rel_tol=1e-6, n_max=5000)
 
     @pytest.mark.parametrize(
+        "family, alpha, slope",
+        [(exponential_family(), 1e-8, "-0.000"), (polynomial_family(), 0.4, "0.800")],
+    )
+    def test_flat_normalization_fit_is_reported_not_called_divergent(
+        self, family, alpha, slope
+    ):
+        # exp at alpha 1e-8 converges, but looks flat on its first ring;
+        # poly at 0.4 truly diverges.  Both report what the fit measured.
+        with pytest.raises(NonConvergent) as info:
+            build_spectrum(family, alpha)
+        msg = str(info.value)
+        assert "sum |C_n|^2 diverges or decays too slowly to resolve" in msg
+        assert f"fitted slope {slope} <= 1.01 over n = 8..16" in msg
+
+    @pytest.mark.parametrize(
         "family, alpha",
         [("exp", 0.01), ("exp", 0.3), ("exp", 1.0), ("exp", 3.0),
          ("poly", 2.2), ("poly", 3.0)],
@@ -304,6 +319,14 @@ class TestTailSecondMoment:
     def test_divergent_tail_raises(self):
         with pytest.raises(NonConvergent):
             tail_second_moment(polynomial_family(), [1.2], 10)
+
+    def test_divergent_tail_message_reports_the_fit(self):
+        with pytest.raises(NonConvergent) as info:
+            tail_second_moment(polynomial_family(), [1.2], 10)
+        assert str(info.value).endswith(
+            "n^2|C_n|^2 diverges or decays too slowly to resolve "
+            "(fitted slope 0.400 <= 1.01 over n = 138..266)"
+        )
 
     @pytest.mark.parametrize(
         "kind, term",
