@@ -368,8 +368,9 @@ def find_alpha_star(
     product seen) when the doubling budget is exhausted, which is the
     expected outcome for families without a dominant coefficient.
     """
-    if not (epsilon > 0.0):
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
+    # a divergent product reads as inf, so an infinite epsilon is no target
+    if not (0.0 < epsilon < math.inf):
+        raise InvalidParameter(f"epsilon must be positive and finite, got {epsilon!r}")
     if not (0.0 < alpha_hint < math.inf):
         raise InvalidParameter(f"alpha_hint must be positive and finite, got {alpha_hint!r}")
 

@@ -16,9 +16,15 @@ the slots by i n.  A real-valued state, c_{-n} = conj(c_n) (checked on
 the coefficients, not taken from the family's flags), has Hermitian slots:
 its f and f' each come from one real inverse FFT of the half spectrum,
 slots 0..N of P // 2 + 1, at about a third of the complex transform's
-cost, and Im(conj(f) f') is exactly 0.  One pass over the offsets feeds
-all nine integrals (norm, phi, phi^2, |f'|^2, Im(conj(f) f'), sin, cos,
-sin^2, cos^2) from the same node values.
+cost, and Im(conj(f) f') is exactly 0.  A mirror-symmetric state,
+c_{-n} = c_n (also checked on the coefficients; real or complex), has
+f(-phi) = f(phi).  The rule is symmetric too (nodes u and 1 - u carry
+equal weights), and the node set at offset h - delta is the negation of
+the one at delta, so such a state is evaluated at half the offsets with
+twice the weight, and its odd integrals (phi, sin, Im(conj(f) f')) are
+exactly 0.  One pass over the offsets feeds all nine integrals (norm,
+phi, phi^2, |f'|^2, Im(conj(f) f'), sin, cos, sin^2, cos^2) from the
+same node values.
 
 Bound.  The rule on P panels is compared with the rule on 2P panels; the
 finer rule's nodes are length-P grids at half-panel offsets, so no array
@@ -28,9 +34,12 @@ reported is the finer rule's, and est_error = |difference| + floor, where
 the rounding floor bounds the FFT evaluation and summation error (see
 ``_rounding_floors``).
 
-Budget.  ``max_evals`` caps the node evaluations (points at which the
-state is evaluated).  It is checked before each pass, so a request over
-budget raises ToleranceNotMet before any FFT runs.
+Budget.  ``max_evals`` caps the node evaluations, and ``evaluations``
+reports them.  Both count the rule's nodes (8 per panel), also where a
+mirror-symmetric state takes half of them from the other half, so a
+state's count and its budget error do not depend on its symmetry.  The
+budget is checked before each pass, so a request over budget raises
+ToleranceNotMet before any FFT runs.
 
 ``adaptive_simpson`` remains the integrator for arbitrary callables; the
 moment paths do not use it.
@@ -218,7 +227,12 @@ def _real_node_values(
 
 
 def _mesh_pass(
-    s: TruncatedSpectrum, panels: int, level: int, derivative: bool, real: bool
+    s: TruncatedSpectrum,
+    panels: int,
+    level: int,
+    derivative: bool,
+    real: bool,
+    even: bool,
 ) -> dict[str, float]:
     """The nine integrals on panels * 2**level panels.
 
@@ -226,7 +240,12 @@ def _mesh_pass(
     for r < 2**level, so every offset is one length-``panels`` grid.  The
     lz integrals are left at 0 unless ``derivative`` is set.  A ``real``
     state is evaluated by ``_real_node_values``; its f' is real too, so
-    Im(conj(f) f') and the lz integral are exactly 0.
+    Im(conj(f) f') and the lz integral are exactly 0.  An ``even`` state,
+    f(-phi) = f(phi), is evaluated at the offsets with q < 4 only, each
+    weighted twice: offset h - delta = (h / 2**level)((2**level - 1 - r)
+    + u_{7-q}) carries the negated nodes and the same weight, so it adds
+    as much to each even integral and cancels each odd one (phi, sin, lz),
+    which stay exactly 0.
     """
     N = s.cutoff
     h = 2.0 * math.pi / panels
@@ -236,11 +255,16 @@ def _mesh_pass(
     b = np.zeros(panels // 2 + 1 if real else panels, dtype=complex)
     x, dens, tmp, wgt = (np.empty(panels) for _ in range(4))
     partial: dict[str, list[float]] = {name: [] for name in _INTEGRALS}
+    odd = ("phi", "sin", "lz") if even else ()
 
     def add(name: str, values: np.ndarray, weight: float) -> None:
-        partial[name].append(weight * float(values.sum()))
+        if name not in odd:
+            partial[name].append(weight * float(values.sum()))
 
     nodes, weights = _gauss_legendre()
+    if even:
+        nodes = nodes[: _GAUSS_POINTS // 2]
+        weights = tuple(2.0 * w for w in weights[: _GAUSS_POINTS // 2])
     for r in range(1 << level):
         for u, w in zip(nodes, weights):
             delta = sub * (r + u)
@@ -285,10 +309,11 @@ def _mesh_pass(
                 np.square(g.imag, out=wgt)
                 tmp += wgt
                 add("lz2", tmp, wq)
-                np.multiply(f.real, g.real, out=tmp)
-                np.multiply(f.imag, g.imag, out=wgt)
-                tmp += wgt
-                add("lz", tmp, wq)
+                if not even:
+                    np.multiply(f.real, g.real, out=tmp)
+                    np.multiply(f.imag, g.imag, out=wgt)
+                    tmp += wgt
+                    add("lz", tmp, wq)
                 del g
             del f  # freed before the next transform allocates
     return {name: s.norm_sq * math.fsum(v) for name, v in partial.items()}
@@ -338,6 +363,8 @@ def _mesh_integrals(
     derivative = any(name in _DERIVATIVE_INTEGRALS for name in names)
     # f is real-valued exactly when c_{-n} = conj(c_n), read from the data
     real = np.array_equal(s.coeffs, s.coeffs[::-1].conj())
+    # and even, f(-phi) = f(phi), exactly when c_{-n} = c_n
+    even = np.array_equal(s.coeffs, s.coeffs[::-1])
     panels = _panel_count(s.cutoff)
     per_pass = _GAUSS_POINTS * panels
     evals = 0
@@ -350,7 +377,7 @@ def _mesh_integrals(
                 f"quadrature on {panels << level} panels (N={s.cutoff}) needs "
                 f"{planned} node evaluations, over max_evals={max_evals}"
             )
-        cur = _mesh_pass(s, panels, level, derivative, real)
+        cur = _mesh_pass(s, panels, level, derivative, real, even)
         evals += per_pass << level
         if prev is not None:
             floors = _rounding_floors(cur, panels)

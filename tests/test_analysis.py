@@ -155,6 +155,13 @@ class TestAlphaStar:
         with pytest.raises(InvalidParameter):
             find_alpha_star(exponential_family(), 0.0)
 
+    @pytest.mark.parametrize("family", ["exp", "poly"])
+    def test_epsilon_must_be_finite(self, family):
+        # poly used to bisect toward its divergence edge and return 1.5009765625
+        fam = exponential_family() if family == "exp" else polynomial_family()
+        with pytest.raises(InvalidParameter, match="epsilon must be positive and finite"):
+            find_alpha_star(fam, math.inf)
+
     @pytest.mark.parametrize("hint", [math.inf, math.nan])
     def test_hint_must_be_finite(self, hint):
         with pytest.raises(InvalidParameter, match="alpha_hint must be positive and finite"):

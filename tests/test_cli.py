@@ -280,6 +280,14 @@ class TestAlphaStar:
         assert captured.out == ""
         assert captured.err.startswith("error: alpha_hint must be positive and finite")
 
+    @pytest.mark.parametrize("family", ["exp", "poly"])
+    def test_infinite_epsilon_is_invalid(self, family, capsys):
+        rc = main(["alpha-star", "--family", family, "--epsilon", "inf", "--json"])
+        assert rc == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon must be positive and finite")
+
 
 class TestVerify:
     def test_exponential_alpha_one(self, capsys):

@@ -6,6 +6,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unclab import (
     InvalidParameter,
@@ -25,7 +27,7 @@ from unclab import (
     table_family,
     two_mode_family,
 )
-from unclab.quadrature import _node_values, _panel_count, _real_node_values
+from unclab.quadrature import _gauss_legendre, _node_values, _panel_count, _real_node_values
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
@@ -48,6 +50,15 @@ HERMITIAN_TABLE = {
     -3: -0.25j,
     6: -0.5 + 0.2j,
     -6: -0.5 - 0.2j,
+}
+
+# A mirror-symmetric state that is not real-valued: c_{-n} = c_n, complex
+EVEN_COMPLEX_TABLE = {
+    0: 0.7,
+    2: 0.3 + 0.4j,
+    -2: 0.3 + 0.4j,
+    5: -0.2j,
+    -5: -0.2j,
 }
 
 # compare row name -> the quad_* call that computes it directly
@@ -146,12 +157,44 @@ def bound_case(case: str):
         "two_mode": two_mode_family(),
         "pinned": table_family("pinned", PINNED_TABLE),
         "hermitian": table_family("hermitian", HERMITIAN_TABLE),
+        "even_complex": table_family("even_complex", EVEN_COMPLEX_TABLE),
     }[case]
     s = build_spectrum(family, 1.0)
     return s, finite_exact(s)
 
 
-BOUND_CASES = ["exp0.1", "exp1", "exp3", "single_mode", "two_mode", "pinned", "hermitian"]
+BOUND_CASES = [
+    "exp0.1", "exp1", "exp3", "single_mode", "two_mode", "pinned", "hermitian", "even_complex"
+]
+
+
+def mesh_state(case: str):
+    """A state for the mesh path tests; exp, poly and even_complex are even."""
+    if case == "exp":
+        return build_spectrum(exponential_family(), 0.3)
+    if case == "poly":
+        return build_spectrum(polynomial_family(), 2.2)
+    table = {
+        "even_complex": EVEN_COMPLEX_TABLE,
+        "hermitian": HERMITIAN_TABLE,
+        "pinned": PINNED_TABLE,
+    }[case]
+    return build_spectrum(table_family(case, table), 1.0)
+
+
+def even_tables(max_index=6):
+    """Tables with c_{-n} = c_n: indices up to max_index, complex amplitudes."""
+    entry = st.tuples(
+        st.integers(0, max_index),
+        st.complex_numbers(
+            min_magnitude=0.0, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+        ),
+    )
+    return (
+        st.lists(entry, min_size=1, max_size=7)
+        .map(lambda pairs: {sign * n: v for n, v in pairs for sign in (1, -1)})
+        .filter(lambda d: any(abs(v) > 1e-6 for v in d.values()))
+    )
 
 
 class TestAdaptiveSimpson:
@@ -299,6 +342,24 @@ class TestErrorBounds:
         rows = {r.name: r for r in compare_report(s, tol=1e-9).rows}
         assert rows["mean_lz"].quadrature == 0.0
 
+    @given(coeffs=even_tables())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_even_tables_bound_their_error(self, coeffs):
+        s = build_spectrum(table_family("even", coeffs), 1.0)
+        exact = finite_exact(s)
+        for r in compare_report(s, tol=1e-9).rows:
+            assert abs(r.quadrature - exact[r.name]) <= r.est_error, r
+
+    @pytest.mark.parametrize("case", ["exp", "poly", "even_complex"])
+    def test_even_state_odd_integrals_are_exactly_zero(self, case):
+        s = mesh_state(case)
+        assert quad_phi_moment(s, 1).value == 0.0
+        assert quad_trig_moment(s, "sin").value == 0.0
+        assert quad_lz_moment(s, 1).value == 0.0
+        rows = {r.name: r for r in compare_report(s, tol=1e-9).rows}
+        for name in ("mean_phi", "mean_sin", "mean_lz"):
+            assert rows[name].quadrature == 0.0, name
+
     def test_variance_rows_propagate_error(self):
         s = build_spectrum(table_family("pinned", PINNED_TABLE), 1.0)
         rows = {r.name: r for r in compare_report(s).rows}
@@ -365,17 +426,25 @@ class TestSharedMesh:
             for v in values:
                 assert abs(v[j] - want) <= 1e-13 * scale, j
 
+    def test_gauss_legendre_rule_is_symmetric(self):
+        nodes, weights = _gauss_legendre()
+        ulp = np.finfo(float).eps
+        for q in range(len(nodes)):
+            assert abs(nodes[-1 - q] - (1.0 - nodes[q])) <= 4 * ulp, q
+            assert abs(weights[-1 - q] - weights[q]) <= 4 * ulp * weights[q], q
+
     @pytest.mark.parametrize(
         "case, path",
-        [("exp", "irfft"), ("poly", "irfft"), ("hermitian", "irfft"), ("pinned", "ifft")],
+        [
+            ("exp", "irfft"),
+            ("poly", "irfft"),
+            ("even_complex", "ifft"),
+            ("hermitian", "irfft"),
+            ("pinned", "ifft"),
+        ],
     )
     def test_real_states_take_the_half_length_transform(self, case, path, monkeypatch):
-        s = {
-            "exp": lambda: build_spectrum(exponential_family(), 0.3),
-            "poly": lambda: build_spectrum(polynomial_family(), 2.2),
-            "hermitian": lambda: build_spectrum(table_family("h", HERMITIAN_TABLE), 1.0),
-            "pinned": lambda: build_spectrum(table_family("p", PINNED_TABLE), 1.0),
-        }[case]()
+        s = mesh_state(case)
         calls = {"ifft": 0, "irfft": 0}
 
         def counted(name):
@@ -390,10 +459,12 @@ class TestSharedMesh:
         for name in calls:
             monkeypatch.setattr(np.fft, name, counted(name))
         r = quad_lz_moment(s, 2)
-        # one transform for f and one for f' per length-P grid of nodes
+        # one transform for f and one for f' per length-P grid of nodes; a
+        # mirror-symmetric state (c_{-n} = c_n) is evaluated on half the grids
         grids = r.evaluations // _panel_count(s.cutoff)
+        transforms = grids if case in ("exp", "poly", "even_complex") else 2 * grids
         other = "ifft" if path == "irfft" else "irfft"
-        assert calls == {path: 2 * grids, other: 0}
+        assert calls == {path: transforms, other: 0}
 
     def test_budget_is_checked_before_any_transform(self, monkeypatch):
         s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-8)
