@@ -26,7 +26,6 @@ from .closed_forms import (
     PolyFamilyEval,
     exp_closed,
     exp_state_bound,
-    exp_xi_resummed,
     poly_closed,
 )
 from .errors import (
@@ -69,7 +68,7 @@ from .quadrature import (
     quad_phi_moment,
     quad_trig_moment,
 )
-from .special import EvalResult, dilog, ln1p, zeta
+from .special import EvalResult, dilog, zeta
 from .spectrum import (
     StateSample,
     TruncatedSpectrum,
@@ -117,13 +116,11 @@ __all__ = [
     "evaluate_state",
     "exp_closed",
     "exp_state_bound",
-    "exp_xi_resummed",
     "exponential_family",
     "family_from_dict",
     "find_alpha_star",
     "find_bound_crossing",
     "load_family",
-    "ln1p",
     "lz_moments",
     "phi_moments",
     "poly_closed",

@@ -2,7 +2,7 @@
 
 These serve as fast production paths for sweeps and searches and as
 analytic oracles for the generic series engine.  Everything is written
-through tanh / expm1 / ln1p so nothing overflows up to very large alpha.
+through tanh / expm1 / log1p so nothing overflows up to very large alpha.
 
 Exponential family C_n = e^{-alpha |n|}  (u = e^{-alpha}):
     sigma_Lz^2 = 2 u^2 / (1 - u^2)^2            [= 1 / (2 sinh^2 alpha)]
@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentMoment, InvalidParameter, NonConvergent
+from .errors import DivergentMoment, InvalidParameter
 from .families import polynomial_family
 from .moments import PI_SQ_OVER_3, phi_moments
 from .spectrum import TruncatedSpectrum, build_spectrum
-from .special import dilog, ln1p, zeta
+from .special import dilog, zeta
 
 # Window tolerance for the polynomial sigma_phi^2 series; the xi sum
 # converges like N^{1-2 alpha} so this stays cheap down to alpha = 1.51.
@@ -68,7 +68,7 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     th = math.tanh(alpha)
     var_lz = 2.0 * u * u / (one_minus_u2 * one_minus_u2)
     li2 = dilog(-u).value
-    g = -4.0 * th * ln1p(u)
+    g = -4.0 * th * math.log1p(u)
     var_phi = PI_SQ_OVER_3 + 4.0 * li2 + g
     mean_cos = 2.0 * u / (1.0 + u * u)  # 1 / cosh(alpha), finite for any alpha
     var_sin = th * one_minus_u2 / 2.0
@@ -122,31 +122,3 @@ def poly_closed(alpha: float) -> PolyFamilyEval:
     """Polynomial-family moments at ``alpha``; DivergentMoment for alpha <= 3/2."""
     ev, _ = _poly_eval(alpha)
     return ev
-
-
-def exp_xi_resummed(alpha: float, k_max: int = 200_000) -> float:
-    """xi(alpha) for the exponential family via the single-shell resummation.
-
-        xi = 2 sum_{k>=1} (-1)^k k^{-2} (coth(alpha) + k) e^{-alpha k}
-
-    Terms alternate with decreasing magnitude, so the remainder is bounded
-    by the first omitted term; NonConvergent if that bound is still above
-    the rounding floor at k_max.
-    """
-    if not (alpha > 0.0) or math.isnan(alpha):
-        raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
-    coth = 1.0 / math.tanh(alpha)
-    terms: list[float] = []
-    k = 1
-    sign = -1.0
-    while k <= k_max:
-        t = sign * (coth + k) / (k * k) * math.exp(-alpha * k)
-        terms.append(t)
-        if abs(t) <= 1e-17 * max(1.0, coth):
-            return 2.0 * math.fsum(terms)
-        sign = -sign
-        k += 1
-    raise NonConvergent(
-        f"xi resummation: remainder bound {abs(terms[-1]):.3e} above the "
-        f"rounding floor after k_max={k_max} terms at alpha={alpha}"
-    )

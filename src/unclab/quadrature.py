@@ -8,15 +8,16 @@ Mesh.  The truncated state f(phi) = A sum_{|n|<=N} c_n e^{i n phi} is a
 trigonometric polynomial of degree N, so every integrand has a known
 bandwidth.  The rule is composite 8-point Gauss-Legendre on P equal panels
 of width h = 2 pi / P, with P the smallest 2^a 3^b 5^c that is at least
-max(2N + 3, 32).  For one Gauss node offset delta the P nodes
--pi + delta + h j (j = 0..P-1) are equispaced, so f at all of them is one
-length-P inverse FFT of c_n (-1)^n e^{i n delta} placed in slot n mod P
-(P > 2N keeps the slots distinct), and f' is one more after multiplying
-the slots by i n.  A real-valued state, c_{-n} = conj(c_n) (checked on
-the coefficients, not taken from the family's flags), has Hermitian slots:
-its f and f' each come from one real inverse FFT of the half spectrum,
-slots 0..N of P // 2 + 1, at about a third of the complex transform's
-cost, and Im(conj(f) f') is exactly 0.  A mirror-symmetric state,
+max(2N + 3, 32), or the larger P' of Bound below.  For one Gauss node
+offset delta the P nodes -pi + delta + h j (j = 0..P-1) are equispaced,
+so f at all of them is one length-P inverse FFT of c_n (-1)^n e^{i n delta}
+placed in slot n mod P (P > 2N keeps the slots distinct), and f' is one
+more after multiplying the slots by i n.  A real-valued state,
+c_{-n} = conj(c_n) (checked on the coefficients, not taken from the
+family's flags), has Hermitian slots: its f and f' each come from one
+real inverse FFT of the half spectrum, slots 0..N of P // 2 + 1, at about
+a third of the complex transform's cost, and Im(conj(f) f') is exactly
+0.  A mirror-symmetric state,
 c_{-n} = c_n (also checked on the coefficients; real or complex), has
 f(-phi) = f(phi).  The rule is symmetric too (nodes u and 1 - u carry
 equal weights), and the node set at offset h - delta is the negation of
@@ -26,20 +27,25 @@ exactly 0.  One pass over the offsets feeds all nine integrals (norm,
 phi, phi^2, |f'|^2, Im(conj(f) f'), sin, cos, sin^2, cos^2) from the
 same node values.
 
-Bound.  The rule on P panels is compared with the rule on 2P panels; the
-finer rule's nodes are length-P grids at half-panel offsets, so no array
-grows past length P.  The panel count keeps doubling until the difference
-is at most max(abs_tol, floor) for every requested integral.  The value
-reported is the finer rule's, and est_error = |difference| + floor, where
-the rounding floor bounds the FFT evaluation and summation error (see
-``_rounding_floors``).
+Bound.  On any P' >= P panels each offset's P' nodes are equispaced over
+a full period, so the rule integrates a trigonometric polynomial of
+degree below P' exactly.  Seven integrands are such polynomials, of
+degree at most 2N + 2 < P: norm, sin, cos, sin^2, cos^2, |f'|^2 and
+Im(conj(f) f').  The even fold keeps them exact, as its weights still sum
+to 1.  Their est_error is the rounding floor alone (see
+``_rounding_floors``).  Only phi and phi^2 are not periodic.  Their
+truncation error is bounded before any node is evaluated, by Gauss's
+Bernstein-ellipse bound summed over the panels (``_gauss_bound``), and
+P' is the smallest 2^a 3^b 5^c >= P whose bounds on the requested phi
+integrals are at most max(abs_tol, floor).  One pass on P' panels then
+gives every value, and est_error = bound + floor for phi and phi^2.
 
 Budget.  ``max_evals`` caps the node evaluations, and ``evaluations``
-reports them.  Both count the rule's nodes (8 per panel), also where a
+reports them.  Both count the rule's nodes, 8 P', also where a
 mirror-symmetric state takes half of them from the other half, so a
-state's count and its budget error do not depend on its symmetry.  The
-budget is checked before each pass, so a request over budget raises
-ToleranceNotMet before any FFT runs.
+state's count and its budget error do not depend on its symmetry.  P' is
+known before any work, so a request over budget raises ToleranceNotMet,
+naming P', before any FFT runs.
 
 ``adaptive_simpson`` remains the integrator for arbitrary callables; the
 moment paths do not use it.
@@ -89,6 +95,10 @@ _DERIVATIVE_INTEGRALS = ("lz2", "lz")
 # more; pairwise summation adds (16 + log2 P) eps.  Rounded up.
 _FFT_STAGE_EPS = 10.0
 _FIXED_EPS = 40.0
+# Strip half-widths tried by the a priori bound, in units of 1 / (largest
+# index with a nonzero amplitude).  Any b > 0 gives a valid bound; the best
+# b measured on exp, poly and table states lies between 8 and 21 units.
+_STRIP_WIDTHS = np.geomspace(1.0, 64.0, 13)
 
 
 @dataclass(frozen=True)
@@ -229,27 +239,23 @@ def _real_node_values(
 def _mesh_pass(
     s: TruncatedSpectrum,
     panels: int,
-    level: int,
     derivative: bool,
     real: bool,
     even: bool,
 ) -> dict[str, float]:
-    """The nine integrals on panels * 2**level panels.
+    """The nine integrals on ``panels`` panels.
 
-    The node offsets of the finer panels are delta = (h / 2**level)(r + u_q)
-    for r < 2**level, so every offset is one length-``panels`` grid.  The
+    The nodes at offset delta = h u_q form one length-``panels`` grid.  The
     lz integrals are left at 0 unless ``derivative`` is set.  A ``real``
     state is evaluated by ``_real_node_values``; its f' is real too, so
     Im(conj(f) f') and the lz integral are exactly 0.  An ``even`` state,
     f(-phi) = f(phi), is evaluated at the offsets with q < 4 only, each
-    weighted twice: offset h - delta = (h / 2**level)((2**level - 1 - r)
-    + u_{7-q}) carries the negated nodes and the same weight, so it adds
-    as much to each even integral and cancels each odd one (phi, sin, lz),
-    which stay exactly 0.
+    weighted twice: offset h - delta = h u_{7-q} carries the negated nodes
+    and the same weight, so it adds as much to each even integral and
+    cancels each odd one (phi, sin, lz), which stay exactly 0.
     """
     N = s.cutoff
     h = 2.0 * math.pi / panels
-    sub = h / (1 << level)
     grid = h * np.arange(panels) - math.pi
     sin_grid, cos_grid = np.sin(grid), np.cos(grid)
     b = np.zeros(panels // 2 + 1 if real else panels, dtype=complex)
@@ -265,57 +271,56 @@ def _mesh_pass(
     if even:
         nodes = nodes[: _GAUSS_POINTS // 2]
         weights = tuple(2.0 * w for w in weights[: _GAUSS_POINTS // 2])
-    for r in range(1 << level):
-        for u, w in zip(nodes, weights):
-            delta = sub * (r + u)
-            wq = sub * w
-            np.add(grid, delta, out=x)
-            if real:
-                f = _real_node_values(s, b, panels, delta)
-                np.square(f, out=dens)
-            else:
-                f = _node_values(s, b, delta)
-                np.square(f.real, out=dens)
-                np.square(f.imag, out=tmp)
-                dens += tmp
-            add("norm", dens, wq)
-            np.multiply(dens, x, out=tmp)
-            add("phi", tmp, wq)
-            tmp *= x
-            add("phi2", tmp, wq)
-            # sin(x) and cos(x) by angle addition from the grid's values
-            cd, sd = math.cos(delta), math.sin(delta)
-            for name, a, c, sign in (("sin", sin_grid, cos_grid, 1.0), ("cos", cos_grid, sin_grid, -1.0)):
-                np.multiply(a, cd, out=wgt)
-                np.multiply(c, sign * sd, out=tmp)
-                wgt += tmp
-                np.multiply(dens, wgt, out=tmp)
-                add(name, tmp, wq)
-                tmp *= wgt
-                add(name + "2", tmp, wq)
-            if derivative and real:
-                b[: N + 1] *= 1j * np.arange(N + 1)
-                g = np.fft.irfft(b, panels, norm="forward")  # f' / A
-                np.square(g, out=tmp)
-                add("lz2", tmp, wq)
-                del g
-            elif derivative:
-                # g = -i f' (before the factor A): |f'|^2 = |g|^2 and
-                # Im(conj(f) f') = Re(conj(f) g)
-                b[: N + 1] *= np.arange(N + 1)
-                b[panels - N :] *= np.arange(-N, 0)
-                g = np.fft.ifft(b, norm="forward")
-                np.square(g.real, out=tmp)
-                np.square(g.imag, out=wgt)
+    for u, w in zip(nodes, weights):
+        delta = h * u
+        wq = h * w
+        np.add(grid, delta, out=x)
+        if real:
+            f = _real_node_values(s, b, panels, delta)
+            np.square(f, out=dens)
+        else:
+            f = _node_values(s, b, delta)
+            np.square(f.real, out=dens)
+            np.square(f.imag, out=tmp)
+            dens += tmp
+        add("norm", dens, wq)
+        np.multiply(dens, x, out=tmp)
+        add("phi", tmp, wq)
+        tmp *= x
+        add("phi2", tmp, wq)
+        # sin(x) and cos(x) by angle addition from the grid's values
+        cd, sd = math.cos(delta), math.sin(delta)
+        for name, a, c, sign in (("sin", sin_grid, cos_grid, 1.0), ("cos", cos_grid, sin_grid, -1.0)):
+            np.multiply(a, cd, out=wgt)
+            np.multiply(c, sign * sd, out=tmp)
+            wgt += tmp
+            np.multiply(dens, wgt, out=tmp)
+            add(name, tmp, wq)
+            tmp *= wgt
+            add(name + "2", tmp, wq)
+        if derivative and real:
+            b[: N + 1] *= 1j * np.arange(N + 1)
+            g = np.fft.irfft(b, panels, norm="forward")  # f' / A
+            np.square(g, out=tmp)
+            add("lz2", tmp, wq)
+            del g
+        elif derivative:
+            # g = -i f' (before the factor A): |f'|^2 = |g|^2 and
+            # Im(conj(f) f') = Re(conj(f) g)
+            b[: N + 1] *= np.arange(N + 1)
+            b[panels - N :] *= np.arange(-N, 0)
+            g = np.fft.ifft(b, norm="forward")
+            np.square(g.real, out=tmp)
+            np.square(g.imag, out=wgt)
+            tmp += wgt
+            add("lz2", tmp, wq)
+            if not even:
+                np.multiply(f.real, g.real, out=tmp)
+                np.multiply(f.imag, g.imag, out=wgt)
                 tmp += wgt
-                add("lz2", tmp, wq)
-                if not even:
-                    np.multiply(f.real, g.real, out=tmp)
-                    np.multiply(f.imag, g.imag, out=wgt)
-                    tmp += wgt
-                    add("lz", tmp, wq)
-                del g
-            del f  # freed before the next transform allocates
+                add("lz", tmp, wq)
+            del g
+        del f  # freed before the next transform allocates
     return {name: s.norm_sq * math.fsum(v) for name, v in partial.items()}
 
 
@@ -344,19 +349,62 @@ def _rounding_floors(values: dict[str, float], panels: int) -> dict[str, float]:
     }
 
 
+def _strip_sums(s: TruncatedSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Strip half-widths b and ln(A^2 (sum_n |c_n| e^{|n| b})^2) at each.
+
+    On the strip |Im phi| <= b, f and the continuation of conj(f) are both
+    at most A sum |c_n| e^{|n| b} in modulus, so M = A^2 (sum)^2 bounds the
+    continuation of |f|^2.  The sum runs over the nonzero |c_n| + |c_{-n}|,
+    one width at a time so that the scratch stays O(N).
+    """
+    mag = np.abs(s.coeffs)
+    a = mag[s.cutoff :].copy()
+    a[1:] += mag[: s.cutoff][::-1]  # |c_n| + |c_{-n}|, n = 0..N
+    n = np.flatnonzero(a)
+    top, a_max = int(n[-1]), float(a.max())
+    b = _STRIP_WIDTHS / max(top, 1)
+    # sum = a_max e^{top b} sum (a_n / a_max) e^{(n - top) b}: no term
+    # exceeds 1, and the largest a_n's is at least e^{-top b} >= e^{-64}
+    scaled, lead = a[n] / a_max, (n - top).astype(float)
+    # elementwise, not np.dot: a BLAS dot may start threads on long vectors
+    sums = np.array([(scaled * np.exp(bj * lead)).sum() for bj in b])
+    return b, math.log(s.norm_sq) + 2.0 * (math.log(a_max) + top * b + np.log(sums))
+
+
+def _gauss_bound(b: np.ndarray, log_m: np.ndarray, panels: int, power: int) -> float:
+    """Bound on the error of the integral of phi^power |f|^2 on ``panels`` panels.
+
+    Panel j maps to [-1, 1] by phi = phi_j + (h/2) z.  On the Bernstein
+    ellipse E_rho, |Im z| <= (rho - 1/rho)/2 and |z| <= (rho + 1/rho)/2, so
+    rho - 1/rho = 4 b / h keeps |Im phi| <= b, and there |phi| <= pi +
+    sqrt(b^2 + h^2/4).  Gauss's n-point error is at most (64/15) M
+    rho^(-2n) / (rho^2 - 1) times the half-width h/2 (Trefethen, ATAP,
+    Thm 19.3); the P panels add up to pi (64/15) M rho^(-16) / (rho^2 - 1),
+    with rho^2 - 1 = rho (4 b / h).  The least bound over the strips b is
+    returned.
+    """
+    h = 2.0 * math.pi / panels
+    t = 2.0 * b / h
+    log_bound = (
+        math.log(64.0 * math.pi / 15.0)
+        + log_m
+        + power * np.log(math.pi + np.hypot(b, h / 2.0))
+        - 17.0 * np.arcsinh(t)  # ln rho = asinh(2 b / h)
+        - np.log(2.0 * t)
+    )
+    return math.exp(float(log_bound.min()))
+
+
 def _mesh_integrals(
     s: TruncatedSpectrum,
     names: tuple[str, ...],
     abs_tol: float,
     max_evals: int,
 ) -> dict[str, QuadratureResult]:
-    """The requested integrals of the shared mesh, each with an error bound.
+    """The requested integrals of one pass on P' panels, each with an error bound.
 
-    Doubles the panel count until every requested integral changes by at
-    most max(abs_tol, its rounding floor) from the previous rule.  The
-    evaluation budget is checked before each pass (the first check covers
-    the two passes any answer needs) and raises ToleranceNotMet when
-    exceeded.
+    P' is chosen, and the budget checked against 8 P', before any transform;
+    ToleranceNotMet when the budget is exceeded.
     """
     if not (abs_tol > 0.0):
         raise InvalidParameter(f"abs_tol must be positive, got {abs_tol!r}")
@@ -366,29 +414,27 @@ def _mesh_integrals(
     # and even, f(-phi) = f(phi), exactly when c_{-n} = c_n
     even = np.array_equal(s.coeffs, s.coeffs[::-1])
     panels = _panel_count(s.cutoff)
-    per_pass = _GAUSS_POINTS * panels
-    evals = 0
-    prev: dict[str, float] | None = None
-    level = 0
+    powers = {name: k for k, name in enumerate(("phi", "phi2"), 1) if name in names}
+    strips = _strip_sums(s) if powers else ()
     while True:
-        planned = evals + (per_pass << level) + (2 * per_pass if prev is None else 0)
-        if planned > max_evals:
-            raise ToleranceNotMet(
-                f"quadrature on {panels << level} panels (N={s.cutoff}) needs "
-                f"{planned} node evaluations, over max_evals={max_evals}"
-            )
-        cur = _mesh_pass(s, panels, level, derivative, real, even)
-        evals += per_pass << level
-        if prev is not None:
-            floors = _rounding_floors(cur, panels)
-            diffs = {name: abs(cur[name] - prev[name]) for name in names}
-            if all(diffs[k] <= max(abs_tol, floors[k]) for k in names):
-                return {
-                    k: QuadratureResult(cur[k], diffs[k] + floors[k], evals)
-                    for k in names
-                }
-        prev = cur
-        level += 1
+        bounds = {name: _gauss_bound(*strips, panels, k) for name, k in powers.items()}
+        # the state is normalized, so its norm integral is 1 to rounding
+        floors = _rounding_floors({"norm": 1.0, "lz2": 0.0}, panels)
+        if all(e <= max(abs_tol, floors[k]) for k, e in bounds.items()):
+            break
+        panels = _smooth_length(panels + 1)
+    evals = _GAUSS_POINTS * panels
+    if evals > max_evals:
+        raise ToleranceNotMet(
+            f"quadrature on {panels} panels (N={s.cutoff}) needs "
+            f"{evals} node evaluations, over max_evals={max_evals}"
+        )
+    values = _mesh_pass(s, panels, derivative, real, even)
+    floors = _rounding_floors(values, panels)
+    return {
+        k: QuadratureResult(values[k], bounds.get(k, 0.0) + floors[k], evals)
+        for k in names
+    }
 
 
 def quad_phi_moment(

@@ -1,8 +1,8 @@
 """Special functions used by the closed-form evaluators.
 
-Real dilogarithm on [-1, 0], Riemann zeta for real s > 1, and a guarded
-ln(1+x).  All routines are pure and carry explicit truncation-error
-estimates so callers can check their own budgets.
+Real dilogarithm on [-1, 0] and Riemann zeta for real s > 1.  Both are
+pure and carry explicit truncation-error estimates so callers can check
+their own budgets.
 """
 
 from __future__ import annotations
@@ -114,15 +114,3 @@ def zeta(s: float) -> EvalResult:
     value = direct + tail + math.fsum(corrections)
     err = err_term + 4.0 * _EPS * abs(value)
     return EvalResult(value, err, n0 + _ZETA_EM_TERMS)
-
-
-def ln1p(x: float) -> float:
-    """ln(1 + x), accurate for tiny |x|; domain x > -1.
-
-    Backed by math.log1p, which is correctly rounded on this platform;
-    the wrapper adds the domain check so callers get the library's error
-    type in the divergent regime.
-    """
-    if math.isnan(x) or x <= -1.0:
-        raise InvalidParameter(f"ln1p requires x > -1, got {x!r}")
-    return math.log1p(x)

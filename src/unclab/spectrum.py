@@ -282,8 +282,6 @@ class TruncatedSpectrum:
     sum_sq: float                           # window sum |C_n|^2
     sum_n1: float                           # window sum n |C_n|^2
     sum_n2: float                           # window sum n^2 |C_n|^2
-    is_real: bool
-    is_symmetric: bool
 
     @property
     def amplitude(self) -> float:
@@ -508,8 +506,6 @@ def build_spectrum(
         sum_sq=s0,
         sum_n1=s1,
         sum_n2=s2,
-        is_real=family.is_real,
-        is_symmetric=family.is_symmetric,
     )
 
 

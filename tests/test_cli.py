@@ -186,8 +186,8 @@ class TestCheck:
         assert len(grid) == 16
         assert [grid[0], grid[-1]] == [0.5, 20.0]
 
-    # exp amplitudes at alpha near 1.7e308 underflow to 0 through an
-    # overflowing -alpha |n|: valid input, so no RuntimeWarning either
+    # exp amplitudes at alpha near 1.7e308 are exactly 0 past |n| = 0 (the
+    # rule clamps alpha at 746, so nothing overflows): valid input, no warning
     def test_grid_spanning_the_float_range(self, capsys):
         rc = main(["check", "--family", "exp", "--grid-min", "1e-3",
                    "--grid-max", "1.7e308", "--json"])

@@ -13,7 +13,6 @@ from unclab import (
     build_spectrum,
     exp_closed,
     exp_state_bound,
-    exp_xi_resummed,
     exponential_family,
     lz_moments,
     phi_moments,
@@ -21,6 +20,8 @@ from unclab import (
     polynomial_family,
     xi_sum,
 )
+
+from oracles import exp_xi_resummed
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0

@@ -17,7 +17,6 @@ from unclab import (
     TrigReport,
     build_spectrum,
     compare_report,
-    exp_xi_resummed,
     exponential_family,
     lz_moments,
     phi_moments,
@@ -30,6 +29,8 @@ from unclab import (
     xi_sum,
 )
 from unclab import moments, spectrum
+
+from oracles import exp_xi_resummed
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0

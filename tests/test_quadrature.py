@@ -27,7 +27,19 @@ from unclab import (
     table_family,
     two_mode_family,
 )
-from unclab.quadrature import _gauss_legendre, _node_values, _panel_count, _real_node_values
+from unclab import quadrature
+from unclab.quadrature import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_MAX_EVALS,
+    _gauss_bound,
+    _gauss_legendre,
+    _mesh_integrals,
+    _node_values,
+    _panel_count,
+    _real_node_values,
+    _rounding_floors,
+    _strip_sums,
+)
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
@@ -60,6 +72,16 @@ EVEN_COMPLEX_TABLE = {
     5: -0.2j,
     -5: -0.2j,
 }
+
+# Wide spikes: phi and phi^2 need more panels than P (the first) or come
+# close to their bound on P panels (the second)
+SPIKE_TABLE = {0: 1.0, 200: 1.0, -200: 1.0}
+COMPLEX_SPIKE_TABLE = {0: 1.0, 200: 1j, -197: 0.5}
+
+# the nine mesh integrals, and the seven whose weights are trigonometric
+# polynomials, so that every mesh of P >= 2N + 3 panels integrates them exactly
+MESH_INTEGRALS = ("norm", "phi", "phi2", "sin", "cos", "sin2", "cos2", "lz2", "lz")
+PERIODIC_INTEGRALS = ("norm", "sin", "cos", "sin2", "cos2", "lz2", "lz")
 
 # compare row name -> the quad_* call that computes it directly
 QUAD_CALLS = {
@@ -158,13 +180,16 @@ def bound_case(case: str):
         "pinned": table_family("pinned", PINNED_TABLE),
         "hermitian": table_family("hermitian", HERMITIAN_TABLE),
         "even_complex": table_family("even_complex", EVEN_COMPLEX_TABLE),
+        "spike": table_family("spike", SPIKE_TABLE),
+        "complex_spike": table_family("complex_spike", COMPLEX_SPIKE_TABLE),
     }[case]
     s = build_spectrum(family, 1.0)
     return s, finite_exact(s)
 
 
 BOUND_CASES = [
-    "exp0.1", "exp1", "exp3", "single_mode", "two_mode", "pinned", "hermitian", "even_complex"
+    "exp0.1", "exp1", "exp3", "single_mode", "two_mode", "pinned", "hermitian", "even_complex",
+    "spike", "complex_spike",
 ]
 
 
@@ -180,6 +205,20 @@ def mesh_state(case: str):
         "pinned": PINNED_TABLE,
     }[case]
     return build_spectrum(table_family(case, table), 1.0)
+
+
+def traced_mesh(s, monkeypatch, max_evals=DEFAULT_MAX_EVALS):
+    """All nine mesh integrals, and (panels, values) of each pass that ran."""
+    passes = []
+    run = quadrature._mesh_pass
+
+    def traced(s, panels, *args):
+        values = run(s, panels, *args)
+        passes.append((panels, values))
+        return values
+
+    monkeypatch.setattr(quadrature, "_mesh_pass", traced)
+    return _mesh_integrals(s, MESH_INTEGRALS, DEFAULT_ABS_TOL, max_evals), passes
 
 
 def even_tables(max_index=6):
@@ -491,6 +530,59 @@ class TestSharedMesh:
         for abs_tol in (0.0, math.nan):
             with pytest.raises(InvalidParameter):
                 quad_norm(s, abs_tol=abs_tol)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("case", BOUND_CASES)
+    def test_one_pass_per_call(self, case, monkeypatch):
+        s, _ = bound_case(case)
+        q, passes = traced_mesh(s, monkeypatch)
+        assert len(passes) == 1
+        panels = passes[0][0]
+        assert panels >= _panel_count(s.cutoff)
+        assert {r.evaluations for r in q.values()} == {8 * panels}
+
+    @pytest.mark.parametrize("case", BOUND_CASES)
+    def test_periodic_integrals_report_their_rounding_floor(self, case, monkeypatch):
+        s, _ = bound_case(case)
+        q, [(panels, values)] = traced_mesh(s, monkeypatch)
+        floors = _rounding_floors(values, panels)
+        for name in PERIODIC_INTEGRALS:
+            assert q[name].est_error == floors[name], name
+        strips = _strip_sums(s)
+        for power, name in enumerate(("phi", "phi2"), 1):
+            bound = _gauss_bound(*strips, panels, power)
+            assert q[name].est_error == bound + floors[name], name
+
+    @pytest.mark.parametrize("case", ["spike", "complex_spike", "pinned", "exp1"])
+    def test_phi_bound_holds_on_the_first_mesh(self, case):
+        # P panels, where the spikes' phi integrals carry the most truncation
+        s, exact = bound_case(case)
+        panels = _panel_count(s.cutoff)
+        real = np.array_equal(s.coeffs, s.coeffs[::-1].conj())
+        even = np.array_equal(s.coeffs, s.coeffs[::-1])
+        values = quadrature._mesh_pass(s, panels, False, real, even)
+        floors = _rounding_floors(values, panels)
+        strips = _strip_sums(s)
+        for power, (name, row) in enumerate([("phi", "mean_phi"), ("phi2", "second_phi")], 1):
+            bound = _gauss_bound(*strips, panels, power)
+            assert abs(values[name] - exact[row]) <= bound + floors[name], name
+
+    @pytest.mark.parametrize("case, wider", [("spike", True), ("exp1", False)])
+    def test_panels_are_chosen_by_the_phi_bound(self, case, wider, monkeypatch):
+        s, _ = bound_case(case)
+        _, [(panels, _)] = traced_mesh(s, monkeypatch)
+        assert (panels > _panel_count(s.cutoff)) == wider
+
+    def test_budget_error_names_the_chosen_panel_count(self, monkeypatch):
+        s, _ = bound_case("spike")
+        _, [(panels, _)] = traced_mesh(s, monkeypatch)
+        first = _panel_count(s.cutoff)
+        assert panels > first
+        # enough for the first mesh, not for the one the bound asks for
+        with pytest.raises(ToleranceNotMet, match=f"on {panels} panels") as err:
+            traced_mesh(s, monkeypatch, max_evals=8 * first)
+        assert f"needs {8 * panels} node evaluations" in str(err.value)
 
 
 class TestConvergenceWithRelTol:

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import spence
 from scipy.special import zeta as scipy_zeta
 
-from unclab import InvalidParameter, dilog, ln1p, zeta
+from unclab import InvalidParameter, dilog, zeta
 
 PI = math.pi
 
@@ -112,21 +112,3 @@ class TestZeta:
     def test_divergent_regime_rejected(self, s):
         with pytest.raises(InvalidParameter):
             zeta(s)
-
-
-class TestLn1p:
-    def test_zero(self):
-        assert ln1p(0.0) == 0.0
-
-    def test_inv_e(self):
-        assert abs(ln1p(math.exp(-1.0)) - 0.31326168751822286) < 1e-16
-
-    def test_tiny_argument_keeps_subleading_term(self):
-        x = 1e-12
-        # ln(1+x) = x - x^2/2 + ... = 1e-12 - 5e-25
-        assert abs(ln1p(x) - (x - 5e-25)) < 1e-27
-
-    @pytest.mark.parametrize("x", [-1.0, -1.5, math.nan])
-    def test_domain(self, x):
-        with pytest.raises(InvalidParameter):
-            ln1p(x)
