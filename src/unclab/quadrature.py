@@ -43,9 +43,9 @@ gives every value, and est_error = bound + floor for phi and phi^2.
 Budget.  ``max_evals`` caps the node evaluations, and ``evaluations``
 reports them.  Both count the rule's nodes, 8 P', also where a
 mirror-symmetric state takes half of them from the other half, so a
-state's count and its budget error do not depend on its symmetry.  P' is
-known before any work, so a request over budget raises ToleranceNotMet,
-naming P', before any FFT runs.
+state's count and its budget error do not depend on its symmetry.  The
+search for P' stops at the first panel count over budget and raises
+ToleranceNotMet naming it, before any FFT runs.
 
 ``adaptive_simpson`` remains the integrator for arbitrary callables; the
 moment paths do not use it.
@@ -97,7 +97,7 @@ _FFT_STAGE_EPS = 10.0
 _FIXED_EPS = 40.0
 # Strip half-widths tried by the a priori bound, in units of 1 / (largest
 # index with a nonzero amplitude).  Any b > 0 gives a valid bound; the best
-# b measured on exp, poly and table states lies between 8 and 21 units.
+# b measured on exp, poly and table states lies between 7 and 20 units.
 _STRIP_WIDTHS = np.geomspace(1.0, 64.0, 13)
 
 
@@ -377,11 +377,11 @@ def _gauss_bound(b: np.ndarray, log_m: np.ndarray, panels: int, power: int) -> f
     Panel j maps to [-1, 1] by phi = phi_j + (h/2) z.  On the Bernstein
     ellipse E_rho, |Im z| <= (rho - 1/rho)/2 and |z| <= (rho + 1/rho)/2, so
     rho - 1/rho = 4 b / h keeps |Im phi| <= b, and there |phi| <= pi +
-    sqrt(b^2 + h^2/4).  Gauss's n-point error is at most (64/15) M
-    rho^(-2n) / (rho^2 - 1) times the half-width h/2 (Trefethen, ATAP,
-    Thm 19.3); the P panels add up to pi (64/15) M rho^(-16) / (rho^2 - 1),
-    with rho^2 - 1 = rho (4 b / h).  The least bound over the strips b is
-    returned.
+    sqrt(b^2 + h^2/4).  The (n+1)-point Gauss error is at most (64/15) M
+    rho^(-2n) / (rho^2 - 1) times the half-width h/2 (Trefethen, ATAP, Thm
+    19.3); with 8 nodes, n = 7, and the P panels add up to pi (64/15) M
+    rho^(-14) / (rho^2 - 1), with rho^2 - 1 = rho (4 b / h).  The least
+    bound over the strips b is returned.
     """
     h = 2.0 * math.pi / panels
     t = 2.0 * b / h
@@ -389,7 +389,7 @@ def _gauss_bound(b: np.ndarray, log_m: np.ndarray, panels: int, power: int) -> f
         math.log(64.0 * math.pi / 15.0)
         + log_m
         + power * np.log(math.pi + np.hypot(b, h / 2.0))
-        - 17.0 * np.arcsinh(t)  # ln rho = asinh(2 b / h)
+        - (2 * _GAUSS_POINTS - 1) * np.arcsinh(t)  # ln rho = asinh(2 b / h)
         - np.log(2.0 * t)
     )
     return math.exp(float(log_bound.min()))
@@ -403,8 +403,8 @@ def _mesh_integrals(
 ) -> dict[str, QuadratureResult]:
     """The requested integrals of one pass on P' panels, each with an error bound.
 
-    P' is chosen, and the budget checked against 8 P', before any transform;
-    ToleranceNotMet when the budget is exceeded.
+    P' is chosen, and the budget checked against 8 times each panel count
+    tried, before any transform; ToleranceNotMet when it is exceeded.
     """
     if not (abs_tol > 0.0):
         raise InvalidParameter(f"abs_tol must be positive, got {abs_tol!r}")
@@ -417,18 +417,18 @@ def _mesh_integrals(
     powers = {name: k for k, name in enumerate(("phi", "phi2"), 1) if name in names}
     strips = _strip_sums(s) if powers else ()
     while True:
+        evals = _GAUSS_POINTS * panels
+        if evals > max_evals:
+            raise ToleranceNotMet(
+                f"quadrature on {panels} panels (N={s.cutoff}) needs "
+                f"{evals} node evaluations, over max_evals={max_evals}"
+            )
         bounds = {name: _gauss_bound(*strips, panels, k) for name, k in powers.items()}
         # the state is normalized, so its norm integral is 1 to rounding
         floors = _rounding_floors({"norm": 1.0, "lz2": 0.0}, panels)
         if all(e <= max(abs_tol, floors[k]) for k, e in bounds.items()):
             break
         panels = _smooth_length(panels + 1)
-    evals = _GAUSS_POINTS * panels
-    if evals > max_evals:
-        raise ToleranceNotMet(
-            f"quadrature on {panels} panels (N={s.cutoff}) needs "
-            f"{evals} node evaluations, over max_evals={max_evals}"
-        )
     values = _mesh_pass(s, panels, derivative, real, even)
     floors = _rounding_floors(values, panels)
     return {

@@ -40,6 +40,7 @@ from unclab.quadrature import (
     _rounding_floors,
     _strip_sums,
 )
+from unclab.spectrum import _smooth_length
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
@@ -554,6 +555,21 @@ class TestOnePass:
             bound = _gauss_bound(*strips, panels, power)
             assert q[name].est_error == bound + floors[name], name
 
+    def test_gauss_bound_is_the_eight_node_theorem(self):
+        # the (n+1)-point Gauss error on [-1, 1] is at most (64/15) M
+        # rho^(-2n) / (rho^2 - 1) (Trefethen, ATAP, Thm 19.3); 8 nodes, n = 7,
+        # times the half-width h/2 on each of the P panels
+        panels = 405
+        h = 2.0 * PI / panels
+        for b in (0.01, 0.05, 0.2):
+            t = 2.0 * b / h
+            rho = t + math.hypot(t, 1.0)  # rho - 1/rho = 4 b / h
+            for power in (1, 2):
+                m = 3.0 * (PI + math.hypot(b, h / 2.0)) ** power
+                expected = panels * (h / 2.0) * (64.0 / 15.0) * m * rho**-14 / (rho**2 - 1.0)
+                got = _gauss_bound(np.array([b]), np.array([math.log(3.0)]), panels, power)
+                assert got == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("case", ["spike", "complex_spike", "pinned", "exp1"])
     def test_phi_bound_holds_on_the_first_mesh(self, case):
         # P panels, where the spikes' phi integrals carry the most truncation
@@ -577,12 +593,28 @@ class TestOnePass:
     def test_budget_error_names_the_chosen_panel_count(self, monkeypatch):
         s, _ = bound_case("spike")
         _, [(panels, _)] = traced_mesh(s, monkeypatch)
-        first = _panel_count(s.cutoff)
-        assert panels > first
-        # enough for the first mesh, not for the one the bound asks for
+        assert panels > _panel_count(s.cutoff)
+        # enough for every mesh the search passes, not for the one it picks
         with pytest.raises(ToleranceNotMet, match=f"on {panels} panels") as err:
-            traced_mesh(s, monkeypatch, max_evals=8 * first)
+            traced_mesh(s, monkeypatch, max_evals=8 * panels - 1)
         assert f"needs {8 * panels} node evaluations" in str(err.value)
+
+    def test_panel_search_stops_at_the_budget(self, monkeypatch):
+        s, _ = bound_case("spike")
+        first = _panel_count(s.cutoff)
+        tried = []
+        bound = quadrature._gauss_bound
+
+        def traced(b, log_m, panels, power):
+            tried.append(panels)
+            return bound(b, log_m, panels, power)
+
+        monkeypatch.setattr(quadrature, "_gauss_bound", traced)
+        # the budget admits the first mesh only, and the bound asks for more
+        over = _smooth_length(first + 1)
+        with pytest.raises(ToleranceNotMet, match=f"on {over} panels"):
+            traced_mesh(s, monkeypatch, max_evals=8 * first)
+        assert set(tried) == {first}
 
 
 class TestConvergenceWithRelTol:
