@@ -17,6 +17,12 @@ Polynomial family C_n = |n|^{-alpha}, C_0 = 0:
     |A|^2       = 1 / (4 pi zeta(2 alpha))
     sigma_Lz^2  = zeta(2 alpha - 2) / zeta(2 alpha)   (alpha > 3/2 only)
     sigma_phi^2 has no closed form; it is delegated to the series engine.
+
+The truncation tails of both families are closed forms too, and the
+series engine (spectrum.build_spectrum) chooses their windows from them:
+sum_{|n|>N} |C_n|^2 = 2 q^{N+1} / (1 - q), q = e^{-2 alpha}, or
+2 zeta(2 alpha, N+1); the n^2-weighted tail is a geometric n^2 sum, or
+2 zeta(2 alpha - 2, N+1).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Special functions used by the closed-form evaluators.
 
-Real dilogarithm on [-1, 0] and Riemann zeta for real s > 1.  Both are
-pure and carry explicit truncation-error estimates so callers can check
-their own budgets.
+Real dilogarithm on [-1, 0] and Hurwitz zeta for real s > 1, a > 0 (the
+Riemann zeta at a = 1).  Both are pure and carry explicit truncation-error
+estimates so callers can check their own budgets.
 """
 
 from __future__ import annotations
@@ -13,14 +13,17 @@ from dataclasses import dataclass
 from .errors import InvalidParameter
 
 _EPS = 2.220446049250313e-16
+_TINY = 5e-324  # the smallest subnormal
 
 # Bernoulli numbers B_2, B_4, B_6, B_8, B_10 for the Euler-Maclaurin tail.
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
 
-# zeta: direct terms before the Euler-Maclaurin correction kicks in.
+# zeta: direct terms of the Riemann zeta before the Euler-Maclaurin tail.
 _ZETA_N0 = 20
 # zeta: number of Euler-Maclaurin correction terms.
 _ZETA_EM_TERMS = 4
+# zeta: ln(|B_10| / 10! / (eps / 2)), the first omitted correction over half an ulp.
+_LN_LEAD = math.log(abs(_BERNOULLI[-1]) / math.factorial(10) / (0.5 * _EPS))
 
 # dilog: switch to the Landen reflection beyond this |z|.
 _DILOG_REFLECT = 0.5
@@ -81,36 +84,55 @@ def dilog(z: float) -> EvalResult:
     return EvalResult(value, max(err, _EPS), terms)
 
 
-def zeta(s: float) -> EvalResult:
-    """Riemann zeta for real s > 1 via direct sum plus Euler-Maclaurin tail.
+def zeta(s: float, a: float = 1) -> EvalResult:
+    """Hurwitz zeta sum_{k>=0} (k + a)^-s for real s > 1 and a > 0 (DLMF 25.11).
 
-    Direct sum to n0 = 20 and four Bernoulli correction terms; the error
-    estimate is the magnitude of the first omitted correction, which is a
-    true bound because x^-s is completely monotone.
+    Terms below a boundary b are summed directly, then the Euler-Maclaurin
+    tail from b with four Bernoulli corrections.  The error estimate is the
+    magnitude of the first omitted correction, a true bound because x^-s is
+    completely monotone, plus rounding.  The Riemann zeta (a = 1) starts
+    the tail at b = 21, after 20 direct terms; any other a starts it where
+    that correction, |B_10| / 10! (s)_9 b^(-s-9), is below half an ulp of
+    a^-s, a lower bound on the value, so the value is accurate to rounding
+    at a cost that does not grow with a.
     """
     if math.isnan(s) or s <= 1.0:
         raise InvalidParameter(
             f"zeta requires s > 1 (s <= 1 is the divergent regime), got {s!r}"
         )
-    n0 = _ZETA_N0
-    direct = math.fsum(n ** (-s) for n in range(1, n0 + 1))
-    boundary = float(n0 + 1)
+    if not (0.0 < a < math.inf):
+        raise InvalidParameter(f"zeta requires a finite a > 0, got {a!r}")
+    if s == math.inf:  # only a^-s can survive
+        return EvalResult(a**-s, 0.0, 1)
+    if a == 1:
+        n0 = _ZETA_N0
+    else:  # in logarithms, which neither overflow nor underflow
+        ln_rising = math.lgamma(s + 9.0) - math.lgamma(s) if s < 1e300 else 9.0 * math.log(s)
+        ln_a = math.log(a)
+        ln_b = ln_a + (_LN_LEAD + ln_rising - 9.0 * ln_a) / (s + 9.0)
+        n0 = max(0, math.ceil(math.exp(ln_b) - a))
+    direct = math.fsum([(a + k) ** (-s) for k in range(n0)])
+    boundary = float(a + n0)
     # integral term + half-weight at the boundary
     tail = boundary ** (1.0 - s) / (s - 1.0) + 0.5 * boundary ** (-s)
     corrections = []
-    rising = s  # s (s+1) ... accumulated rising factorial
-    power = boundary ** (-s - 1.0)
+    # s (s+1) ... (s+2j) b^(-s-2j-1), kept as one product so that neither
+    # the rising factorial overflows nor the power underflows on its own
+    scaled = s * boundary ** (-s - 1.0)
     fact = 2.0
+    err_term = 0.0
     for j, b2j in enumerate(_BERNOULLI):
-        term = b2j / fact * rising * power
+        if scaled == 0.0:  # so is every later term
+            break
+        term = b2j / fact * scaled
         if j < _ZETA_EM_TERMS:
             corrections.append(term)
         else:
             err_term = abs(term)
             break
-        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
-        power /= boundary * boundary
+        scaled *= (s + 2 * j + 1) * (s + 2 * j + 2) / (boundary * boundary)
         fact *= (2 * j + 3) * (2 * j + 4)
     value = direct + tail + math.fsum(corrections)
-    err = err_term + 4.0 * _EPS * abs(value)
+    # relative rounding, and an absolute floor for subnormal terms
+    err = err_term + 4.0 * _EPS * abs(value) + (n0 + 8) * _TINY
     return EvalResult(value, err, n0 + _ZETA_EM_TERMS)

@@ -5,6 +5,15 @@ a finite window of Fourier amplitudes C_n, |n| <= N, together with the
 normalization constant |A|^2 fixing 2 pi |A|^2 sum |C_n|^2 = 1, and an
 estimate of the second-moment mass n^2 |C_n|^2 lost to truncation.
 
+Two engines choose N with the same three tail tests.  The built-in
+exponential and polynomial family values have every tail in closed form
+(geometric sums and Hurwitz zeta tails), so their cutoff is found by a
+search on those before any amplitude is evaluated, and the window is then
+evaluated once.  Any other family (a callable, a JSON document, a renamed
+copy of a built-in) grows its window ring by ring and classifies each
+ring's tails from a least-squares fit, probing beyond the window for
+resurgent mass.
+
 hbar = 1 throughout; angular-momentum moments are reported in units of
 hbar^2 and uncertainty products in units of hbar.
 """
@@ -16,12 +25,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateState, InvalidParameter, NonConvergent
-from .families import CoefficientFamily
+from .families import CoefficientFamily, exponential_family, polynomial_family
+from .special import zeta
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_N_MAX = 2_000_000
@@ -33,11 +43,12 @@ _TAIL_SAMPLES = 9
 _DIVERGENT_SLOPE = 1.01
 
 _ZERO_FLOOR = 1e-300
+_EPS = sys.float_info.epsilon
 # Elements per list handed to math.fsum by _fsum.
 _FSUM_CHUNK = 1024
 # Relative rounding of a tail summed term by term: forming each n^2 |C_n|^2
 # from its amplitudes costs a few ulps, and math.fsum adds half of one.
-_TERM_ROUND = 8.0 * sys.float_info.epsilon
+_TERM_ROUND = 8.0 * _EPS
 
 
 # --------------------------------------------------------------------------
@@ -370,6 +381,233 @@ def _grow(
         yield edge, cp, cm
 
 
+# --------------------------------------------------------------------------
+# exact tails of the built-in families
+# --------------------------------------------------------------------------
+
+# The three tail tests, in the order the cutoff search applies them.
+_MASS, _SECOND, _SENSITIVITY = "sum |C_n|^2", "sum n^2 |C_n|^2", "sum |C_n|/n^2"
+
+
+@dataclass(frozen=True)
+class _Series:
+    """One tail test of build_spectrum, for a family whose tails are closed forms.
+
+    ``tail(n)`` is (the series summed over |k| > n, an error bound) and
+    ``total`` the whole series, its n = 0 term included; ``start`` is a
+    leading-order guess of the least n that passes.  A ``completed`` tail
+    is kept in full, as a fitted power tail is, so only its error is
+    tested.  A ``diverges`` series has no tail; the text says why.
+    """
+
+    label: str
+    tail: Callable[[int], tuple[float, float]] = lambda n: (math.inf, math.inf)
+    total: float = math.inf
+    start: float = 0.0
+    completed: bool = False
+    diverges: str = ""
+
+    def passes(self, n: int, rel_tol: float) -> bool:
+        """The test ``meets`` applies to a fitted tail, on the exact one."""
+        value, err = self.tail(n)
+        if self.completed:
+            return err <= rel_tol * max(self.total, _ZERO_FLOOR)
+        return value + err <= rel_tol * max(self.total - value, _ZERO_FLOOR)
+
+
+def _zeta_tail(s: float, n: int) -> tuple[float, float]:
+    """2 zeta(s, n + 1) = sum_{|k| > n} |k|^-s, with an error bound.
+
+    The bound adds the rounding of s itself (s = 2 alpha - 2 or alpha + 2
+    is rounded once): d ln zeta(s, a) / ds is about ln a + 1/(s - 1).
+    """
+    z = zeta(s, n + 1)
+    if not z.value:
+        return 0.0, 2.0 * z.est_error
+    slack = _EPS * s * (math.log(n + 1.0) + 1.0 / (s - 1.0))
+    return 2.0 * z.value, 2.0 * (z.est_error + slack * z.value)
+
+
+def _zeta_series(
+    label: str, s_text: str, s: float, rel_tol: float, completed: bool = False
+) -> _Series:
+    """The series 2 zeta(s), s written ``s_text``, with its tails 2 zeta(s, n + 1)."""
+    if s <= 1.0:
+        return _Series(label, diverges=f"{label} diverges because {s_text} <= 1")
+    total = zeta(s).value
+    # the tail test holds once zeta(s, n + 1) ~ (n + 1/2)^(1 - s) / (s - 1)
+    # drops to rel_tol / (1 + rel_tol) of the total
+    ln_x = -math.log((s - 1.0) * rel_tol / (1.0 + rel_tol) * total) / (s - 1.0)
+    start = math.exp(ln_x) - 0.5 if ln_x < 700.0 else math.inf
+    return _Series(label, functools.partial(_zeta_tail, s), 2.0 * total, start, completed)
+
+
+def _poly_series(alpha: float, rel_tol: float) -> Iterator[_Series]:
+    """|n|^-alpha: the |C_n|^2, n^2 |C_n|^2 and |C_n|/n^2 tails are
+    2 zeta(s, N + 1) with s = 2 alpha, 2 alpha - 2 and alpha + 2."""
+    yield _zeta_series(_MASS, "2 alpha", 2.0 * alpha, rel_tol)
+    yield _zeta_series(_SECOND, "2 alpha - 2", 2.0 * alpha - 2.0, rel_tol, completed=True)
+    yield _zeta_series(_SENSITIVITY, "alpha + 2", alpha + 2.0, rel_tol)
+
+
+def _exp_mass_tail(alpha: float, n: int) -> tuple[float, float]:
+    """2 sum_{k>n} q^k = 2 q^(n+1) / (1 - q), q = e^(-2 alpha)."""
+    arg = 2.0 * alpha * (n + 1)
+    value = 2.0 * math.exp(-arg) / -math.expm1(-2.0 * alpha)
+    # exp amplifies the rounding of its argument by |arg|
+    return value, (arg + 8.0) * _EPS * value if value else 0.0
+
+
+def _exp_second_tail(alpha: float, n: int) -> tuple[float, float]:
+    """2 sum_{k>n} k^2 q^k = 2 q^m (2 + (2m - 3) d + (m - 1)^2 d^2) / d^3,
+    m = n + 1, d = 1 - q: every term positive, so nothing cancels."""
+    m = n + 1.0
+    d = -math.expm1(-2.0 * alpha)
+    arg = 2.0 * alpha * m
+    value = 2.0 * math.exp(-arg) * (2.0 + (2.0 * m - 3.0) * d + ((m - 1.0) * d) ** 2)
+    value = value / d / d / d
+    return value, (arg + 16.0) * _EPS * value if value else 0.0
+
+
+def _exp_sensitivity_tail(alpha: float, n: int) -> tuple[float, float]:
+    """2 sum_{k>n} u^k / k^2, u = e^(-alpha) (a Lerch transcendent), summed
+    to rounding: its terms fall by at least u per step, so the rest after
+    the last one summed is below that term times u / (1 - u)."""
+    if math.exp(-alpha) == 0.0:  # so are all the amplitudes
+        return 0.0, 0.0
+    one_minus_u = -math.expm1(-alpha)
+    count = math.ceil((37.0 - math.log(one_minus_u)) / alpha)
+    k = np.arange(n + 1, n + 1 + count, dtype=float)
+    terms = np.exp(-alpha * k) / (k * k)
+    value = 2.0 * float(terms.sum())
+    rest = 2.0 * float(terms[-1]) * (1.0 - one_minus_u) / one_minus_u
+    return value, rest + (alpha * k[-1] + 2.0 * math.log2(count) + 8.0) * _EPS * value
+
+
+def _exp_series(alpha: float, rel_tol: float) -> Iterator[_Series]:
+    """e^(-alpha |n|): the mass tails are geometric sums, the sensitivity
+    tail is summed.  The sensitivity series is built only when asked for:
+    its total is itself a sum, of about 37 / alpha terms."""
+    # 2 q^(n+1) / (1 - q) <= rel_tol / (1 + rel_tol) (1 + q) / (1 - q); the
+    # other two tests bind a little further out, and are galloped to from there
+    q = math.exp(-2.0 * alpha)
+    start = math.log(rel_tol / (1.0 + rel_tol) * (1.0 + q) / 2.0) / (-2.0 * alpha) - 1.0
+    yield _Series(
+        _MASS, functools.partial(_exp_mass_tail, alpha), 1.0 + _exp_mass_tail(alpha, 0)[0], start
+    )
+    yield _Series(
+        _SECOND, functools.partial(_exp_second_tail, alpha), _exp_second_tail(alpha, 0)[0]
+    )
+    yield _Series(
+        _SENSITIVITY,
+        functools.partial(_exp_sensitivity_tail, alpha),
+        1.0 + _exp_sensitivity_tail(alpha, 0)[0],
+    )
+
+
+# The built-in family values and their tail series, matched by identity or ==
+# as analysis matches its closed forms; a renamed copy is another value.
+_EXACT_TAILS = (
+    (exponential_family(), _exp_series),
+    (polynomial_family(), _poly_series),
+)
+
+
+def _exact_tails(family: CoefficientFamily):
+    """The tail series rule of a built-in family value, else None."""
+    for builtin, series in _EXACT_TAILS:
+        if family is builtin or family == builtin:
+            return series
+    return None
+
+
+def _least(passes: Callable[[int], bool], lo: int, start: float, limit: int) -> int:
+    """Least n in [lo, limit] with passes(n), for a monotone test; limit + 1
+    when there is none.  Gallops from ``start`` to a bracket, then bisects."""
+    bad, good = lo - 1, limit + 1  # passes(bad) is False, good is the answer so far
+    n = int(min(max(start, lo), limit))
+    step = 1
+    while True:
+        if passes(n):
+            good = n
+        else:
+            bad = n
+        if good - bad <= 1:
+            return good
+        if good > limit:
+            n = min(bad + step, limit)
+        elif bad < lo:
+            n = max(good - step, lo)
+        else:
+            n = (bad + good) // 2
+        step *= 2
+
+
+def _build_exact(
+    family: CoefficientFamily,
+    alpha: float,
+    rel_tol: float,
+    n_max: int,
+    series: Iterator[_Series],
+) -> TruncatedSpectrum:
+    """build_spectrum for a family with closed-form tails.
+
+    The cutoff is the least N that passes each tail test in turn, found on
+    O(1)-cost tail evaluations before any amplitude is computed; the
+    window is then evaluated once, and its sums are taken as the ring
+    engine takes them.
+    """
+    where = f"family {family.name!r} at alpha={alpha}: "
+
+    def fit(s: _Series, n: int) -> int:
+        """The least cutoff at or above n that also passes s."""
+        passes = functools.partial(s.passes, rel_tol=rel_tol)
+        if passes(n):
+            return n
+        least = _least(passes, n + 1, s.start, n_max)
+        if least > n_max:
+            if s.start < 2.0**53:
+                needed = f">= {_least(passes, n_max + 1, s.start, 2**53)}"
+            elif s.start < math.inf:  # past exact float indices: the estimate
+                needed = f"of about {s.start:.2g}"
+            else:
+                needed = "beyond the float range"
+            raise NonConvergent(
+                f"{where}the {s.label} tail test needs N {needed}, above n_max={n_max}"
+            )
+        return least
+
+    mass = next(series)
+    if mass.diverges:
+        raise NonConvergent(where + mass.diverges)
+    cutoff = fit(mass, 0)
+    second = next(series)
+    if not second.diverges:
+        cutoff = fit(second, cutoff)
+    cutoff = fit(next(series), cutoff)
+
+    coeffs = family.coefficients(np.arange(-cutoff, cutoff + 1), alpha)
+    coeffs.flags.writeable = False
+    cp, cm = coeffs[cutoff + 1 :], coeffs[cutoff - 1 :: -1] if cutoff else coeffs[:0]
+    cp_sq, cm_sq = np.abs(cp) ** 2, np.abs(cm) ** 2
+    ns = np.arange(1, cutoff + 1, dtype=float)
+    s0 = abs(complex(coeffs[cutoff])) ** 2 + _fsum(cp_sq + cm_sq)
+    tail_bound, tail_err = second.tail(cutoff)
+    return TruncatedSpectrum(
+        family_name=family.name,
+        alpha=float(alpha),
+        cutoff=cutoff,
+        coeffs=coeffs,
+        norm_sq=1.0 / (2.0 * math.pi * s0),
+        tail_bound=tail_bound,
+        tail_err=tail_err,
+        norm_tail=mass.tail(cutoff)[0],
+        sum_sq=s0,
+        sum_n1=_fsum(ns * cp_sq) - _fsum(ns * cm_sq),
+        sum_n2=_fsum(ns * ns * (cp_sq + cm_sq)),
+    )
+
+
 def build_spectrum(
     family: CoefficientFamily,
     alpha: float,
@@ -379,12 +617,14 @@ def build_spectrum(
     """Build the normalized truncated spectrum of ``family`` at ``alpha``.
 
     The cutoff N is the smallest window such that (a) the truncated
-    |C_n|^2 mass is below rel_tol of the retained sum and (b) the
-    truncated n^2 |C_n|^2 mass is resolved: below rel_tol of its retained
-    sum, or estimated by an Euler-Maclaurin tail for slowly decaying
-    power-law families, or flagged as divergent (tail_bound = inf), in
-    which case the angular-momentum moments raise DivergentMoment
-    downstream.
+    |C_n|^2 mass is below rel_tol of the retained sum, (b) the truncated
+    n^2 |C_n|^2 mass is resolved: below rel_tol of its retained sum, or
+    completed by a power-law tail whose error is below rel_tol of the
+    total, or flagged as divergent (tail_bound = inf), in which case the
+    angular-momentum moments raise DivergentMoment downstream, and (c) the
+    truncated sensitivity sum |C_n| / n^2 is below rel_tol of its retained
+    sum.  The built-in exponential and polynomial families take each tail
+    from its closed form; every other family fits them ring by ring.
 
     Raises NonConvergent when no window up to n_max resolves the tails,
     DegenerateState when every amplitude underflows, InvalidParameter on
@@ -396,6 +636,9 @@ def build_spectrum(
         raise InvalidParameter(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     if n_max < 1:
         raise InvalidParameter(f"n_max must be >= 1, got {n_max!r}")
+    exact = _exact_tails(family)
+    if exact is not None:
+        return _build_exact(family, alpha, rel_tol, n_max, exact(float(alpha), rel_tol))
 
     c0 = complex(family.coefficient(0, alpha))
     u0 = abs(c0) ** 2
@@ -545,7 +788,10 @@ def tail_second_moment(
 ) -> list[float]:
     """T_N(alpha) = sum_{|n| > N} n^2 |C_n(alpha)|^2 per grid point.
 
-    Summed outward from N+1 until the remainder majorant (or, for slow
+    The built-in families take their closed form (2 zeta(2 alpha - 2, N+1)
+    for the polynomial family, which diverges exactly for alpha <= 3/2, and
+    a geometric n^2 sum for the exponential one).  Any other family is
+    summed outward from N+1 until the remainder majorant (or, for slow
     power-law tails, the error of the Euler-Maclaurin completion) drops
     below 1e-12 of the tail total; the certification assumes tails that
     are asymptotically geometric or pure power laws.  Divergent tails
@@ -556,10 +802,17 @@ def tail_second_moment(
     if N < 1:
         raise InvalidParameter(f"N must be >= 1, got {N!r}")
 
+    exact = _exact_tails(family)
     out = []
     for alpha in alpha_grid:
         if not (alpha > 0.0):
             raise InvalidParameter(f"grid alphas must be positive, got {alpha!r}")
+        if exact is not None:
+            _, second = itertools.islice(exact(float(alpha), _TAIL_REL), 2)
+            if second.diverges:
+                raise NonConvergent(f"family {family.name!r} at alpha={alpha}: {second.diverges}")
+            out.append(second.tail(N)[0])
+            continue
         for hi, cp, cm in _grow(family, alpha, N + 1, 256, N + _TAIL_BUDGET):
             ns = np.arange(N + 1, hi + 1, dtype=float)
             seq = ns * ns * (np.abs(cp) ** 2 + np.abs(cm) ** 2)  # seq[0] <-> n = N+1

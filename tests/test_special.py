@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import spence
@@ -112,3 +113,49 @@ class TestZeta:
     def test_divergent_regime_rejected(self, s):
         with pytest.raises(InvalidParameter):
             zeta(s)
+
+
+# mpmath's Hurwitz zeta loses about 150 digits at a = 1e3 and s = 50, so
+# the reference runs at 300 (checked against 500: the doubles agree).
+_HURWITZ_S = (1.001, 1.01, 1.5, 2.0, 3.0, 7.5, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0)
+
+
+class TestHurwitzZeta:
+    @pytest.mark.parametrize("a", [1, 2, 20, 21, 1e3, 1e6])
+    def test_within_est_error_of_mpmath(self, a):
+        with mpmath.workdps(300):
+            refs = [float(mpmath.zeta(s, a)) for s in _HURWITZ_S]
+        for s, ref in zip(_HURWITZ_S, refs):
+            r = zeta(s, a)
+            assert abs(r.value - ref) <= r.est_error, (s, a)
+
+    @pytest.mark.parametrize("a", [2, 21, 1e3, 1e6])
+    def test_accurate_to_rounding(self, a):
+        # the boundary moves out until the first omitted Euler-Maclaurin
+        # correction is below an ulp, so est_error is rounding-sized
+        for s in (1.01, 2.0, 10.0, 20.0):
+            r = zeta(s, a)
+            if r.value > 1e-290:
+                assert r.est_error <= 8 * 2.3e-16 * r.value, (s, a)
+
+    def test_riemann_default(self):
+        assert zeta(3.0, 1) == zeta(3.0)
+
+    def test_cost_does_not_grow_with_a(self):
+        assert zeta(3.2, 1e6).terms_used == zeta(3.2, 1e12).terms_used
+
+    def test_shift_identity(self):
+        # zeta(s, a) = a^-s + zeta(s, a + 1)
+        for s, a in ((1.5, 2.5), (4.0, 20.0), (12.0, 21.0), (3.0, 1e3)):
+            lhs, rhs = zeta(s, a), zeta(s, a + 1)
+            assert abs(lhs.value - (a**-s + rhs.value)) <= lhs.est_error + rhs.est_error
+
+    def test_huge_s_does_not_warn_or_overflow(self):
+        assert zeta(2e300, 2).value == 0.0
+        assert zeta(1e300 + 2).value == 1.0
+        assert zeta(math.inf, 1).value == 1.0 and zeta(math.inf, 3).value == 0.0
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    def test_a_domain(self, a):
+        with pytest.raises(InvalidParameter):
+            zeta(2.0, a)

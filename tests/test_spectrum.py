@@ -1,6 +1,7 @@
 """Spectrum construction, normalization, state evaluation, tail diagnostics."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unclab import (
+    CoefficientFamily,
     DegenerateState,
     InvalidParameter,
     NonConvergent,
@@ -27,6 +29,11 @@ from unclab import spectrum
 from unclab.spectrum import _tail_estimate, _tail_samples
 
 PI = math.pi
+
+# Renamed copies of the built-ins: other values, so they run the ring engine
+# (grown windows, fitted tails, probes) that callables and documents use.
+RING_EXP = CoefficientFamily("exp_ring", exponential_family().rule)
+RING_POLY = CoefficientFamily("poly_ring", polynomial_family().rule)
 
 
 def exact_tails(family, alpha, N):
@@ -119,14 +126,14 @@ class TestBuildSpectrum:
             build_spectrum(polynomial_family(), 0.4, rel_tol=1e-6, n_max=5000)
 
     @pytest.mark.parametrize(
-        "family, alpha, slope",
-        [(exponential_family(), 1e-8, "-0.000"), (polynomial_family(), 0.4, "0.800")],
+        "family, alpha, slope", [(RING_EXP, 1e-8, "-0.000"), (RING_POLY, 0.4, "0.800")]
     )
     def test_flat_normalization_fit_is_reported_not_called_divergent(
         self, family, alpha, slope
     ):
-        # exp at alpha 1e-8 converges, but looks flat on its first ring;
-        # poly at 0.4 truly diverges.  Both report what the fit measured.
+        # ring engine: exp at alpha 1e-8 converges, but looks flat on its
+        # first ring; poly at 0.4 truly diverges.  Both report what the fit
+        # measured.
         with pytest.raises(NonConvergent) as info:
             build_spectrum(family, alpha)
         msg = str(info.value)
@@ -152,9 +159,9 @@ class TestBuildSpectrum:
         + [(a, 1e-12) for a in (4.5, 5.0, 6.0, 8.0, 10.0)],
     )
     def test_tail_err_bounds_power_law_tails(self, alpha, rel_tol):
-        # Euler-Maclaurin completions whose tail_err is at its tightest
-        # (|tail_bound - exact| / tail_err reaches 0.9986 at 1e-12)
-        s = build_spectrum(polynomial_family(), alpha, rel_tol=rel_tol)
+        # fitted Euler-Maclaurin completions whose tail_err is at its
+        # tightest (|tail_bound - exact| / tail_err reaches 0.9986 at 1e-12)
+        s = build_spectrum(RING_POLY, alpha, rel_tol=rel_tol)
         v_exact, _ = exact_tails("poly", alpha, s.cutoff)
         assert abs(s.tail_bound - v_exact) <= s.tail_err
         assert s.norm_tail >= 0.0
@@ -174,7 +181,7 @@ class TestBuildSpectrum:
 
         monkeypatch.setattr(np.linalg, "lstsq", lstsq)
         monkeypatch.setattr(spectrum, "_grow", grow)
-        build_spectrum(polynomial_family(), 2.2, rel_tol=1e-8)
+        build_spectrum(RING_POLY, 2.2, rel_tol=1e-8)
         assert len(edges) > 1
         # one fit per ring, its right-hand sides the u, v and x tails
         assert len(fits) == len(edges)
@@ -185,9 +192,13 @@ class TestBuildSpectrum:
         [
             (exponential_family(), 0.01, 1e-12, 1703),
             (exponential_family(), 0.005, 1e-12, 3405),
-            (polynomial_family(), 2.2, 1e-12, 3827),
+            # the ring engine accepts 3827: it reads the in-window
+            # sensitivity tail as a difference of cumulative sums, which
+            # under-reads it; the exact tail needs 3828 (TestExactTails)
+            (RING_POLY, 2.2, 1e-12, 3827),
             (polynomial_family(), 1.6, 1e-8, 2820),
             (polynomial_family(), 1.4, 1e-8, 17757),
+            (polynomial_family(), 2.2, 1e-12, 3828),
         ],
     )
     def test_wide_window_cutoffs(self, family, alpha, rel_tol, cutoff):
@@ -214,6 +225,195 @@ class TestBuildSpectrum:
         s = build_spectrum(fam, 1.0)
         total = 2 * PI * s.norm_sq * math.fsum(np.abs(s.coeffs) ** 2)
         assert abs(total - 1.0) < 1e-12
+
+
+FIG2_ALPHAS = np.geomspace(1.6, 50.0, 160).tolist()
+
+
+def ring_and_exact(family, alpha, rel_tol):
+    ring = RING_EXP if family is exponential_family() else RING_POLY
+    return build_spectrum(ring, alpha, rel_tol=rel_tol), build_spectrum(
+        family, alpha, rel_tol=rel_tol
+    )
+
+
+def exact_sensitivity_ratio(alpha, rel_tol, N):
+    """40-digit poly sum_{|n|>N} |C_n|/n^2 over rel_tol times the retained sum."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(alpha) + 2
+        tail = mpmath.zeta(s, N + 1)
+        return float(tail / (mpmath.mpf(rel_tol) * (mpmath.zeta(s) - tail)))
+
+
+class TestExactTails:
+    """The built-ins find their cutoff from closed-form tails, without rings."""
+
+    def test_fig2_cutoffs_and_windows_match_the_ring_engine(self):
+        for alpha in FIG2_ALPHAS:
+            ring, exact = ring_and_exact(polynomial_family(), alpha, 1e-8)
+            assert exact.cutoff == ring.cutoff
+            assert np.array_equal(exact.coeffs, ring.coeffs)
+            for name in ("norm_sq", "sum_sq", "sum_n1", "sum_n2"):
+                assert getattr(exact, name) == getattr(ring, name)
+
+    @pytest.mark.parametrize(
+        "family, alpha, rel_tol",
+        [
+            # the five built-in verify states (exp, poly; default rel_tol)
+            (exponential_family(), 1.0, 1e-12),
+            (exponential_family(), 0.1, 1e-12),
+            (polynomial_family(), 3.0, 1e-12),
+            (polynomial_family(), 1.6, 1e-5),
+            (polynomial_family(), 1.4, 1e-8),
+            # the wide-window pins
+            (exponential_family(), 0.01, 1e-12),
+            (exponential_family(), 0.005, 1e-12),
+            (polynomial_family(), 1.6, 1e-8),
+        ],
+    )
+    def test_cutoffs_match_the_ring_engine(self, family, alpha, rel_tol):
+        ring, exact = ring_and_exact(family, alpha, rel_tol)
+        assert exact.cutoff == ring.cutoff
+
+    def test_poly_2_2_needs_one_index_more_than_the_fit_accepts(self):
+        # at N = 3827 the exact sensitivity tail is 1.00055 times what
+        # rel_tol allows; the ring engine's cumulative-sum test under-reads it
+        assert exact_sensitivity_ratio(2.2, 1e-12, 3827) > 1.0005
+        assert exact_sensitivity_ratio(2.2, 1e-12, 3828) < 1.0
+        ring, exact = ring_and_exact(polynomial_family(), 2.2, 1e-12)
+        assert (ring.cutoff, exact.cutoff) == (3827, 3828)
+
+    @given(
+        family=st.sampled_from(["exp", "poly"]),
+        alpha=st.floats(0.0, 1.0),
+        log_tol=st.floats(-10.0, -4.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cutoffs_within_one_index_of_the_ring_engine(self, family, alpha, log_tol):
+        # exp alpha in [0.05, 20], poly alpha in [1.6, 20], log-uniform.
+        # Below rel_tol 1e-10 the ring engine's own test stops being exact:
+        # it takes the in-window tail as a difference of cumulative sums,
+        # which at poly 1.6, 1e-12 passes a tail 4.5 times the allowed one.
+        lo = 0.05 if family == "exp" else 1.6
+        alpha = lo * (20.0 / lo) ** alpha
+        fam = exponential_family() if family == "exp" else polynomial_family()
+        ring, exact = ring_and_exact(fam, alpha, 10.0**log_tol)
+        assert abs(exact.cutoff - ring.cutoff) <= 1
+
+    @pytest.mark.parametrize(
+        "family, alpha",
+        [("exp", a) for a in (0.01, 0.3, 1.0, 3.0, 10.0)]
+        + [("poly", a) for a in (1.6, 2.2, 3.0, 5.4, 8.0)],
+    )
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_tail_fields_are_exact_to_their_error(self, family, alpha, rel_tol):
+        fam = exponential_family() if family == "exp" else polynomial_family()
+        s = build_spectrum(fam, alpha, rel_tol=rel_tol)
+        v_exact, u_exact = exact_tails(family, alpha, s.cutoff)
+        assert abs(s.tail_bound - v_exact) <= s.tail_err / 2
+        assert abs(s.norm_tail - u_exact) <= 1e-12 * u_exact
+
+    @pytest.mark.parametrize("family", [exponential_family(), polynomial_family()])
+    def test_one_evaluation_of_each_index_and_no_fit(self, family, monkeypatch):
+        calls = []
+        real = CoefficientFamily.coefficients
+
+        def coefficients(self, n, alpha):
+            calls.append(np.asarray(n).copy())
+            return real(self, n, alpha)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the ring engine ran")
+
+        monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
+        monkeypatch.setattr(spectrum, "_tail_estimate", forbidden)
+        monkeypatch.setattr(spectrum, "_probe_ok", forbidden)
+        monkeypatch.setattr(spectrum, "_grow", forbidden)
+        s = build_spectrum(family, 2.2, rel_tol=1e-8)
+        # one call covers both sides: every index -N..N once
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.arange(-s.cutoff, s.cutoff + 1))
+
+    @pytest.mark.parametrize(
+        "family, alpha, cutoff",
+        [
+            (exponential_family(), 746.0, 0),
+            (exponential_family(), 1e300, 0),
+            (polynomial_family(), 1e300, 1),
+        ],
+    )
+    def test_extreme_alpha_cutoffs(self, family, alpha, cutoff):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = build_spectrum(family, alpha)
+            assert s.cutoff == cutoff
+            assert s.tail_bound == 0.0 and s.norm_tail == 0.0
+            assert tail_second_moment(family, [alpha], 1) == [0.0]
+
+    def test_poly_three_halves_is_lz_divergent_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = build_spectrum(polynomial_family(), 1.5)
+        assert s.lz_divergent and math.isinf(s.tail_err)
+
+
+class TestExactTailErrors:
+    """Built-in builds that cannot succeed fail before any amplitude is computed."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        real = CoefficientFamily.coefficients
+
+        def coefficients(self, n, alpha):
+            calls.append(n)
+            return real(self, n, alpha)
+
+        monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
+        return calls
+
+    @pytest.mark.parametrize(
+        "family, alpha, rel_tol, message",
+        [
+            (exponential_family(), 1e-6, 1e-8,
+             "the sum |C_n|^2 tail test needs N >= 9210340, above n_max=2000000"),
+            (polynomial_family(), 1.05, 1e-8,
+             "the sum |C_n|^2 tail test needs N >= 11467664, above n_max=2000000"),
+            (polynomial_family(), 0.8, 1e-12,
+             "the sum |C_n|^2 tail test needs N of about 5.9e+19, above n_max=2000000"),
+            (polynomial_family(), 0.4, 1e-12, "sum |C_n|^2 diverges because 2 alpha <= 1"),
+            (polynomial_family(), 0.5, 1e-12, "sum |C_n|^2 diverges because 2 alpha <= 1"),
+        ],
+    )
+    def test_message_and_no_evaluation(self, family, alpha, rel_tol, message, evaluations):
+        with pytest.raises(NonConvergent) as info:
+            build_spectrum(family, alpha, rel_tol=rel_tol)
+        assert str(info.value) == f"family {family.name!r} at alpha={alpha}: {message}"
+        assert evaluations == []
+
+    @pytest.mark.parametrize("family", ["exp", "poly"])
+    def test_named_cutoff_is_the_least_passing_one(self, family, evaluations):
+        # exp 0.01 / poly 1.6 at 1e-12: the |C_n|^2 test alone needs N, and
+        # the 40-digit tail passes at N but not at N - 1
+        fam, alpha = (
+            (exponential_family(), 0.01) if family == "exp" else (polynomial_family(), 1.6)
+        )
+        with pytest.raises(NonConvergent) as info:
+            build_spectrum(fam, alpha, rel_tol=1e-12, n_max=100)
+        assert evaluations == []
+        needed = int(str(info.value).split("needs N >= ")[1].split(",")[0])
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+
+            def ratio(n):
+                if family == "exp":
+                    q = mpmath.exp(-2 * a)
+                    tail, total = 2 * q ** (n + 1) / (1 - q), (1 + q) / (1 - q)
+                else:
+                    tail, total = 2 * mpmath.zeta(2 * a, n + 1), 2 * mpmath.zeta(2 * a)
+                return tail / (mpmath.mpf(1e-12) * (total - tail))
+
+            assert ratio(needed) <= 1 < ratio(needed - 1)
 
 
 class TestEvaluateState:
@@ -320,9 +520,32 @@ class TestTailSecondMoment:
         with pytest.raises(NonConvergent):
             tail_second_moment(polynomial_family(), [1.2], 10)
 
+    @pytest.mark.parametrize(
+        "family, alpha, N",
+        [("exp", a, N) for a, N in ((0.001, 5), (0.05, 10), (1.0, 3), (0.3, 50), (20.0, 2))]
+        + [("poly", a, N) for a, N in ((1.5001, 10), (1.6, 3), (2.2, 100), (5.4, 40))],
+    )
+    def test_builtin_closed_form_within_its_error(self, family, alpha, N):
+        fam = exponential_family() if family == "exp" else polynomial_family()
+        _, second = list(spectrum._exact_tails(fam)(alpha, 1e-12))[:2]
+        value, err = second.tail(N)
+        assert tail_second_moment(fam, [alpha], N) == [value]
+        assert abs(value - exact_tails(family, alpha, N)[0]) <= err
+
+    @pytest.mark.parametrize("alpha", [0.4, 1.0, 1.2, 1.5])
+    def test_builtin_divergence_is_stated_exactly(self, alpha):
+        # 2 zeta(2 alpha - 2, N + 1) diverges exactly for alpha <= 3/2
+        with pytest.raises(NonConvergent) as info:
+            tail_second_moment(polynomial_family(), [alpha], 10)
+        assert str(info.value) == (
+            f"family 'poly' at alpha={alpha}: "
+            "sum n^2 |C_n|^2 diverges because 2 alpha - 2 <= 1"
+        )
+        assert math.isfinite(tail_second_moment(polynomial_family(), [1.5 + 1e-12], 10)[0])
+
     def test_divergent_tail_message_reports_the_fit(self):
         with pytest.raises(NonConvergent) as info:
-            tail_second_moment(polynomial_family(), [1.2], 10)
+            tail_second_moment(RING_POLY, [1.2], 10)
         assert str(info.value).endswith(
             "n^2|C_n|^2 diverges or decays too slowly to resolve "
             "(fitted slope 0.400 <= 1.01 over n = 138..266)"
