@@ -70,11 +70,9 @@ from .quadrature import (
 )
 from .special import EvalResult, dilog, zeta
 from .spectrum import (
-    StateSample,
     TruncatedSpectrum,
     boundary_density,
     build_spectrum,
-    evaluate_state,
     tail_second_moment,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "NotAttainable",
     "PolyFamilyEval",
     "QuadratureResult",
-    "StateSample",
     "SweepRow",
     "ToleranceNotMet",
     "TrigReport",
@@ -113,7 +110,6 @@ __all__ = [
     "compare_report",
     "dilog",
     "evaluate_family",
-    "evaluate_state",
     "exp_closed",
     "exp_state_bound",
     "exponential_family",

@@ -32,8 +32,8 @@ class CoefficientFamily:
     ``rule`` must accept an integer ndarray and a positive float and return
     a complex ndarray of the same shape.  ``is_symmetric`` asserts
     |C_n| = |C_{-n}|; ``is_real`` asserts exactly zero imaginary parts.
-    ``support_hint``, when set, promises C_n = 0 for |n| > support_hint so
-    spectrum construction never truncates inside the support.
+    ``support_hint``, when set, promises C_n = 0 for |n| > support_hint, so
+    spectrum construction keeps the whole support and no tail past it.
     """
 
     name: str

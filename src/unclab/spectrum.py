@@ -5,14 +5,18 @@ a finite window of Fourier amplitudes C_n, |n| <= N, together with the
 normalization constant |A|^2 fixing 2 pi |A|^2 sum |C_n|^2 = 1, and an
 estimate of the second-moment mass n^2 |C_n|^2 lost to truncation.
 
-Two engines choose N with the same three tail tests.  The built-in
-exponential and polynomial family values have every tail in closed form
-(geometric sums and Hurwitz zeta tails), so their cutoff is found by a
-search on those before any amplitude is evaluated, and the window is then
-evaluated once.  Any other family (a callable, a JSON document, a renamed
-copy of a built-in) grows its window ring by ring and classifies each
-ring's tails from a least-squares fit, probing beyond the window for
-resurgent mass.
+N is the least window that passes three tail tests (the |C_n|^2 mass,
+the n^2 |C_n|^2 mass and the sensitivity sum |C_n| / n^2), each tested
+the same way and searched for by one gallop-and-bisect.  Only the source
+of the tails differs.  The built-in exponential and polynomial family
+values have every tail in closed form (geometric sums and Hurwitz zeta
+tails), so their cutoff is found before any amplitude is evaluated.  A
+family with a finite support keeps its whole support, and its tails are
+exactly zero.  Any other family (a callable, a renamed copy of a
+built-in) grows its window ring by ring, reads the dropped part of the
+window from sums taken from the far end, fits each ring's tails past the
+edge by least squares, and probes beyond the window for resurgent mass.
+Every engine evaluates its window in one place and builds the state there.
 
 hbar = 1 throughout; angular-momentum moments are reported in units of
 hbar^2 and uncertainty products in units of hbar.
@@ -64,11 +68,6 @@ class _TailEstimate:
     n_last: float = 0.0
     t_last: float = 0.0
     rhat: float = 0.0  # geometric per-step ratio
-
-    @property
-    def outer(self) -> float:
-        """Mass estimate plus its uncertainty, for conservative criteria."""
-        return self.bound + (self.err if self.kind == "power" else 0.0)
 
     def predict(self, n: float) -> float:
         """Expected term magnitude at index n under the fitted decay model."""
@@ -315,14 +314,6 @@ class TruncatedSpectrum:
         return complex(self.coeffs[n + self.cutoff])
 
 
-@dataclass(frozen=True)
-class StateSample:
-    """f_alpha evaluated at one angle."""
-
-    phi: float
-    value: complex
-
-
 # --------------------------------------------------------------------------
 # construction
 # --------------------------------------------------------------------------
@@ -382,7 +373,7 @@ def _grow(
 
 
 # --------------------------------------------------------------------------
-# exact tails of the built-in families
+# the three tail tests, the cutoff search and the window
 # --------------------------------------------------------------------------
 
 # The three tail tests, in the order the cutoff search applies them.
@@ -391,13 +382,13 @@ _MASS, _SECOND, _SENSITIVITY = "sum |C_n|^2", "sum n^2 |C_n|^2", "sum |C_n|/n^2"
 
 @dataclass(frozen=True)
 class _Series:
-    """One tail test of build_spectrum, for a family whose tails are closed forms.
+    """One tail test of build_spectrum.
 
     ``tail(n)`` is (the series summed over |k| > n, an error bound) and
     ``total`` the whole series, its n = 0 term included; ``start`` is a
     leading-order guess of the least n that passes.  A ``completed`` tail
-    is kept in full, as a fitted power tail is, so only its error is
-    tested.  A ``diverges`` series has no tail; the text says why.
+    (a power-law n^2 tail, exact or fitted) is kept in full, so only its
+    error is tested.  A ``diverges`` series has no tail; the text says why.
     """
 
     label: str
@@ -408,12 +399,142 @@ class _Series:
     diverges: str = ""
 
     def passes(self, n: int, rel_tol: float) -> bool:
-        """The test ``meets`` applies to a fitted tail, on the exact one."""
+        """Whether truncating at n leaves a tail within rel_tol."""
         value, err = self.tail(n)
         if self.completed:
             return err <= rel_tol * max(self.total, _ZERO_FLOOR)
         return value + err <= rel_tol * max(self.total - value, _ZERO_FLOOR)
 
+
+def _fitted(
+    label: str, window: float, terms: np.ndarray, est: _TailEstimate, completes: bool = False
+) -> _Series:
+    """The tail test of a grown window: ``terms`` holds the series at
+    n = 1..edge (both signs), ``window`` its sum over |n| <= edge, ``est``
+    the fit past the edge, whose error counts for a power law.
+
+    The dropped part of the window is a sum taken from the far end, so it
+    keeps its own relative accuracy however small it is against the total
+    (a difference of forward cumulative sums loses about N eps of the
+    total); those sums are taken on the first test inside the window, so
+    a ring tested only at its edge makes none.  A series that
+    ``completes`` keeps a power-law tail in full and has no tail test when
+    the fit calls it divergent.
+    """
+    if completes and est.kind == "divergent":
+        return _Series(label, diverges=f"{label} fitted with slope {est.slope:.3f}")
+    err = est.err if est.kind == "power" else 0.0
+    suffix: list[np.ndarray] = []
+
+    def tail(n: int) -> tuple[float, float]:
+        if n >= terms.size:
+            return est.bound, err
+        if not suffix:
+            suffix.append(np.cumsum(terms[::-1])[::-1])
+        return float(suffix[0][n]) + est.bound, err
+
+    return _Series(label, tail, window + est.bound, completed=completes and est.kind == "power")
+
+
+def _least(passes: Callable[[int], bool], lo: int, start: float, limit: int) -> int:
+    """Least n in [lo, limit] with passes(n), for a monotone test; limit + 1
+    when there is none.  Gallops from ``start`` to a bracket, then bisects."""
+    bad, good = lo - 1, limit + 1  # passes(bad) is False, good is the answer so far
+    n = int(min(max(start, lo), limit))
+    step = 1
+    while True:
+        if passes(n):
+            good = n
+        else:
+            bad = n
+        if good - bad <= 1:
+            return good
+        if good > limit:
+            n = min(bad + step, limit)
+        elif bad < lo:
+            n = max(good - step, lo)
+        else:
+            n = (bad + good) // 2
+        step *= 2
+
+
+def _cutoff(
+    series: Iterator[_Series], rel_tol: float, n_max: int, where: str
+) -> tuple[int, _Series, _Series]:
+    """The least N <= n_max that passes each tail test in turn, with the
+    mass and n^2 series.  A divergent mass raises NonConvergent, and so
+    does a test that needs N > n_max, naming that N; a divergent n^2
+    series is skipped.  The series are drawn one at a time, so a costly
+    one is never built when an earlier test already fails."""
+
+    def fit(s: _Series, n: int) -> int:
+        """The least cutoff at or above n that also passes s."""
+        passes = functools.partial(s.passes, rel_tol=rel_tol)
+        if passes(n):
+            return n
+        least = _least(passes, n + 1, s.start, n_max)
+        if least > n_max:
+            if s.start < 2.0**53:
+                needed = f">= {_least(passes, n_max + 1, s.start, 2**53)}"
+            elif s.start < math.inf:  # past exact float indices: the estimate
+                needed = f"of about {s.start:.2g}"
+            else:
+                needed = "beyond the float range"
+            raise NonConvergent(
+                f"{where}the {s.label} tail test needs N {needed}, above n_max={n_max}"
+            )
+        return least
+
+    mass = next(series)
+    if mass.diverges:
+        raise NonConvergent(where + mass.diverges)
+    cutoff = fit(mass, 0)
+    second = next(series)
+    if not second.diverges:
+        cutoff = fit(second, cutoff)
+    return fit(next(series), cutoff), mass, second
+
+
+_DEGENERATE = "all amplitudes below the underflow threshold"
+
+
+def _window(
+    family: CoefficientFamily,
+    alpha: float,
+    coeffs: np.ndarray,
+    norm_tail: float,
+    tail_bound: float,
+    tail_err: float,
+) -> TruncatedSpectrum:
+    """The state of the window ``coeffs`` (index -N..N) and its tails."""
+    cutoff = coeffs.size // 2
+    coeffs.flags.writeable = False  # value object, safe to share across threads
+    # one pass over the contiguous window: numpy's complex abs may round a
+    # reversed view of complex amplitudes differently in the last bit
+    sq = np.abs(coeffs) ** 2
+    cp_sq, cm_sq = sq[cutoff + 1 :], sq[cutoff - 1 :: -1] if cutoff else sq[:0]
+    ns = np.arange(1, cutoff + 1, dtype=float)
+    s0 = abs(complex(coeffs[cutoff])) ** 2 + _fsum(cp_sq + cm_sq)
+    if s0 <= _ZERO_FLOOR:
+        raise DegenerateState(f"family {family.name!r} at alpha={alpha}: {_DEGENERATE}")
+    return TruncatedSpectrum(
+        family_name=family.name,
+        alpha=float(alpha),
+        cutoff=cutoff,
+        coeffs=coeffs,
+        norm_sq=1.0 / (2.0 * math.pi * s0),
+        tail_bound=tail_bound,
+        tail_err=tail_err,
+        norm_tail=norm_tail,
+        sum_sq=s0,
+        sum_n1=_fsum(ns * cp_sq) - _fsum(ns * cm_sq),
+        sum_n2=_fsum(ns * ns * (cp_sq + cm_sq)),
+    )
+
+
+# --------------------------------------------------------------------------
+# exact tails of the built-in families
+# --------------------------------------------------------------------------
 
 def _zeta_tail(s: float, n: int) -> tuple[float, float]:
     """2 zeta(s, n + 1) = sum_{|k| > n} |k|^-s, with an error bound.
@@ -521,93 +642,6 @@ def _exact_tails(family: CoefficientFamily):
     return None
 
 
-def _least(passes: Callable[[int], bool], lo: int, start: float, limit: int) -> int:
-    """Least n in [lo, limit] with passes(n), for a monotone test; limit + 1
-    when there is none.  Gallops from ``start`` to a bracket, then bisects."""
-    bad, good = lo - 1, limit + 1  # passes(bad) is False, good is the answer so far
-    n = int(min(max(start, lo), limit))
-    step = 1
-    while True:
-        if passes(n):
-            good = n
-        else:
-            bad = n
-        if good - bad <= 1:
-            return good
-        if good > limit:
-            n = min(bad + step, limit)
-        elif bad < lo:
-            n = max(good - step, lo)
-        else:
-            n = (bad + good) // 2
-        step *= 2
-
-
-def _build_exact(
-    family: CoefficientFamily,
-    alpha: float,
-    rel_tol: float,
-    n_max: int,
-    series: Iterator[_Series],
-) -> TruncatedSpectrum:
-    """build_spectrum for a family with closed-form tails.
-
-    The cutoff is the least N that passes each tail test in turn, found on
-    O(1)-cost tail evaluations before any amplitude is computed; the
-    window is then evaluated once, and its sums are taken as the ring
-    engine takes them.
-    """
-    where = f"family {family.name!r} at alpha={alpha}: "
-
-    def fit(s: _Series, n: int) -> int:
-        """The least cutoff at or above n that also passes s."""
-        passes = functools.partial(s.passes, rel_tol=rel_tol)
-        if passes(n):
-            return n
-        least = _least(passes, n + 1, s.start, n_max)
-        if least > n_max:
-            if s.start < 2.0**53:
-                needed = f">= {_least(passes, n_max + 1, s.start, 2**53)}"
-            elif s.start < math.inf:  # past exact float indices: the estimate
-                needed = f"of about {s.start:.2g}"
-            else:
-                needed = "beyond the float range"
-            raise NonConvergent(
-                f"{where}the {s.label} tail test needs N {needed}, above n_max={n_max}"
-            )
-        return least
-
-    mass = next(series)
-    if mass.diverges:
-        raise NonConvergent(where + mass.diverges)
-    cutoff = fit(mass, 0)
-    second = next(series)
-    if not second.diverges:
-        cutoff = fit(second, cutoff)
-    cutoff = fit(next(series), cutoff)
-
-    coeffs = family.coefficients(np.arange(-cutoff, cutoff + 1), alpha)
-    coeffs.flags.writeable = False
-    cp, cm = coeffs[cutoff + 1 :], coeffs[cutoff - 1 :: -1] if cutoff else coeffs[:0]
-    cp_sq, cm_sq = np.abs(cp) ** 2, np.abs(cm) ** 2
-    ns = np.arange(1, cutoff + 1, dtype=float)
-    s0 = abs(complex(coeffs[cutoff])) ** 2 + _fsum(cp_sq + cm_sq)
-    tail_bound, tail_err = second.tail(cutoff)
-    return TruncatedSpectrum(
-        family_name=family.name,
-        alpha=float(alpha),
-        cutoff=cutoff,
-        coeffs=coeffs,
-        norm_sq=1.0 / (2.0 * math.pi * s0),
-        tail_bound=tail_bound,
-        tail_err=tail_err,
-        norm_tail=mass.tail(cutoff)[0],
-        sum_sq=s0,
-        sum_n1=_fsum(ns * cp_sq) - _fsum(ns * cm_sq),
-        sum_n2=_fsum(ns * ns * (cp_sq + cm_sq)),
-    )
-
-
 def build_spectrum(
     family: CoefficientFamily,
     alpha: float,
@@ -624,7 +658,8 @@ def build_spectrum(
     angular-momentum moments raise DivergentMoment downstream, and (c) the
     truncated sensitivity sum |C_n| / n^2 is below rel_tol of its retained
     sum.  The built-in exponential and polynomial families take each tail
-    from its closed form; every other family fits them ring by ring.
+    from its closed form, a family with a finite support is kept whole,
+    and every other family fits its tails ring by ring.
 
     Raises NonConvergent when no window up to n_max resolves the tails,
     DegenerateState when every amplitude underflows, InvalidParameter on
@@ -636,40 +671,24 @@ def build_spectrum(
         raise InvalidParameter(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     if n_max < 1:
         raise InvalidParameter(f"n_max must be >= 1, got {n_max!r}")
+    where = f"family {family.name!r} at alpha={alpha}: "
     exact = _exact_tails(family)
     if exact is not None:
-        return _build_exact(family, alpha, rel_tol, n_max, exact(float(alpha), rel_tol))
+        cutoff, mass, second = _cutoff(exact(float(alpha), rel_tol), rel_tol, n_max, where)
+        coeffs = family.coefficients(np.arange(-cutoff, cutoff + 1), alpha)
+        return _window(family, alpha, coeffs, mass.tail(cutoff)[0], *second.tail(cutoff))
+
+    support = family.support_hint
+    if support is not None:
+        # every amplitude past the support is 0: the tails are exactly 0
+        if support > n_max:
+            raise NonConvergent(f"{where}the support |n| <= {support} exceeds n_max={n_max}")
+        coeffs = family.coefficients(np.arange(-support, support + 1), alpha)
+        return _window(family, alpha, coeffs, 0.0, 0.0, 0.0)
 
     c0 = complex(family.coefficient(0, alpha))
     u0 = abs(c0) ** 2
-    w0 = abs(c0)
-    must_cover = min(family.support_hint or 0, n_max)
-    u_est = v_est = _UNRESOLVED
-
-    def meets(cand: int) -> bool:
-        """Whether truncating the grown window at cand meets every tail test."""
-        if cand < must_cover:
-            return False
-        u_ret, v_ret, x_ret = (
-            c[cand - 1] if cand else 0.0 for c in (u_cum, v_cum, x_cum)
-        )
-        s0_c = u0 + u_ret
-        if s0_c <= _ZERO_FLOOR:
-            return False
-        if (u_cum[-1] - u_ret) + u_est.outer > rel_tol * s0_c:
-            return False
-        if (x_cum[-1] - x_ret) + x_est.outer > rel_tol * max(w0 + x_ret, _ZERO_FLOOR):
-            return False
-        if v_est.kind == "divergent":
-            return True
-        if v_est.kind == "power":
-            # the Euler-Maclaurin completion is kept, so only its error counts
-            return v_est.err <= rel_tol * max(v_cum[-1] + v_est.bound, _ZERO_FLOOR)
-        return (v_cum[-1] - v_ret) + v_est.bound <= rel_tol * max(v_ret, _ZERO_FLOOR)
-
     for n_edge, cp, cm in _grow(family, alpha, 1, 16, n_max):
-        if n_edge < must_cover:
-            continue
         u = np.abs(cp) ** 2 + np.abs(cm) ** 2
         ns = np.arange(1, n_edge + 1, dtype=float)
         v = ns * ns * u
@@ -680,97 +699,47 @@ def build_spectrum(
         u_est, v_est, x_est = _tail_estimate((u, v, x), n_edge // 2, n_edge)
         if u_est.kind == "divergent":
             raise NonConvergent(
-                f"family {family.name!r} at alpha={alpha}: the normalization "
-                + _too_slow("sum |C_n|^2", u_est, n_edge // 2, n_edge)
+                f"{where}the normalization " + _too_slow(_MASS, u_est, n_edge // 2, n_edge)
             )
-        u_cum = np.cumsum(u)
-        v_cum = np.cumsum(v)
-        x_cum = np.cumsum(x)
-        mass = u0 + u_cum[-1]
-        if mass <= _ZERO_FLOOR and u_est.kind == "zero":
+        u_sum, v_sum = u0 + float(u.sum()), float(v.sum())
+        if u_sum <= _ZERO_FLOOR and u_est.kind == "zero":
             if _probe_ok(family, alpha, n_edge, n_max, _ZERO_FLOOR):
-                raise DegenerateState(
-                    f"family {family.name!r} at alpha={alpha}: all amplitudes "
-                    "below the underflow threshold"
-                )
-        probe_threshold = max(rel_tol * max(v_cum[-1], mass), _ZERO_FLOOR)
-        if meets(n_edge) and _probe_ok(
+                raise DegenerateState(where + _DEGENERATE)
+        series = (
+            _fitted(_MASS, u_sum, u, u_est),
+            _fitted(_SECOND, v_sum, v, v_est, completes=True),
+            _fitted(_SENSITIVITY, abs(c0) + float(x.sum()), x, x_est),
+        )
+        probe_threshold = max(rel_tol * max(v_sum, u_sum), _ZERO_FLOOR)
+        if all(s.diverges or s.passes(n_edge, rel_tol) for s in series) and _probe_ok(
             family, alpha, n_edge, n_max, probe_threshold, v_est
         ):
             break
     else:
         raise NonConvergent(
-            f"family {family.name!r} at alpha={alpha}: tail criteria not met "
-            f"within n_max={n_max} (|C_n|^2 tail: {u_est.kind}, "
-            f"n^2|C_n|^2 tail: {v_est.kind})"
+            f"{where}tail criteria not met within n_max={n_max} "
+            f"(|C_n|^2 tail: {u_est.kind}, n^2|C_n|^2 tail: {v_est.kind})"
         )
 
-    lo, hi = 0, n_edge  # hi is known-good
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    cutoff = lo
-
-    coeffs = np.empty(2 * cutoff + 1, dtype=np.complex128)
-    coeffs[cutoff] = c0
-    if cutoff >= 1:
-        coeffs[cutoff + 1 :] = cp[:cutoff]
-        coeffs[:cutoff] = cm[:cutoff][::-1]
-    coeffs.flags.writeable = False  # value object, safe to share across threads
-
-    n_win = ns[:cutoff]
-    s0 = u0 + _fsum(u[:cutoff])  # meets(cutoff) held, so s0 > _ZERO_FLOOR
-    s2 = _fsum(v[:cutoff])
-    cp_sq = np.abs(cp[:cutoff]) ** 2
-    cm_sq = np.abs(cm[:cutoff]) ** 2
-    s1 = _fsum(n_win * cp_sq) - _fsum(n_win * cm_sq)
-
-    # the dropped part of the window is summed directly, never as a
-    # difference of window totals, which would cancel it below eps * total
+    cutoff = _cutoff(iter(series), rel_tol, n_edge, where)[0]
+    coeffs = np.concatenate((cm[:cutoff][::-1], [c0], cp[:cutoff]))
+    # the reported tails sum the dropped part of the window directly
     if math.isinf(v_est.bound):
-        tail_bound, tail_err = math.inf, math.inf
+        tail_bound = tail_err = math.inf
     else:
         tail_bound = _fsum(v[cutoff:]) + v_est.bound
         tail_err = v_est.err + _TERM_ROUND * tail_bound
-    norm_tail = _fsum(u[cutoff:]) + u_est.bound
-
-    return TruncatedSpectrum(
-        family_name=family.name,
-        alpha=float(alpha),
-        cutoff=cutoff,
-        coeffs=coeffs,
-        norm_sq=1.0 / (2.0 * math.pi * s0),
-        tail_bound=tail_bound,
-        tail_err=tail_err,
-        norm_tail=norm_tail,
-        sum_sq=s0,
-        sum_n1=s1,
-        sum_n2=s2,
-    )
+    return _window(family, alpha, coeffs, _fsum(u[cutoff:]) + u_est.bound, tail_bound, tail_err)
 
 
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
 
-_PHI_SLACK = 1e-12
-
-
-def evaluate_state(s: TruncatedSpectrum, phi: float) -> StateSample:
-    """f(phi) = A sum_{|n|<=N} C_n e^{i n phi} for phi in [-pi, pi]."""
-    if not (-math.pi - _PHI_SLACK <= phi <= math.pi + _PHI_SLACK):
-        raise InvalidParameter(f"phi must lie in [-pi, pi], got {phi!r}")
-    phases = np.exp(1j * phi * np.arange(-s.cutoff, s.cutoff + 1))
-    value = s.amplitude * complex(np.dot(s.coeffs, phases))
-    return StateSample(phi=float(phi), value=value)
-
-
 def boundary_density(s: TruncatedSpectrum) -> float:
-    """|f(pi)|^2, the density entering the state-dependent bound."""
-    return abs(evaluate_state(s, math.pi).value) ** 2
+    """|f(pi)|^2 = |A sum_n C_n e^{i n pi}|^2, the density entering the state-dependent bound."""
+    phases = np.exp(1j * math.pi * np.arange(-s.cutoff, s.cutoff + 1))
+    return abs(s.amplitude * complex(np.dot(s.coeffs, phases))) ** 2
 
 
 # --------------------------------------------------------------------------

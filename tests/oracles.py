@@ -2,7 +2,19 @@
 
 import math
 
+import numpy as np
+
 from unclab import InvalidParameter, NonConvergent
+
+_PHI_SLACK = 1e-12
+
+
+def evaluate_state(s, phi: float) -> complex:
+    """f(phi) = A sum_{|n|<=N} C_n e^{i n phi} of a TruncatedSpectrum, phi in [-pi, pi]."""
+    if not (-math.pi - _PHI_SLACK <= phi <= math.pi + _PHI_SLACK):
+        raise InvalidParameter(f"phi must lie in [-pi, pi], got {phi!r}")
+    phases = np.exp(1j * phi * np.arange(-s.cutoff, s.cutoff + 1))
+    return s.amplitude * complex(np.dot(s.coeffs, phases))
 
 
 def exp_xi_resummed(alpha: float, k_max: int = 200_000) -> float:

@@ -141,6 +141,19 @@ class TestSweep:
             f"n_max={DEFAULT_N_MAX}"
         ]
 
+    def test_support_past_n_max_is_a_clean_error(self, tmp_path, capsys):
+        # the amplitudes at +-3000000 underflow, but the window cannot hold them
+        entries = [{"n": n, "expr": "exp"} for n in (0, 3_000_000, -3_000_000)]
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps(dict(SINGLE_MODE_SPEC, name="far", entries=entries)))
+        rc = main(["sweep", "--family", "custom", "--spec", str(spec),
+                   "--min", "1", "--max", "2", "--steps", "2"])
+        assert rc == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: family 'far' at alpha=1.0: the support |n| <= 3000000 "
+            f"exceeds n_max={DEFAULT_N_MAX}\n"
+        )
+
     def test_exponential_beyond_cosh_overflow(self, capsys):
         rc = main(["sweep", "--family", "exp", "--min", "1", "--max", "800",
                    "--steps", "2"])

@@ -16,7 +16,6 @@ from unclab import (
     NonConvergent,
     boundary_density,
     build_spectrum,
-    evaluate_state,
     exponential_family,
     polynomial_family,
     quad_norm,
@@ -27,6 +26,8 @@ from unclab import (
 )
 from unclab import spectrum
 from unclab.spectrum import _tail_estimate, _tail_samples
+
+from oracles import evaluate_state
 
 PI = math.pi
 
@@ -62,6 +63,31 @@ def coeff_dicts(max_index=6):
         .map(dict)
         .filter(lambda d: any(abs(v) > 1e-6 for v in d.values()))
     )
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The index arrays of every coefficients call, recorded as made."""
+    calls = []
+    real = CoefficientFamily.coefficients
+
+    def coefficients(self, n, alpha):
+        calls.append(np.asarray(n).copy())
+        return real(self, n, alpha)
+
+    monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
+    return calls
+
+
+@pytest.fixture
+def no_ring(monkeypatch):
+    """Fail the test if the ring engine grows, fits or probes."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ring engine ran")
+
+    for name in ("_tail_estimate", "_probe_ok", "_grow"):
+        monkeypatch.setattr(spectrum, name, forbidden)
 
 
 class TestBuildSpectrum:
@@ -192,13 +218,17 @@ class TestBuildSpectrum:
         [
             (exponential_family(), 0.01, 1e-12, 1703),
             (exponential_family(), 0.005, 1e-12, 3405),
-            # the ring engine accepts 3827: it reads the in-window
-            # sensitivity tail as a difference of cumulative sums, which
-            # under-reads it; the exact tail needs 3828 (TestExactTails)
-            (RING_POLY, 2.2, 1e-12, 3827),
+            (RING_POLY, 2.2, 1e-12, 3828),
             (polynomial_family(), 1.6, 1e-8, 2820),
             (polynomial_family(), 1.4, 1e-8, 17757),
             (polynomial_family(), 2.2, 1e-12, 3828),
+            # reading the dropped in-window part as a difference of forward
+            # cumulative sums loses about N eps of the total: it under-reads
+            # this tail and accepts N = 93987, where the exact |C_n|^2 tail
+            # is 4.5 times the allowed one ...
+            (RING_POLY, 1.6, 1e-12, 185545),
+            # ... and over-reads this one, taking N = 27615
+            (RING_POLY, 1.773000297964125, 1.9003565227691208e-12, 26593),
         ],
     )
     def test_wide_window_cutoffs(self, family, alpha, rel_tol, cutoff):
@@ -269,31 +299,35 @@ class TestExactTails:
             (exponential_family(), 0.01, 1e-12),
             (exponential_family(), 0.005, 1e-12),
             (polynomial_family(), 1.6, 1e-8),
-        ],
+        ]
+        # the rest of the poly {1.6 .. 5.4} and exp {0.005 .. 3} grids at
+        # rel_tol 1e-8 and 1e-12
+        + [(polynomial_family(), a, 1e-8) for a in (1.8, 2.0, 2.2, 2.5, 3.0, 4.0, 5.4)]
+        + [(polynomial_family(), a, 1e-12) for a in (1.6, 1.8, 2.0, 2.2, 2.5, 4.0, 5.4)]
+        + [(exponential_family(), a, 1e-8) for a in (0.005, 0.01, 0.1, 1.0, 3.0)]
+        + [(exponential_family(), 3.0, 1e-12)],
     )
     def test_cutoffs_match_the_ring_engine(self, family, alpha, rel_tol):
         ring, exact = ring_and_exact(family, alpha, rel_tol)
         assert exact.cutoff == ring.cutoff
 
-    def test_poly_2_2_needs_one_index_more_than_the_fit_accepts(self):
+    def test_poly_2_2_needs_3828_on_both_engines(self):
         # at N = 3827 the exact sensitivity tail is 1.00055 times what
-        # rel_tol allows; the ring engine's cumulative-sum test under-reads it
+        # rel_tol allows; the ring engine reads its in-window part from sums
+        # taken from the far end, so it sees the excess too
         assert exact_sensitivity_ratio(2.2, 1e-12, 3827) > 1.0005
         assert exact_sensitivity_ratio(2.2, 1e-12, 3828) < 1.0
         ring, exact = ring_and_exact(polynomial_family(), 2.2, 1e-12)
-        assert (ring.cutoff, exact.cutoff) == (3827, 3828)
+        assert (ring.cutoff, exact.cutoff) == (3828, 3828)
 
     @given(
         family=st.sampled_from(["exp", "poly"]),
         alpha=st.floats(0.0, 1.0),
-        log_tol=st.floats(-10.0, -4.0),
+        log_tol=st.floats(-12.0, -4.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_cutoffs_within_one_index_of_the_ring_engine(self, family, alpha, log_tol):
-        # exp alpha in [0.05, 20], poly alpha in [1.6, 20], log-uniform.
-        # Below rel_tol 1e-10 the ring engine's own test stops being exact:
-        # it takes the in-window tail as a difference of cumulative sums,
-        # which at poly 1.6, 1e-12 passes a tail 4.5 times the allowed one.
+        # exp alpha in [0.05, 20], poly alpha in [1.6, 20], log-uniform
         lo = 0.05 if family == "exp" else 1.6
         alpha = lo * (20.0 / lo) ** alpha
         fam = exponential_family() if family == "exp" else polynomial_family()
@@ -314,25 +348,11 @@ class TestExactTails:
         assert abs(s.norm_tail - u_exact) <= 1e-12 * u_exact
 
     @pytest.mark.parametrize("family", [exponential_family(), polynomial_family()])
-    def test_one_evaluation_of_each_index_and_no_fit(self, family, monkeypatch):
-        calls = []
-        real = CoefficientFamily.coefficients
-
-        def coefficients(self, n, alpha):
-            calls.append(np.asarray(n).copy())
-            return real(self, n, alpha)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the ring engine ran")
-
-        monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
-        monkeypatch.setattr(spectrum, "_tail_estimate", forbidden)
-        monkeypatch.setattr(spectrum, "_probe_ok", forbidden)
-        monkeypatch.setattr(spectrum, "_grow", forbidden)
+    def test_one_evaluation_of_each_index_and_no_fit(self, family, evaluations, no_ring):
         s = build_spectrum(family, 2.2, rel_tol=1e-8)
         # one call covers both sides: every index -N..N once
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], np.arange(-s.cutoff, s.cutoff + 1))
+        assert len(evaluations) == 1
+        assert np.array_equal(evaluations[0], np.arange(-s.cutoff, s.cutoff + 1))
 
     @pytest.mark.parametrize(
         "family, alpha, cutoff",
@@ -359,18 +379,6 @@ class TestExactTails:
 
 class TestExactTailErrors:
     """Built-in builds that cannot succeed fail before any amplitude is computed."""
-
-    @pytest.fixture
-    def evaluations(self, monkeypatch):
-        calls = []
-        real = CoefficientFamily.coefficients
-
-        def coefficients(self, n, alpha):
-            calls.append(n)
-            return real(self, n, alpha)
-
-        monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
-        return calls
 
     @pytest.mark.parametrize(
         "family, alpha, rel_tol, message",
@@ -416,17 +424,57 @@ class TestExactTailErrors:
             assert ratio(needed) <= 1 < ratio(needed - 1)
 
 
+SPIKE = table_family("spike", {0: 1.0, 50: 1.0})
+
+
+class TestFiniteSupport:
+    """A family with a finite support keeps all of it, and its tails are 0."""
+
+    @pytest.mark.parametrize(
+        "family, support",
+        [
+            (SPIKE, 50),
+            (single_mode_family(0), 0),
+            (single_mode_family(-7), 7),
+            (two_mode_family(), 1),
+            (CoefficientFamily("hinted", exponential_family().rule, support_hint=30), 30),
+        ],
+    )
+    def test_one_evaluation_and_no_ring(self, family, support, evaluations, no_ring):
+        s = build_spectrum(family, 1.0)
+        assert len(evaluations) == 1
+        assert np.array_equal(evaluations[0], np.arange(-support, support + 1))
+        assert s.cutoff == support
+        assert (s.tail_bound, s.tail_err, s.norm_tail) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n_max", [50, 51, 101])
+    def test_support_up_to_n_max_is_kept_whole(self, n_max):
+        s = build_spectrum(SPIKE, 1.0, n_max=n_max)
+        assert s.cutoff == 50
+        assert s.coefficient(50) == s.coefficient(0) == 1.0
+        assert s.sum_sq == 2.0 and s.norm_tail == 0.0
+
+    @pytest.mark.parametrize("n_max", [1, 20, 49])
+    def test_support_past_n_max_fails_before_any_evaluation(self, n_max, evaluations):
+        with pytest.raises(NonConvergent) as info:
+            build_spectrum(SPIKE, 1.0, n_max=n_max)
+        assert str(info.value) == (
+            f"family 'spike' at alpha=1.0: the support |n| <= 50 exceeds n_max={n_max}"
+        )
+        assert evaluations == []
+
+
 class TestEvaluateState:
     def test_single_mode_is_uniform(self):
         s = build_spectrum(single_mode_family(0), 1.0)
         for phi in (-PI, -1.0, 0.0, 2.5, PI):
-            v = evaluate_state(s, phi).value
+            v = evaluate_state(s, phi)
             assert abs(v - 1.0 / math.sqrt(2 * PI)) < 1e-15
 
     def test_exponential_boundary_value_closed_form(self):
         # f(pi) = A (1 - e^-a)/(1 + e^-a) = A tanh(a/2)
         s = build_spectrum(exponential_family(), 1.0)
-        got = evaluate_state(s, PI).value
+        got = evaluate_state(s, PI)
         want = s.amplitude * math.tanh(0.5)
         # truncation affects f(pi) at first order in the dropped amplitudes
         assert abs(got - want) < 1e-9
@@ -442,7 +490,7 @@ class TestEvaluateState:
         prev = None
         for a in (0.5, 0.2, 0.1, 0.05):
             s = build_spectrum(exponential_family(), a)
-            peak = abs(evaluate_state(s, 0.0).value)
+            peak = abs(evaluate_state(s, 0.0))
             want = s.amplitude / math.tanh(a / 2.0)
             assert abs(peak - want) < 1e-6 * want
             assert peak > 2.0 * uniform
@@ -453,8 +501,8 @@ class TestEvaluateState:
     def test_conjugate_symmetry_for_real_symmetric_families(self):
         s = build_spectrum(exponential_family(), 0.8)
         for phi in np.linspace(0.0, PI, 25):
-            a = evaluate_state(s, float(phi)).value
-            b = evaluate_state(s, float(-phi)).value
+            a = evaluate_state(s, float(phi))
+            b = evaluate_state(s, float(-phi))
             assert abs(a - b.conjugate()) < 1e-12
 
     def test_phi_domain(self):
