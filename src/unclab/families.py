@@ -119,19 +119,14 @@ def single_mode_family(m: int = 0) -> CoefficientFamily:
     return table_family(f"mode{m}", {m: 1.0})
 
 
-def table_family(
-    name: str,
-    coeffs: Mapping[int, complex],
-    *,
-    is_real: bool | None = None,
-    is_symmetric: bool | None = None,
-) -> CoefficientFamily:
-    """Family with fixed (alpha-independent) amplitudes from a dict."""
+def table_family(name: str, coeffs: Mapping[int, complex]) -> CoefficientFamily:
+    """Family with fixed (alpha-independent) amplitudes from a dict.
+
+    The symmetry flags are read from the amplitudes.
+    """
     fixed = {int(k): complex(v) for k, v in coeffs.items()}
-    if is_real is None:
-        is_real = all(v.imag == 0.0 for v in fixed.values())
-    if is_symmetric is None:
-        is_symmetric = all(abs(v) == abs(fixed.get(-k, 0.0)) for k, v in fixed.items())
+    is_real = all(v.imag == 0.0 for v in fixed.values())
+    is_symmetric = all(abs(v) == abs(fixed.get(-k, 0.0)) for k, v in fixed.items())
     keys = sorted(fixed)
     values = np.array([fixed[k] for k in keys], dtype=np.complex128)
     return _finite_support(name, keys, lambda alpha: values, is_real, is_symmetric)

@@ -9,15 +9,20 @@ trigonometric polynomial of degree N, so every integrand has a known
 bandwidth.  The rule is composite 8-point Gauss-Legendre on P equal panels
 of width h = 2 pi / P, with P the smallest 2^a 3^b 5^c that is at least
 max(2N + 3, 32), or the larger P' of Bound below.  For one Gauss node
-offset delta the P nodes -pi + delta + h j (j = 0..P-1) are equispaced,
-so f at all of them is one length-P inverse FFT of c_n (-1)^n e^{i n delta}
-placed in slot n mod P (P > 2N keeps the slots distinct), and f' is one
-more after multiplying the slots by i n.  A real-valued state,
-c_{-n} = conj(c_n) (checked on the coefficients, not taken from the
-family's flags), has Hermitian slots: its f and f' each come from one
-real inverse FFT of the half spectrum, slots 0..N of P // 2 + 1, at about
-a third of the complex transform's cost, and Im(conj(f) f') is exactly
-0.  A mirror-symmetric state,
+offset delta the P nodes -pi + delta + h j (j = 0..P-1) are equispaced.
+Every state is f / A = g + i h with g and h real trigonometric
+polynomials, of half spectra g_n = (c_n + conj(c_{-n})) / 2 and
+h_n = (c_n - conj(c_{-n})) / (2 i), n = 0..N (the converse of packing two
+real FFTs into one complex one; Press et al., Numerical Recipes, 3rd ed.,
+12.3).  A part at all P nodes is one real inverse FFT of its half spectrum
+times (-1)^n e^{i n delta}, placed in slots 0..N of P // 2 + 1 (P > 2N
+keeps the slots distinct), and its derivative is one more after
+multiplying the slots by i n.  The parts are the rows of one array, so
+each offset takes one transform for f and one for f'.  Then
+|f|^2 = g^2 + h^2, |f'|^2 = g'^2 + h'^2 and Im(conj(f) f') = g h' - h g'.
+A real-valued state, c_{-n} = conj(c_n) (checked on the coefficients, not
+taken from the family's flags), is g alone, g_n = c_n, and its
+Im(conj(f) f') is exactly 0.  A mirror-symmetric state,
 c_{-n} = c_n (also checked on the coefficients; real or complex), has
 f(-phi) = f(phi).  The rule is symmetric too (nodes u and 1 - u carry
 equal weights), and the node set at offset h - delta is the negation of
@@ -196,69 +201,50 @@ def _panel_count(cutoff: int) -> int:
     return _smooth_length(max(2 * cutoff + 3, _MIN_PANELS))
 
 
-def _node_values(s: TruncatedSpectrum, b: np.ndarray, delta: float) -> np.ndarray:
-    """f / A at the P nodes -pi + delta + 2 pi j / P, P = b.size > 2N.
+def _parts(s: TruncatedSpectrum) -> np.ndarray:
+    """Half spectra, n = 0..N, of the real parts of f / A = g + i h, one per row.
 
-    Writes c_n (-1)^n e^{i n delta} into slot n mod P of the scratch array
-    b (other slots stay 0) and transforms it.  |n delta| < pi keeps the
-    phases accurate, and e^{-i n delta} = conj(e^{i n delta}).
+    g_n = (c_n + conj(c_{-n})) / 2 and h_n = (c_n - conj(c_{-n})) / (2 i);
+    multiplying by -0.5j only halves and swaps the components, so it is
+    exact.  A real-valued state, c_{-n} = conj(c_n), has h = 0 and returns
+    the one row g_n = c_n.
     """
     N = s.cutoff
-    pos, neg = b[: N + 1], b[b.size - N :]
-    np.multiply(np.arange(N + 1), delta, out=pos.real)
-    np.sin(pos.real, out=pos.imag)
-    np.cos(pos.real, out=pos.real)
-    np.conjugate(pos[N:0:-1], out=neg)
-    pos *= s.coeffs[N:]
-    neg *= s.coeffs[:N]
-    pos[1::2] *= -1.0
-    neg[(N + 1) % 2 :: 2] *= -1.0
-    return np.fft.ifft(b, norm="forward")
-
-
-def _real_node_values(
-    s: TruncatedSpectrum, half: np.ndarray, panels: int, delta: float
-) -> np.ndarray:
-    """f / A at the same P = ``panels`` nodes, for a real-valued state.
-
-    When c_{-n} = conj(c_n) the slots of ``_node_values`` are Hermitian, so
-    only slots 0..N are written, into the half spectrum ``half`` of length
-    P // 2 + 1 > N (other slots stay 0), and one real inverse FFT returns
-    the real node values.
-    """
-    N = s.cutoff
-    pos = half[: N + 1]
-    np.multiply(np.arange(N + 1), delta, out=pos.real)
-    np.sin(pos.real, out=pos.imag)
-    np.cos(pos.real, out=pos.real)
-    pos *= s.coeffs[N:]
-    pos[1::2] *= -1.0
-    return np.fft.irfft(half, panels, norm="forward")
+    pos, neg = s.coeffs[N:], s.coeffs[N::-1].conj()
+    if np.array_equal(pos, neg):
+        return pos[np.newaxis]
+    return np.stack((0.5 * (pos + neg), -0.5j * (pos - neg)))
 
 
 def _mesh_pass(
     s: TruncatedSpectrum,
     panels: int,
     derivative: bool,
-    real: bool,
     even: bool,
 ) -> dict[str, float]:
     """The nine integrals on ``panels`` panels.
 
-    The nodes at offset delta = h u_q form one length-``panels`` grid.  The
-    lz integrals are left at 0 unless ``derivative`` is set.  A ``real``
-    state is evaluated by ``_real_node_values``; its f' is real too, so
-    Im(conj(f) f') and the lz integral are exactly 0.  An ``even`` state,
-    f(-phi) = f(phi), is evaluated at the offsets with q < 4 only, each
-    weighted twice: offset h - delta = h u_{7-q} carries the negated nodes
-    and the same weight, so it adds as much to each even integral and
-    cancels each odd one (phi, sin, lz), which stay exactly 0.
+    The nodes at offset delta = h u_q form one length-``panels`` grid, on
+    which each real part of ``_parts`` is one row of a real inverse FFT.
+    The lz integrals are left at 0 unless ``derivative`` is set; a real
+    state has one part, so Im(conj(f) f') and the lz integral are exactly
+    0.  An ``even`` state, f(-phi) = f(phi), is evaluated at the offsets
+    with q < 4 only, each weighted twice: offset h - delta = h u_{7-q}
+    carries the negated nodes and the same weight, so it adds as much to
+    each even integral and cancels each odd one (phi, sin, lz), which stay
+    exactly 0.
     """
     N = s.cutoff
     h = 2.0 * math.pi / panels
     grid = h * np.arange(panels) - math.pi
     sin_grid, cos_grid = np.sin(grid), np.cos(grid)
-    b = np.zeros(panels // 2 + 1 if real else panels, dtype=complex)
+    parts = _parts(s)
+    complex_state = len(parts) == 2
+    half = np.zeros((len(parts), panels // 2 + 1), dtype=complex)
+    slots = half[:, : N + 1]
+    phases = slots[0]  # written in place, then scaled by the first part
+    n = np.arange(N + 1)
+    i_n = 1j * n
     x, dens, tmp, wgt = (np.empty(panels) for _ in range(4))
     partial: dict[str, list[float]] = {name: [] for name in _INTEGRALS}
     odd = ("phi", "sin", "lz") if even else ()
@@ -266,6 +252,13 @@ def _mesh_pass(
     def add(name: str, values: np.ndarray, weight: float) -> None:
         if name not in odd:
             partial[name].append(weight * float(values.sum()))
+
+    def sum_squares(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.square(rows[0], out=out)
+        if complex_state:
+            np.square(rows[1], out=wgt)
+            out += wgt
+        return out
 
     nodes, weights = _gauss_legendre()
     if even:
@@ -275,14 +268,16 @@ def _mesh_pass(
         delta = h * u
         wq = h * w
         np.add(grid, delta, out=x)
-        if real:
-            f = _real_node_values(s, b, panels, delta)
-            np.square(f, out=dens)
-        else:
-            f = _node_values(s, b, delta)
-            np.square(f.real, out=dens)
-            np.square(f.imag, out=tmp)
-            dens += tmp
+        # (-1)^n e^{i n delta}; |n delta| < pi keeps the phases accurate
+        np.multiply(n, delta, out=phases.real)
+        np.sin(phases.real, out=phases.imag)
+        np.cos(phases.real, out=phases.real)
+        phases[1::2] *= -1.0
+        if complex_state:
+            np.multiply(phases, parts[1], out=slots[1])
+        phases *= parts[0]
+        f = np.fft.irfft(half, panels, norm="forward")  # rows g, h
+        sum_squares(f, dens)
         add("norm", dens, wq)
         np.multiply(dens, x, out=tmp)
         add("phi", tmp, wq)
@@ -298,28 +293,17 @@ def _mesh_pass(
             add(name, tmp, wq)
             tmp *= wgt
             add(name + "2", tmp, wq)
-        if derivative and real:
-            b[: N + 1] *= 1j * np.arange(N + 1)
-            g = np.fft.irfft(b, panels, norm="forward")  # f' / A
-            np.square(g, out=tmp)
-            add("lz2", tmp, wq)
-            del g
-        elif derivative:
-            # g = -i f' (before the factor A): |f'|^2 = |g|^2 and
-            # Im(conj(f) f') = Re(conj(f) g)
-            b[: N + 1] *= np.arange(N + 1)
-            b[panels - N :] *= np.arange(-N, 0)
-            g = np.fft.ifft(b, norm="forward")
-            np.square(g.real, out=tmp)
-            np.square(g.imag, out=wgt)
-            tmp += wgt
-            add("lz2", tmp, wq)
-            if not even:
-                np.multiply(f.real, g.real, out=tmp)
-                np.multiply(f.imag, g.imag, out=wgt)
-                tmp += wgt
+        if derivative:
+            slots *= i_n
+            d = np.fft.irfft(half, panels, norm="forward")  # rows g', h'
+            add("lz2", sum_squares(d, tmp), wq)
+            if complex_state and not even:
+                # Im(conj(f) f') = g h' - h g'
+                np.multiply(f[0], d[1], out=tmp)
+                np.multiply(f[1], d[0], out=wgt)
+                tmp -= wgt
                 add("lz", tmp, wq)
-            del g
+            del d
         del f  # freed before the next transform allocates
     return {name: s.norm_sq * math.fsum(v) for name, v in partial.items()}
 
@@ -327,16 +311,17 @@ def _mesh_pass(
 def _rounding_floors(values: dict[str, float], panels: int) -> dict[str, float]:
     """Bound on the rounding error of each integral.
 
-    Node values are off by at most rel = eps (10 log2 P + 40) in relative
-    2-norm per offset (FFT stages, phases, and the pairwise node sum; see
-    the constants above).  The same rel bounds the real path: a length-P
-    irfft is the real-data form of the same mixed-radix transform, at most
-    log2 P passes of butterflies with the same twiddle factors, so no pass
-    rounds worse than a complex one (against a long-double transform both
-    are off by about 1.4 eps at P = 36000).  For an integrand w u conj(v),
-    u and v in {f, f'}, Cauchy-Schwarz over the nodes bounds the error by
-    3 rel max|w| sqrt(U V), U and V the integrals of |u|^2 and |v|^2: one
-    rel for each factor and one for the sum.
+    Each real part (g, h, g', h') is off by at most rel = eps (10 log2 P +
+    40) in relative 2-norm per offset (FFT stages, phases, and the pairwise
+    node sum; see the constants above).  Forming the parts rounds each
+    coefficient by at most eps / 2, inside the fixed 40 eps.  As
+    g^2 + h^2 = |f|^2 pointwise, errors of rel ||g|| and rel ||h|| add up to
+    at most rel ||f||, so f and f' are off by the same rel.  For an
+    integrand w u conj(v), u and v in {f, f'}, Cauchy-Schwarz over the nodes
+    bounds the error by 3 rel max|w| sqrt(U V), U and V the integrals of
+    |u|^2 and |v|^2: one rel for each factor and one for the sum.
+    Cauchy-Schwarz on the pair (g, h) gives the same bound for
+    g h' - h g', as |dg h' - dh g'| <= |(dg, dh)| |(g', h')| at each node.
     """
     eps = np.finfo(float).eps
     kappa = 3.0 * eps * (_FFT_STAGE_EPS * math.log2(panels) + _FIXED_EPS)
@@ -409,9 +394,7 @@ def _mesh_integrals(
     if not (abs_tol > 0.0):
         raise InvalidParameter(f"abs_tol must be positive, got {abs_tol!r}")
     derivative = any(name in _DERIVATIVE_INTEGRALS for name in names)
-    # f is real-valued exactly when c_{-n} = conj(c_n), read from the data
-    real = np.array_equal(s.coeffs, s.coeffs[::-1].conj())
-    # and even, f(-phi) = f(phi), exactly when c_{-n} = c_n
+    # f is even, f(-phi) = f(phi), exactly when c_{-n} = c_n
     even = np.array_equal(s.coeffs, s.coeffs[::-1])
     panels = _panel_count(s.cutoff)
     powers = {name: k for k, name in enumerate(("phi", "phi2"), 1) if name in names}
@@ -429,7 +412,7 @@ def _mesh_integrals(
         if all(e <= max(abs_tol, floors[k]) for k, e in bounds.items()):
             break
         panels = _smooth_length(panels + 1)
-    values = _mesh_pass(s, panels, derivative, real, even)
+    values = _mesh_pass(s, panels, derivative, even)
     floors = _rounding_floors(values, panels)
     return {
         k: QuadratureResult(values[k], bounds.get(k, 0.0) + floors[k], evals)

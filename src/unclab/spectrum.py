@@ -759,12 +759,15 @@ def tail_second_moment(
 
     The built-in families take their closed form (2 zeta(2 alpha - 2, N+1)
     for the polynomial family, which diverges exactly for alpha <= 3/2, and
-    a geometric n^2 sum for the exponential one).  Any other family is
-    summed outward from N+1 until the remainder majorant (or, for slow
-    power-law tails, the error of the Euler-Maclaurin completion) drops
-    below 1e-12 of the tail total; the certification assumes tails that
-    are asymptotically geometric or pure power laws.  Divergent tails
-    (slope <= 1) raise NonConvergent.
+    a geometric n^2 sum for the exponential one).  A family with a finite
+    support S (``support_hint``) is summed exactly over N < |n| <= S from
+    one evaluation per grid point, and its tail is 0.0 when S <= N; an S
+    past N + 4 000 000 raises NonConvergent before any amplitude is
+    evaluated.  Any other family is summed outward from N+1 until the
+    remainder majorant (or, for slow power-law tails, the error of the
+    Euler-Maclaurin completion) drops below 1e-12 of the tail total; the
+    certification assumes tails that are asymptotically geometric or pure
+    power laws.  Divergent tails (slope <= 1) raise NonConvergent.
     """
     if len(alpha_grid) == 0:
         raise InvalidParameter("alpha grid must be nonempty")
@@ -772,6 +775,12 @@ def tail_second_moment(
         raise InvalidParameter(f"N must be >= 1, got {N!r}")
 
     exact = _exact_tails(family)
+    support = family.support_hint
+    if support is not None and support > N + _TAIL_BUDGET:
+        raise NonConvergent(
+            f"family {family.name!r}: the support |n| <= {support} exceeds "
+            f"N + {_TAIL_BUDGET} = {N + _TAIL_BUDGET}"
+        )
     out = []
     for alpha in alpha_grid:
         if not (alpha > 0.0):
@@ -781,6 +790,15 @@ def tail_second_moment(
             if second.diverges:
                 raise NonConvergent(f"family {family.name!r} at alpha={alpha}: {second.diverges}")
             out.append(second.tail(N)[0])
+            continue
+        if support is not None:
+            # every amplitude past the support is 0: the tail is a finite sum
+            if support <= N:
+                out.append(0.0)
+                continue
+            ns = np.arange(N + 1, support + 1)
+            u = np.abs(family.coefficients(np.concatenate((ns, -ns)), alpha)) ** 2
+            out.append(_fsum(ns * ns * (u[: ns.size] + u[ns.size :])))
             continue
         for hi, cp, cm in _grow(family, alpha, N + 1, 256, N + _TAIL_BUDGET):
             ns = np.arange(N + 1, hi + 1, dtype=float)

@@ -238,6 +238,20 @@ class TestCheck:
         assert rc == EXIT_INCONCLUSIVE
         assert "inconclusive" in capsys.readouterr().out
 
+    def test_tail_of_a_support_past_the_first_ring_fails_condition_ii(self, tmp_path, capsys):
+        # poly entries at +-1000 put n^2 |C_n|^2 = 1000^(2 - 2 alpha) past N = 50
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps(dict(SINGLE_MODE_SPEC, name="far", entries=[
+            {"n": -1000, "expr": "poly"},
+            {"n": 0, "expr": "exp"},
+            {"n": 1000, "expr": "poly"},
+        ])))
+        rc = main(["check", "--family", "custom", "--spec", str(spec), "--json"])
+        assert rc == EXIT_OK  # index 0 dominates
+        adm = json.loads(capsys.readouterr().out)["admissibility"]
+        assert adm["cond_ii"] is False
+        assert adm["max_tail"] == pytest.approx(2000.0, rel=1e-14)
+
     def test_missing_spec_for_custom(self, capsys):
         assert main(["check", "--family", "custom"]) == EXIT_INVALID
 

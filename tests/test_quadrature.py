@@ -33,9 +33,7 @@ from unclab.quadrature import (
     _gauss_bound,
     _gauss_legendre,
     _mesh_integrals,
-    _node_values,
     _panel_count,
-    _real_node_values,
     _rounding_floors,
     _strip_sums,
 )
@@ -435,7 +433,7 @@ class TestSharedMesh:
             assert not any(smooth(q) for q in range(need, p))
 
     @pytest.mark.parametrize("which", ["exp", "table", "poly", "hermitian"])
-    def test_fft_node_values_match_evaluate_state(self, which):
+    def test_fft_node_values_match_evaluate_state(self, which, monkeypatch):
         rng = np.random.default_rng(11)
         if which == "exp":
             s = build_spectrum(exponential_family(), 0.01)
@@ -454,18 +452,47 @@ class TestSharedMesh:
                 coeffs[-int(n)] = coeffs[int(n)].conjugate()
             s = build_spectrum(table_family("wide", coeffs), 1.0)
         assert s.cutoff >= 1000
-        panels = _panel_count(s.cutoff)
+        outputs = []
+        irfft = np.fft.irfft
+
+        def recorded(*args, **kwargs):
+            outputs.append(irfft(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(np.fft, "irfft", recorded)
+        quad_norm(s)
+        # the first transform is f at the first offset: one row per real part
+        rows = outputs[0]
+        assert rows.shape == (2 if which == "table" else 1, _panel_count(s.cutoff))
+        panels = rows.shape[1]
         h = 2.0 * PI / panels
-        delta = 0.3 * h
-        values = [s.amplitude * _node_values(s, np.zeros(panels, dtype=complex), delta)]
-        if which != "table":
-            half = np.zeros(panels // 2 + 1, dtype=complex)
-            values.append(s.amplitude * _real_node_values(s, half, panels, delta))
+        delta = h * _gauss_legendre()[0][0]
+        values = s.amplitude * (rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0])
         scale = s.amplitude * np.abs(s.coeffs).sum()
         for j in (0, 1, panels // 3, panels // 2, panels - 1):
-            want = evaluate_state(s, -PI + delta + h * j)
-            for v in values:
-                assert abs(v[j] - want) <= 1e-13 * scale, j
+            # the float nearest the node: -PI + delta + h * j rounds by
+            # several ulps of pi, which f' turns into 1e-13 near phi = pi
+            with mpmath.workdps(30):
+                phi = float(-mpmath.pi + delta + 2 * mpmath.pi * j / panels)
+            want = evaluate_state(s, phi)
+            assert abs(values[j] - want) <= 1e-13 * scale, j
+
+    @pytest.mark.parametrize("case", ["exp", "hermitian", "pinned", "even_complex"])
+    def test_parts_rebuild_the_coefficients(self, case):
+        s = mesh_state(case)
+        N = s.cutoff
+        pos, neg = s.coeffs[N:], s.coeffs[N::-1]
+        parts = quadrature._parts(s)
+        if case in ("exp", "hermitian"):  # real-valued: g alone, g_n = c_n
+            assert parts.shape == (1, N + 1)
+            assert np.array_equal(parts[0], pos)
+            return
+        g, h = parts
+        assert g[0].imag == 0.0 and h[0].imag == 0.0
+        # c_n = g_n + i h_n and c_{-n} = conj(g_n) + i conj(h_n), n >= 0
+        bound = 2.0 * np.finfo(float).eps * (np.abs(pos) + np.abs(neg))
+        assert np.all(np.abs(g + 1j * h - pos) <= bound)
+        assert np.all(np.abs(g.conj() + 1j * h.conj() - neg) <= bound)
 
     def test_gauss_legendre_rule_is_symmetric(self):
         nodes, weights = _gauss_legendre()
@@ -474,17 +501,8 @@ class TestSharedMesh:
             assert abs(nodes[-1 - q] - (1.0 - nodes[q])) <= 4 * ulp, q
             assert abs(weights[-1 - q] - weights[q]) <= 4 * ulp * weights[q], q
 
-    @pytest.mark.parametrize(
-        "case, path",
-        [
-            ("exp", "irfft"),
-            ("poly", "irfft"),
-            ("even_complex", "ifft"),
-            ("hermitian", "irfft"),
-            ("pinned", "ifft"),
-        ],
-    )
-    def test_real_states_take_the_half_length_transform(self, case, path, monkeypatch):
+    @pytest.mark.parametrize("case", ["exp", "poly", "even_complex", "hermitian", "pinned"])
+    def test_every_state_takes_one_irfft_per_offset(self, case, monkeypatch):
         s = mesh_state(case)
         calls = {"ifft": 0, "irfft": 0}
 
@@ -500,12 +518,12 @@ class TestSharedMesh:
         for name in calls:
             monkeypatch.setattr(np.fft, name, counted(name))
         r = quad_lz_moment(s, 2)
-        # one transform for f and one for f' per length-P grid of nodes; a
-        # mirror-symmetric state (c_{-n} = c_n) is evaluated on half the grids
+        # one transform for f and one for f' per length-P grid of nodes, real
+        # or complex; a mirror-symmetric state (c_{-n} = c_n) is evaluated on
+        # half the grids
         grids = r.evaluations // _panel_count(s.cutoff)
-        transforms = grids if case in ("exp", "poly", "even_complex") else 2 * grids
-        other = "ifft" if path == "irfft" else "irfft"
-        assert calls == {path: transforms, other: 0}
+        offsets = grids // 2 if case in ("exp", "poly", "even_complex") else grids
+        assert calls == {"irfft": 2 * offsets, "ifft": 0}
 
     def test_budget_is_checked_before_any_transform(self, monkeypatch):
         s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-8)
@@ -576,9 +594,8 @@ class TestOnePass:
         # P panels, where the spikes' phi integrals carry the most truncation
         s, exact = bound_case(case)
         panels = _panel_count(s.cutoff)
-        real = np.array_equal(s.coeffs, s.coeffs[::-1].conj())
         even = np.array_equal(s.coeffs, s.coeffs[::-1])
-        values = quadrature._mesh_pass(s, panels, False, real, even)
+        values = quadrature._mesh_pass(s, panels, False, even)
         floors = _rounding_floors(values, panels)
         strips = _strip_sums(s)
         for power, (name, row) in enumerate([("phi", "mean_phi"), ("phi2", "second_phi")], 1):

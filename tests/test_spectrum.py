@@ -17,6 +17,7 @@ from unclab import (
     boundary_density,
     build_spectrum,
     exponential_family,
+    family_from_dict,
     polynomial_family,
     quad_norm,
     single_mode_family,
@@ -614,6 +615,57 @@ class TestTailSecondMoment:
         (est,) = _tail_estimate((seq,), (N + hi) // 2, hi, first=N + 1)
         assert est.kind == kind
         assert (est,) == _tail_estimate((padded,), (N + hi) // 2, hi)
+
+    def test_support_past_the_first_ring_is_summed(self, evaluations, no_ring):
+        # the ring engine saw zeros on its first ring from N + 1 and returned 0
+        far = table_family("far", {0: 1, 1000: 1, -1000: 1})
+        assert tail_second_moment(far, [1.0, 2.0], 50) == [2_000_000.0, 2_000_000.0]
+        ns = np.arange(51, 1001)
+        assert len(evaluations) == 2
+        for n in evaluations:
+            assert np.array_equal(n, np.concatenate((ns, -ns)))
+
+    def test_document_support_depends_on_alpha(self, no_ring):
+        doc = {
+            "name": "pm1000",
+            "symmetric": True,
+            "real": True,
+            "entries": [
+                {"n": -1000, "expr": "poly"},
+                {"n": 0, "expr": "exp"},
+                {"n": 1000, "expr": "poly"},
+                {"n": 30, "expr": "exp", "scale": 2.0},
+            ],
+        }
+        family = family_from_dict(doc)
+        # 2 n^2 n^(-2 alpha) at n = 1000; the entry at 30 lies inside N = 50
+        for alpha, want in ((0.5, 2000.0), (1.0, 2.0), (1.5, 0.002)):
+            (got,) = tail_second_moment(family, [alpha], 50)
+            assert got == pytest.approx(want, rel=1e-14)
+        # the same entry outside N adds 30^2 (2 e^(-30 alpha))^2
+        (got,) = tail_second_moment(family, [1.0], 20)
+        assert got == pytest.approx(2.0 + 900.0 * 4.0 * math.exp(-60.0), rel=1e-14)
+
+    def test_complex_asymmetric_support_is_summed_exactly(self, no_ring):
+        family = table_family("mixed", {3: 1j, -60: 2.0, 55: 0.5 - 0.5j, 51: 0.0})
+        assert tail_second_moment(family, [1.0], 50) == [60**2 * 4.0 + 55**2 * 0.5]
+
+    @pytest.mark.parametrize("N", [1000, 1001, 5000])
+    def test_support_within_n_is_exactly_zero(self, N, evaluations, no_ring):
+        far = table_family("far", {0: 1, 1000: 1, -1000: 1})
+        assert tail_second_moment(far, [1.0, 3.0], N) == [0.0, 0.0]
+        assert evaluations == []
+
+    def test_support_past_the_budget_fails_before_any_evaluation(self, evaluations):
+        support = 50 + spectrum._TAIL_BUDGET + 1
+        family = table_family("huge", {0: 1.0, support: 1.0})
+        with pytest.raises(NonConvergent) as info:
+            tail_second_moment(family, [1.0], 50)
+        assert str(info.value) == (
+            f"family 'huge': the support |n| <= {support} exceeds "
+            f"N + {spectrum._TAIL_BUDGET} = {50 + spectrum._TAIL_BUDGET}"
+        )
+        assert evaluations == []
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
