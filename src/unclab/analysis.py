@@ -195,6 +195,16 @@ def _validate_grid(alpha_grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
+def _index_range(name: str, bound: int) -> None:
+    """Reject an index bound outside 1..DEFAULT_N_MAX before any amplitude is
+    evaluated: every grid point evaluates all |n| <= bound, so the range may
+    be no wider than a window."""
+    if bound < 1:
+        raise InvalidParameter(f"{name} must be >= 1, got {bound!r}")
+    if bound > DEFAULT_N_MAX:
+        raise InvalidParameter(f"{name} must be <= {DEFAULT_N_MAX}, got {bound!r}")
+
+
 def check_dominance(
     family: CoefficientFamily,
     alpha_grid: Sequence[float],
@@ -209,8 +219,7 @@ def check_dominance(
     candidate's decay, inconclusive otherwise.
     """
     grid = _validate_grid(alpha_grid)
-    if n_probe < 1:
-        raise InvalidParameter(f"n_probe must be >= 1, got {n_probe!r}")
+    _index_range("n_probe", n_probe)
     ns = np.arange(-n_probe, n_probe + 1)
     mags = np.empty((grid.size, ns.size))
     for i, a in enumerate(grid):
@@ -290,8 +299,9 @@ def check_admissibility(
     reading is reported alongside.
     """
     grid = _validate_grid(alpha_grid)
-    if not (kappa > 0.0) or not (eps > 0.0) or N < 1:
-        raise InvalidParameter("need kappa > 0, eps > 0, N >= 1")
+    if not (kappa > 0.0) or not (eps > 0.0):
+        raise InvalidParameter("need kappa > 0, eps > 0")
+    _index_range("N", N)
     notes: list[str] = []
 
     var_phis = [evaluate_family(family, float(a)).var_phi for a in grid]

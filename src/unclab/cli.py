@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _engine,
+    _index_range,
     check_admissibility,
     check_dominance,
     evaluate_family,
@@ -148,6 +149,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     family = _resolve_family(args)
     grid = _log_grid(args.grid_min, args.grid_max, args.grid_points)
+    # both ranges are checked before either report evaluates an amplitude
+    _index_range("n_probe", args.n_probe)
+    _index_range("N", args.tail_n)
     verdict = check_dominance(family, grid, n_probe=args.n_probe)
     adm = check_admissibility(
         family, grid, kappa=args.kappa, N=args.tail_n, eps=args.eps

@@ -30,10 +30,15 @@ class CoefficientFamily:
     """Rule (n, alpha) -> complex amplitude plus symmetry metadata.
 
     ``rule`` must accept an integer ndarray and a positive float and return
-    a complex ndarray of the same shape.  ``is_symmetric`` asserts
-    |C_n| = |C_{-n}|; ``is_real`` asserts exactly zero imaginary parts.
-    ``support_hint``, when set, promises C_n = 0 for |n| > support_hint, so
-    spectrum construction keeps the whole support and no tail past it.
+    a complex ndarray of the same shape.  ``is_symmetric`` (|C_n| = |C_{-n}|)
+    and ``is_real`` (exactly zero imaginary parts) are descriptive metadata:
+    no engine reads them, and realness and symmetry are read from the
+    coefficients themselves.  ``support_hint``, when set, promises C_n = 0
+    for |n| > support_hint, so spectrum construction keeps the whole support
+    and no tail past it.  A rule whose only amplitudes past the first ring
+    (|n| <= 16) and its probes are isolated modes (at n = +-1000, say) must
+    set it: the fitted rings of ``build_spectrum`` and ``tail_second_moment``
+    see only the indices they sample, and would read it as ending early.
     """
 
     name: str

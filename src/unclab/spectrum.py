@@ -24,6 +24,7 @@ hbar^2 and uncertainty products in units of hbar.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -65,6 +66,7 @@ class _TailEstimate:
     bound: float       # estimated mass beyond the last sample (inf allowed)
     err: float         # upper bound on the estimate's own error
     slope: float | None = None
+    n_first: float = 0.0  # the fitted range, n_first..n_last
     n_last: float = 0.0
     t_last: float = 0.0
     rhat: float = 0.0  # geometric per-step ratio
@@ -81,8 +83,8 @@ class _TailEstimate:
 _UNRESOLVED = _TailEstimate("unresolved", math.inf, math.inf)
 
 
-def _too_slow(series: str, est: _TailEstimate, lo_n: int, hi_n: int) -> str:
-    """What a "divergent" fit over [lo_n, hi_n] measured.
+def _too_slow(series: str, est: _TailEstimate) -> str:
+    """What a "divergent" fit measured, over the range it was fitted on.
 
     A slope at or below _DIVERGENT_SLOPE is also what a convergent series
     shows over a window too short to see its decay (e^{-2 alpha n} at tiny
@@ -90,7 +92,7 @@ def _too_slow(series: str, est: _TailEstimate, lo_n: int, hi_n: int) -> str:
     """
     return (
         f"{series} diverges or decays too slowly to resolve (fitted slope "
-        f"{est.slope:.3f} <= {_DIVERGENT_SLOPE} over n = {lo_n}..{hi_n})"
+        f"{est.slope:.3f} <= {_DIVERGENT_SLOPE} over n = {est.n_first:.0f}..{est.n_last:.0f})"
     )
 
 
@@ -156,7 +158,7 @@ def _classify_tail(
     spread = 2.0 * max_resid / math.log(ns[-1] / ns[0])
     if s <= _DIVERGENT_SLOPE:
         return _TailEstimate(
-            "divergent", math.inf, math.inf, s, n_last=n_last, t_last=t_last
+            "divergent", math.inf, math.inf, s, float(ns[0]), n_last, t_last
         )
     # Euler-Maclaurin tail of t_last (n/n_last)^{-s} beyond n_last, boundary
     # b = n_last + 1, written through (n_last/b)^s to stay finite for large s.
@@ -179,32 +181,32 @@ def _classify_tail(
 
 
 def _tail_estimate(
-    columns: tuple[np.ndarray, ...], lo_n: int, hi_n: int, first: int = 1
+    columns: tuple[np.ndarray, ...], lo_n: int, hi_n: int
 ) -> tuple[_TailEstimate, ...]:
     """Classify each column's decay over the index range [lo_n, hi_n].
 
-    Every column holds a sequence for n = first..first+len-1, all of one
-    length.  They share one log-spaced sample set (samples spread out so
-    that slope fits stay well conditioned) and one least-squares fit with
-    a right-hand side per column; all-zero windows and samples at the
-    underflow floor are sorted out per column before the fit.
+    Every column holds a sequence for n = 1..len, all of one length.  They
+    share one log-spaced sample set (samples spread out so that slope fits
+    stay well conditioned) and one least-squares fit with a right-hand
+    side per column; all-zero windows and samples at the underflow floor
+    are sorted out per column before the fit.
     """
-    lo_n = max(first, lo_n)
-    if hi_n < lo_n or columns[0].size <= lo_n - first:
+    lo_n = max(1, lo_n)
+    if hi_n < lo_n or columns[0].size < lo_n:
         return (_UNRESOLVED,) * len(columns)
     idx, ns, design = _tail_samples(lo_n, hi_n)
     out: list[_TailEstimate] = []
     fit: list[int] = []
     for values in columns:
-        if float(values[lo_n - first : hi_n - first + 1].max()) <= _ZERO_FLOOR:
+        if float(values[lo_n - 1 : hi_n].max()) <= _ZERO_FLOOR:
             out.append(_TailEstimate("zero", 0.0, 0.0))
-        elif idx.size < 4 or np.any(values[idx - first] <= _ZERO_FLOOR):
+        elif idx.size < 4 or np.any(values[idx - 1] <= _ZERO_FLOOR):
             out.append(_UNRESOLVED)
         else:
             fit.append(len(out))
             out.append(_UNRESOLVED)
     if fit:
-        ts = np.column_stack([columns[j][idx - first] for j in fit])
+        ts = np.column_stack([columns[j][idx - 1] for j in fit])
         logt = np.log(ts)
         coef, *_ = np.linalg.lstsq(design, logt, rcond=None)
         max_resid = np.abs(design @ coef - logt).max(axis=0)
@@ -354,22 +356,28 @@ def _probe_ok(
     return True
 
 
-def _grow(
-    family: CoefficientFamily, alpha: float, first: int, width: int, n_max: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (edge, cp, cm): the amplitudes at +n and -n for n = first..edge.
+_Ring = collections.namedtuple("_Ring", "edge cp cm u v x u_est v_est x_est")
 
-    The window grows outward one ring at a time, each ring as wide as the
-    window before it (the first ring is ``width`` wide), up to n_max.
-    """
+
+def _rings(family: CoefficientFamily, alpha: float, n_max: int) -> Iterator[_Ring]:
+    """Grow the window outward from |n| <= 16, each ring as wide as the
+    window before it, up to n_max.  Yield each window n = 1..edge with its
+    amplitudes at +n and -n, the u, v and x tail sequences and one fit of
+    their tails over its outer half; each caller stops by its own test."""
     cp = cm = np.empty(0, dtype=np.complex128)
-    edge = first - 1
+    edge = 0
     while edge < n_max:
-        ring = np.arange(edge + 1, min(edge + max(width, edge - first + 1), n_max) + 1)
+        ring = np.arange(edge + 1, min(edge + max(16, edge), n_max) + 1)
         cp = np.concatenate((cp, family.coefficients(ring, alpha)))
         cm = np.concatenate((cm, family.coefficients(-ring, alpha)))
         edge = int(ring[-1])
-        yield edge, cp, cm
+        u = np.abs(cp) ** 2 + np.abs(cm) ** 2
+        ns = np.arange(1, edge + 1, dtype=float)
+        v = ns * ns * u
+        # first-order sensitivity of the off-diagonal 1/(n-m)^2 sums to a
+        # dropped amplitude at n; quadratic mass criteria alone miss it
+        x = (np.abs(cp) + np.abs(cm)) / (ns * ns)
+        yield _Ring(edge, cp, cm, u, v, x, *_tail_estimate((u, v, x), edge // 2, edge))
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +430,7 @@ def _fitted(
     the fit calls it divergent.
     """
     if completes and est.kind == "divergent":
-        return _Series(label, diverges=f"{label} fitted with slope {est.slope:.3f}")
+        return _Series(label, diverges=_too_slow(label, est))
     err = est.err if est.kind == "power" else 0.0
     suffix: list[np.ndarray] = []
 
@@ -659,7 +667,10 @@ def build_spectrum(
     truncated sensitivity sum |C_n| / n^2 is below rel_tol of its retained
     sum.  The built-in exponential and polynomial families take each tail
     from its closed form, a family with a finite support is kept whole,
-    and every other family fits its tails ring by ring.
+    and every other family fits its tails ring by ring.  The rings see only
+    what they sample: a callable whose only amplitudes past the first ring
+    and its probes are isolated modes (at n = +-1000, say) must set
+    ``support_hint``, or it reads as ending early.
 
     Raises NonConvergent when no window up to n_max resolves the tails,
     DegenerateState when every amplitude underflows, InvalidParameter on
@@ -688,19 +699,9 @@ def build_spectrum(
 
     c0 = complex(family.coefficient(0, alpha))
     u0 = abs(c0) ** 2
-    for n_edge, cp, cm in _grow(family, alpha, 1, 16, n_max):
-        u = np.abs(cp) ** 2 + np.abs(cm) ** 2
-        ns = np.arange(1, n_edge + 1, dtype=float)
-        v = ns * ns * u
-        # first-order sensitivity of the off-diagonal 1/(n-m)^2 sums to a
-        # dropped amplitude at n; quadratic mass criteria alone miss it
-        x = (np.abs(cp) + np.abs(cm)) / (ns * ns)
-
-        u_est, v_est, x_est = _tail_estimate((u, v, x), n_edge // 2, n_edge)
+    for n_edge, cp, cm, u, v, x, u_est, v_est, x_est in _rings(family, alpha, n_max):
         if u_est.kind == "divergent":
-            raise NonConvergent(
-                f"{where}the normalization " + _too_slow(_MASS, u_est, n_edge // 2, n_edge)
-            )
+            raise NonConvergent(f"{where}the normalization " + _too_slow(_MASS, u_est))
         u_sum, v_sum = u0 + float(u.sum()), float(v.sum())
         if u_sum <= _ZERO_FLOOR and u_est.kind == "zero":
             if _probe_ok(family, alpha, n_edge, n_max, _ZERO_FLOOR):
@@ -746,7 +747,6 @@ def boundary_density(s: TruncatedSpectrum) -> float:
 # family-level tail diagnostics
 # --------------------------------------------------------------------------
 
-_TAIL_REL = 1e-12
 _TAIL_BUDGET = 4_000_000
 
 
@@ -763,11 +763,15 @@ def tail_second_moment(
     support S (``support_hint``) is summed exactly over N < |n| <= S from
     one evaluation per grid point, and its tail is 0.0 when S <= N; an S
     past N + 4 000 000 raises NonConvergent before any amplitude is
-    evaluated.  Any other family is summed outward from N+1 until the
-    remainder majorant (or, for slow power-law tails, the error of the
-    Euler-Maclaurin completion) drops below 1e-12 of the tail total; the
-    certification assumes tails that are asymptotically geometric or pure
-    power laws.  Divergent tails (slope <= 1) raise NonConvergent.
+    evaluated.  Any other family reads the windows build_spectrum grows:
+    T_N is the first window past N summed over N < |n| <= edge, plus its
+    fitted n^2 tail, whose fit is certified to 1e-12 (a geometric majorant
+    below 1e-12 of the summed part, or a power-law completion with error
+    below 1e-12 of T_N) and whose probes past the edge find no resurgence.
+    The 1e-12 bounds the fitted tail, not the rounding of the sum, for
+    tails that are asymptotically geometric or pure power laws.  A fit
+    that reads as divergent raises NonConvergent.  Isolated modes far past
+    N need ``support_hint``: the windows see only what they sample.
     """
     if len(alpha_grid) == 0:
         raise InvalidParameter("alpha grid must be nonempty")
@@ -785,10 +789,11 @@ def tail_second_moment(
     for alpha in alpha_grid:
         if not (alpha > 0.0):
             raise InvalidParameter(f"grid alphas must be positive, got {alpha!r}")
+        where = f"family {family.name!r} at alpha={alpha}: "
         if exact is not None:
-            _, second = itertools.islice(exact(float(alpha), _TAIL_REL), 2)
+            _, second = itertools.islice(exact(float(alpha), DEFAULT_REL_TOL), 2)
             if second.diverges:
-                raise NonConvergent(f"family {family.name!r} at alpha={alpha}: {second.diverges}")
+                raise NonConvergent(where + second.diverges)
             out.append(second.tail(N)[0])
             continue
         if support is not None:
@@ -800,26 +805,20 @@ def tail_second_moment(
             u = np.abs(family.coefficients(np.concatenate((ns, -ns)), alpha)) ** 2
             out.append(_fsum(ns * ns * (u[: ns.size] + u[ns.size :])))
             continue
-        for hi, cp, cm in _grow(family, alpha, N + 1, 256, N + _TAIL_BUDGET):
-            ns = np.arange(N + 1, hi + 1, dtype=float)
-            seq = ns * ns * (np.abs(cp) ** 2 + np.abs(cm) ** 2)  # seq[0] <-> n = N+1
-            (est,) = _tail_estimate((seq,), (N + hi) // 2, hi, first=N + 1)
-            if est.kind == "divergent":
-                raise NonConvergent(
-                    f"family {family.name!r} at alpha={alpha}: "
-                    + _too_slow("n^2|C_n|^2", est, (N + hi) // 2, hi)
-                )
-            if est.kind in ("zero", "geometric", "power"):
-                retained = _fsum(seq)
-                scale = max(retained + est.bound, _ZERO_FLOOR)
-                if est.err <= _TAIL_REL * scale and _probe_ok(
-                    family, alpha, hi, hi + 8 * (hi - N), _TAIL_REL * scale, est
-                ):
-                    out.append(retained + est.bound)
-                    break
+        n_cap = N + _TAIL_BUDGET
+        for ring in _rings(family, alpha, n_cap):
+            if ring.edge <= N:
+                continue
+            beyond = ring.v[N:]  # n = N+1 .. edge
+            tail = _fitted(_SECOND, _fsum(beyond), beyond, ring.v_est, completes=True)
+            if tail.diverges:
+                raise NonConvergent(where + tail.diverges)
+            threshold = DEFAULT_REL_TOL * max(tail.total, _ZERO_FLOOR)
+            if tail.passes(beyond.size, DEFAULT_REL_TOL) and _probe_ok(
+                family, alpha, ring.edge, n_cap, threshold, ring.v_est
+            ):
+                out.append(tail.total)
+                break
         else:
-            raise NonConvergent(
-                f"family {family.name!r} at alpha={alpha}: tail beyond N={N} "
-                f"not resolved within probe budget"
-            )
+            raise NonConvergent(f"{where}the {_SECOND} tail past N={N} is unresolved at n={n_cap}")
     return out

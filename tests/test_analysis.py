@@ -24,6 +24,7 @@ from unclab import (
     sweep,
     table_family,
 )
+from unclab.spectrum import DEFAULT_N_MAX
 
 PI2_3 = math.pi**2 / 3.0
 GRID = np.geomspace(0.5, 20.0, 16)
@@ -92,6 +93,12 @@ class TestDominance:
         with pytest.raises(InvalidParameter, match="n_probe must be >= 1"):
             check_dominance(exponential_family(), GRID, n_probe=n_probe)
 
+    def test_probe_range_wider_than_a_window_fails_before_any_evaluation(self, evaluations):
+        # a grid of |n| <= n_probe rows would otherwise exhaust memory
+        with pytest.raises(InvalidParameter, match=f"n_probe must be <= {DEFAULT_N_MAX}"):
+            check_dominance(exponential_family(), GRID, n_probe=DEFAULT_N_MAX + 1)
+        assert evaluations == []
+
 
 class TestAdmissibility:
     def test_polynomial_all_pass(self):
@@ -128,6 +135,13 @@ class TestAdmissibility:
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):
             check_admissibility(exponential_family(), GRID, kappa=0.0, N=10, eps=1.0)
+
+    def test_tail_index_wider_than_a_window_fails_before_any_evaluation(self, evaluations):
+        with pytest.raises(InvalidParameter, match=f"N must be <= {DEFAULT_N_MAX}"):
+            check_admissibility(
+                exponential_family(), GRID, kappa=0.1, N=DEFAULT_N_MAX + 1, eps=1.0
+            )
+        assert evaluations == []
 
 
 class TestAlphaStar:

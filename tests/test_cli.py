@@ -263,6 +263,17 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: n_probe must be >= 1")
 
+    @pytest.mark.parametrize("flag, name", [("--n-probe", "n_probe"), ("--tail-n", "N")])
+    def test_index_range_wider_than_a_window_is_invalid(self, flag, name, evaluations, capsys):
+        rc = main(["check", "--family", "exp", flag, str(DEFAULT_N_MAX + 1)])
+        assert rc == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {name} must be <= {DEFAULT_N_MAX}, got {DEFAULT_N_MAX + 1}\n"
+        )
+        assert evaluations == []
+
 
 class TestCrossing:
     def test_exponential_hr_target(self, capsys):

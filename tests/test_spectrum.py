@@ -67,27 +67,13 @@ def coeff_dicts(max_index=6):
 
 
 @pytest.fixture
-def evaluations(monkeypatch):
-    """The index arrays of every coefficients call, recorded as made."""
-    calls = []
-    real = CoefficientFamily.coefficients
-
-    def coefficients(self, n, alpha):
-        calls.append(np.asarray(n).copy())
-        return real(self, n, alpha)
-
-    monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
-    return calls
-
-
-@pytest.fixture
 def no_ring(monkeypatch):
     """Fail the test if the ring engine grows, fits or probes."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the ring engine ran")
 
-    for name in ("_tail_estimate", "_probe_ok", "_grow"):
+    for name in ("_tail_estimate", "_probe_ok", "_rings"):
         monkeypatch.setattr(spectrum, name, forbidden)
 
 
@@ -195,19 +181,19 @@ class TestBuildSpectrum:
 
     def test_one_tail_fit_per_ring(self, monkeypatch):
         fits, edges = [], []
-        real_lstsq, real_grow = np.linalg.lstsq, spectrum._grow
+        real_lstsq, real_rings = np.linalg.lstsq, spectrum._rings
 
         def lstsq(a, b, *args, **kwargs):
             fits.append(b.shape)
             return real_lstsq(a, b, *args, **kwargs)
 
-        def grow(*args):
-            for ring in real_grow(*args):
-                edges.append(ring[0])
+        def rings(*args):
+            for ring in real_rings(*args):
+                edges.append(ring.edge)
                 yield ring
 
         monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-        monkeypatch.setattr(spectrum, "_grow", grow)
+        monkeypatch.setattr(spectrum, "_rings", rings)
         build_spectrum(RING_POLY, 2.2, rel_tol=1e-8)
         assert len(edges) > 1
         # one fit per ring, its right-hand sides the u, v and x tails
@@ -595,26 +581,24 @@ class TestTailSecondMoment:
     def test_divergent_tail_message_reports_the_fit(self):
         with pytest.raises(NonConvergent) as info:
             tail_second_moment(RING_POLY, [1.2], 10)
-        assert str(info.value).endswith(
-            "n^2|C_n|^2 diverges or decays too slowly to resolve "
-            "(fitted slope 0.400 <= 1.01 over n = 138..266)"
+        assert str(info.value) == (
+            "family 'poly_ring' at alpha=1.2: sum n^2 |C_n|^2 diverges or decays "
+            "too slowly to resolve (fitted slope 0.400 <= 1.01 over n = 8..16)"
         )
 
+    @pytest.mark.parametrize("N", [1, 10, 50, 1000])
     @pytest.mark.parametrize(
-        "kind, term",
-        [
-            ("geometric", lambda n: 0.9**n),
-            ("power", lambda n: n**-3.0),
-            ("zero", lambda n: 0.0 * n),
-        ],
+        "family, alpha",
+        [("exp", a) for a in (0.01, 0.1, 1.0, 10.0)]
+        + [("poly", a) for a in (1.55, 1.6, 2.2, 5.4)],
     )
-    def test_offset_classifier_matches_zero_padded_sequence(self, kind, term):
-        N, hi = 40, 40 + 512
-        seq = term(np.arange(N + 1, hi + 1, dtype=float))
-        padded = np.concatenate([np.zeros(N), seq])
-        (est,) = _tail_estimate((seq,), (N + hi) // 2, hi, first=N + 1)
-        assert est.kind == kind
-        assert (est,) == _tail_estimate((padded,), (N + hi) // 2, hi)
+    def test_ring_tail_matches_the_closed_form(self, family, alpha, N):
+        # renamed copies read the windows build_spectrum grows; the slow
+        # poly tails at N = 1000 need the fit made past 2N, not from N + 1
+        ring = RING_EXP if family == "exp" else RING_POLY
+        (got,) = tail_second_moment(ring, [alpha], N)
+        want = exact_tails(family, alpha, N)[0]
+        assert abs(got - want) <= 2e-12 * want
 
     def test_support_past_the_first_ring_is_summed(self, evaluations, no_ring):
         # the ring engine saw zeros on its first ring from N + 1 and returned 0
