@@ -11,9 +11,7 @@ hbar = 1 throughout.
 from .analysis import (
     AdmissibilityReport,
     DominanceVerdict,
-    FitReport,
     SweepRow,
-    asymptotic_check,
     check_admissibility,
     check_dominance,
     evaluate_family,
@@ -88,7 +86,6 @@ __all__ = [
     "DominanceVerdict",
     "EvalResult",
     "ExpFamilyEval",
-    "FitReport",
     "InvalidParameter",
     "MomentReport",
     "NoBracket",
@@ -102,7 +99,6 @@ __all__ = [
     "TruncatedSpectrum",
     "UncLabError",
     "adaptive_simpson",
-    "asymptotic_check",
     "boundary_density",
     "build_spectrum",
     "check_admissibility",

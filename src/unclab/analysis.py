@@ -11,7 +11,7 @@ non-monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     NotAttainable,
 )
 from .families import CoefficientFamily, exponential_family, polynomial_family
-from .moments import PI_SQ_OVER_3, _state_bound, uncertainty_report
+from .moments import _state_bound, uncertainty_report
 from .spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL, build_spectrum
 from .spectrum import tail_second_moment
 
@@ -77,23 +77,20 @@ def _series_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, 
     return rep.var_phi, rep.var_lz, rep.state_bound
 
 
-# (var_phi, var_lz, state_bound) evaluator and sweep "# engine:" note of each
-# built-in family.  A family matches by dataclass == (name, rule and flags),
-# so one that only borrows a built-in's name runs the generic series engine.
-_POLY_NOTE = f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
-_CLOSED_FORMS = (
-    (exponential_family(), (_exp_row, "closed forms")),
-    (polynomial_family(), (_poly_row, _POLY_NOTE)),
-)
-_SERIES = (_series_row, f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}")
+_EXP = exponential_family()
+_POLY = polynomial_family()
 
 
 def _engine(family: CoefficientFamily):
-    """The (row evaluator, engine note) pair that serves ``family``."""
-    for builtin, engine in _CLOSED_FORMS:
-        if family is builtin or family == builtin:  # callers mostly pass the constant
-            return engine
-    return _SERIES
+    """The (var_phi, var_lz, state_bound) evaluator and sweep "# engine:" note
+    that serve ``family``.  A built-in matches by dataclass == (name, rule and
+    flags), so a family that only borrows a built-in's name runs the generic
+    series engine."""
+    if family is _EXP or family == _EXP:  # callers mostly pass the constant
+        return _exp_row, "closed forms"
+    if family is _POLY or family == _POLY:
+        return _poly_row, f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
+    return _series_row, f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}"
 
 
 def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
@@ -115,7 +112,11 @@ def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
 
 
 def _product(family: CoefficientFamily, alpha: float) -> float:
-    return evaluate_family(family, alpha).product
+    """The searches' product; a divergent sigma_Lz reads as +inf."""
+    try:
+        return evaluate_family(family, alpha).product
+    except DivergentMoment:
+        return math.inf
 
 
 def sweep(
@@ -178,7 +179,6 @@ class DominanceVerdict:
 
     dominant_index: int | None
     verdict: str  # dominant | no_unique_dominant | inconclusive
-    ratio_trace: dict[tuple[int, float], float] = field(repr=False)
     grid: tuple[float, ...] = ()
 
 
@@ -229,21 +229,16 @@ def check_dominance(
     k_pos = int(np.argmax(tail_mags))
     k = int(ns[k_pos])
     if tail_mags[k_pos] <= 0.0:
-        return DominanceVerdict(None, "inconclusive", {}, tuple(grid))
+        return DominanceVerdict(None, "inconclusive", tuple(grid))
 
     ref = mags[:, k_pos]
     if np.any(ref <= 0.0):  # candidate must be nonzero for every alpha
-        return DominanceVerdict(None, "inconclusive", {}, tuple(grid))
+        return DominanceVerdict(None, "inconclusive", tuple(grid))
 
-    trace: dict[tuple[int, float], float] = {}
     others = [j for j in range(ns.size) if j != k_pos]
-    for j in others:
-        for i, a in enumerate(grid):
-            trace[(int(ns[j]), float(a))] = float(mags[i, j] / ref[i])
-
     tail_ratios = np.array([mags[-1, j] / ref[-1] for j in others])
     if tail_ratios.size and tail_ratios.max() >= 1.0 - _TIE_MARGIN:
-        return DominanceVerdict(None, "no_unique_dominant", trace, tuple(grid))
+        return DominanceVerdict(None, "no_unique_dominant", tuple(grid))
 
     third = max(1, grid.size // 3)
     decayed = True
@@ -258,8 +253,8 @@ def check_dominance(
             decayed = False
             break
     if decayed:
-        return DominanceVerdict(k, "dominant", trace, tuple(grid))
-    return DominanceVerdict(None, "inconclusive", trace, tuple(grid))
+        return DominanceVerdict(k, "dominant", tuple(grid))
+    return DominanceVerdict(None, "inconclusive", tuple(grid))
 
 
 # --------------------------------------------------------------------------
@@ -365,6 +360,18 @@ def check_admissibility(
 # alpha-star search and bound crossing
 # --------------------------------------------------------------------------
 
+def _bisect(inside, lo: float, hi: float, abs_width: float, rel_width: float = 0.0):
+    """Halve the bracket [lo, hi], whose hi end is ``inside``, until it is no
+    wider than max(abs_width, rel_width * lo); return the final (lo, hi)."""
+    while hi - lo > max(abs_width, rel_width * lo):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def find_alpha_star(
     family: CoefficientFamily,
     epsilon: float,
@@ -384,14 +391,8 @@ def find_alpha_star(
     if not (0.0 < alpha_hint < math.inf):
         raise InvalidParameter(f"alpha_hint must be positive and finite, got {alpha_hint!r}")
 
-    def product_at(a: float) -> float:
-        try:
-            return _product(family, a)
-        except DivergentMoment:
-            return math.inf
-
     alpha = alpha_hint
-    p = product_at(alpha)
+    p = _product(family, alpha)
     best_alpha, best_p = alpha, p
     prev_alpha, prev_p = alpha, p
     while p >= epsilon:
@@ -407,21 +408,15 @@ def find_alpha_star(
             )
         prev_alpha, prev_p = alpha, p
         alpha = min(2.0 * alpha, ALPHA_STAR_BUDGET)
-        p = product_at(alpha)
+        p = _product(family, alpha)
         if p < best_p:
             best_alpha, best_p = alpha, p
 
     if prev_p < epsilon:  # the hint itself already qualified
         return prev_alpha
-    lo, hi = prev_alpha, alpha  # product(lo) >= eps > product(hi)
-    for _ in range(60):
-        if hi - lo <= 1e-3 * max(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if product_at(mid) < epsilon:
-            hi = mid
-        else:
-            lo = mid
+    # product(prev_alpha) >= eps > product(alpha)
+    _, hi = _bisect(lambda a: _product(family, a) < epsilon, prev_alpha, alpha,
+                    1e-3, rel_width=1e-3)
     return hi
 
 
@@ -429,22 +424,14 @@ def find_bound_crossing(family: CoefficientFamily, target: float) -> float:
     """Solve product(alpha) = target by bracketing and bisection.
 
     Scans a log grid over CROSSING_WINDOW for a sign change of
-    product - target, then bisects to |delta alpha| < 1e-6.  Raises
+    product - target, then bisects to |delta alpha| <= 1e-6.  Raises
     NoBracket when the product never crosses the target in the window.
     """
     if not math.isfinite(target):
         raise InvalidParameter(f"target must be finite, got {target!r}")
     lo_w, hi_w = CROSSING_WINDOW
-
-    def diff(a: float) -> float:
-        try:
-            return _product(family, a) - target
-        except DivergentMoment:
-            return math.inf
-
     grid = np.geomspace(lo_w, hi_w, 64)
-    values = [diff(float(a)) for a in grid]
-    bracket = None
+    values = [_product(family, float(a)) - target for a in grid]
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
         if math.isinf(a) or math.isinf(b):
@@ -452,9 +439,8 @@ def find_bound_crossing(family: CoefficientFamily, target: float) -> float:
         if a == 0.0:
             return float(grid[i])
         if a * b < 0.0:
-            bracket = (float(grid[i]), float(grid[i + 1]))
             break
-    if bracket is None:
+    else:
         raise NoBracket(
             f"product(alpha) - {target:g} has no sign change on "
             f"[{lo_w:g}, {hi_w:g}]",
@@ -462,101 +448,7 @@ def find_bound_crossing(family: CoefficientFamily, target: float) -> float:
             alpha_hi=hi_w,
         )
 
-    lo, hi = bracket
-    f_lo = diff(lo)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        f_mid = diff(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+    lo_below = values[i] < 0.0  # lo stays on this side of the target
+    lo, hi = _bisect(lambda m: (_product(family, m) - target < 0.0) != lo_below,
+                     float(grid[i]), float(grid[i + 1]), 1e-6)
     return 0.5 * (lo + hi)
-
-
-# --------------------------------------------------------------------------
-# asymptotic-law verification (exponential family only)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FitReport:
-    """How well the family follows its small/large-alpha limit laws."""
-
-    regime: str
-    alphas: tuple[float, ...]
-    phi_ratios: tuple[float, ...]     # sigma_phi^2 law, normalized to -> 1
-    lz_ratios: tuple[float, ...]      # sigma_Lz^2 law, normalized to -> 1
-    phi_limit: float                  # extrapolated limit of the phi law
-    lz_limit: float                   # extrapolated limit of the Lz law
-    phi_dev: float                    # |phi_limit - 1|
-    lz_dev: float                     # |lz_limit - 1|
-    tol: float
-    passed: bool
-
-
-_SMALL_ALPHAS = (1e-3, 2e-3, 4e-3)
-_LARGE_ALPHAS = (6.0, 8.0, 10.0)
-_SMALL_TOL = 0.02
-_LARGE_TOL = 1e-4
-
-
-def _extrapolate(ws: np.ndarray, ys: np.ndarray) -> float:
-    """Least-squares limit of y = L + c w as w -> 0."""
-    coeff = np.polynomial.polynomial.polyfit(ws, ys, 1)
-    return float(coeff[0])
-
-
-def asymptotic_check(family: CoefficientFamily, regime: str) -> FitReport:
-    """Verify the exponential family's limit laws in one regime.
-
-    small_alpha: sigma_phi^2 / alpha^2 -> 1 and 2 alpha^2 sigma_Lz^2 -> 1,
-    within 2 %.  large_alpha: sigma_phi^2 -> pi^2/3 and
-    e^{2 alpha} sigma_Lz^2 / 2 -> 1, with limits extrapolated against the
-    leading correction (e^-alpha and e^-2alpha) and checked to 1e-4.
-    """
-    if _engine(family)[0] is not _exp_row:
-        raise InvalidParameter(
-            "asymptotic laws are stated for the exponential family only; "
-            f"got family {family.name!r}"
-        )
-    if regime == "small_alpha":
-        alphas = np.array(_SMALL_ALPHAS)
-        evs = [exp_closed(a) for a in alphas]
-        phi_ratios = np.array([ev.var_phi / a**2 for ev, a in zip(evs, alphas)])
-        lz_ratios = np.array([2.0 * a**2 * ev.var_lz for ev, a in zip(evs, alphas)])
-        phi_limit = _extrapolate(alphas, phi_ratios)
-        lz_limit = _extrapolate(alphas**2, lz_ratios)
-        tol = _SMALL_TOL
-        # pointwise in the small-alpha regime: the ratios themselves converge
-        phi_dev = max(abs(phi_ratios - 1.0).max(), abs(phi_limit - 1.0))
-        lz_dev = max(abs(lz_ratios - 1.0).max(), abs(lz_limit - 1.0))
-    elif regime == "large_alpha":
-        alphas = np.array(_LARGE_ALPHAS)
-        evs = [exp_closed(a) for a in alphas]
-        phi_ratios = np.array([ev.var_phi / PI_SQ_OVER_3 for ev in evs])
-        lz_ratios = np.array(
-            [math.exp(2.0 * a) * ev.var_lz / 2.0 for ev, a in zip(evs, alphas)]
-        )
-        phi_limit = _extrapolate(np.exp(-alphas), phi_ratios)
-        lz_limit = _extrapolate(np.exp(-2.0 * alphas), lz_ratios)
-        tol = _LARGE_TOL
-        phi_dev = abs(phi_limit - 1.0)
-        lz_dev = abs(lz_limit - 1.0)
-    else:
-        raise InvalidParameter(
-            f"regime must be 'small_alpha' or 'large_alpha', got {regime!r}"
-        )
-    return FitReport(
-        regime=regime,
-        alphas=tuple(float(a) for a in alphas),
-        phi_ratios=tuple(float(r) for r in phi_ratios),
-        lz_ratios=tuple(float(r) for r in lz_ratios),
-        phi_limit=phi_limit,
-        lz_limit=lz_limit,
-        phi_dev=phi_dev,
-        lz_dev=lz_dev,
-        tol=tol,
-        passed=(phi_dev <= tol and lz_dev <= tol),
-    )

@@ -164,6 +164,8 @@ _VALID_EXPRS = ("exp", "poly", "table")
 
 
 def _parse_table(raw: Mapping) -> dict[float, dict[int, complex]]:
+    if not isinstance(raw, Mapping):
+        raise InvalidParameter(f"table must map alpha keys to row lists, got {raw!r}")
     table: dict[float, dict[int, complex]] = {}
     for key, rows in raw.items():
         try:
@@ -173,11 +175,13 @@ def _parse_table(raw: Mapping) -> dict[float, dict[int, complex]]:
         if not a > 0.0:
             raise InvalidParameter(f"table alpha {key!r} must be positive")
         entry: dict[int, complex] = {}
-        for row in rows:
-            if len(row) != 3:
-                raise InvalidParameter(f"table row {row!r} must be [n, re, im]")
-            n, re, im = row
-            entry[int(n)] = complex(float(re), float(im))
+        try:
+            for n, re, im in rows:
+                entry[int(n)] = complex(float(re), float(im))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(
+                f"table alpha {key!r}: rows must be [n, re, im] numbers, got {rows!r}"
+            ) from exc
         table[a] = entry
     return table
 
@@ -195,6 +199,8 @@ def _table_lookup(
 
 def family_from_dict(spec: Mapping) -> CoefficientFamily:
     """Build a CoefficientFamily from a parsed JSON document."""
+    if not isinstance(spec, Mapping):
+        raise InvalidParameter(f"family spec must be a JSON object, got {type(spec).__name__}")
     try:
         name = str(spec["name"])
         symmetric = bool(spec["symmetric"])
@@ -202,6 +208,10 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
         entries = list(spec["entries"])
     except KeyError as exc:
         raise InvalidParameter(f"family spec is missing key {exc}") from exc
+    except TypeError as exc:
+        raise InvalidParameter(
+            f"family spec entries must be a list, got {spec['entries']!r}"
+        ) from exc
     if not entries:
         raise InvalidParameter("family spec needs at least one entry")
 
@@ -223,7 +233,12 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
         if n in seen:
             raise InvalidParameter(f"duplicate entry for n = {n}")
         seen.add(n)
-        scale = float(e.get("scale", 1.0))
+        try:
+            scale = float(e.get("scale", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(
+                f"entry n={n}: scale must be a number, got {e['scale']!r}"
+            ) from exc
         needs_table |= expr == "table"
         parsed.append((n, expr, scale))
 

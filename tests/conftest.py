@@ -18,3 +18,22 @@ def evaluations(monkeypatch):
 
     monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
     return calls
+
+
+_SINGLE = {"name": "s", "symmetric": True, "real": True, "entries": [{"n": 0, "expr": "exp"}]}
+_TABLE = dict(_SINGLE, entries=[{"n": 0, "expr": "table"}])
+_MALFORMED = {
+    "scale-text": (dict(_SINGLE, entries=[{"n": 0, "expr": "exp", "scale": "x"}]), "scale"),
+    "scale-null": (dict(_SINGLE, entries=[{"n": 0, "expr": "exp", "scale": None}]), "scale"),
+    "table-row-text": (dict(_TABLE, table={"1.0": [[0, "a", 0]]}), "table alpha"),
+    "table-rows-number": (dict(_TABLE, table={"1.0": 5}), "table alpha"),
+    "table-list": (dict(_TABLE, table=[1]), "table must map"),
+    "entries-number": (dict(_SINGLE, entries=5), "entries"),
+    "top-level-array": ([_SINGLE], "JSON object"),
+}
+
+
+@pytest.fixture(params=list(_MALFORMED), ids=list(_MALFORMED))
+def malformed_spec(request):
+    """A family document of the wrong shape, and the field its error names."""
+    return _MALFORMED[request.param]

@@ -1,4 +1,4 @@
-"""Dominance, admissibility, alpha-star search, crossings, asymptotics, sweeps."""
+"""Dominance, admissibility, alpha-star search, crossings, sweeps."""
 
 import math
 import threading
@@ -12,7 +12,6 @@ from unclab import (
     InvalidParameter,
     NoBracket,
     NotAttainable,
-    asymptotic_check,
     check_admissibility,
     check_dominance,
     evaluate_family,
@@ -61,14 +60,6 @@ class TestDominance:
             v = check_dominance(rescaled(exponential_family(), factor), GRID)
             assert v.verdict == "dominant"
             assert v.dominant_index == 0
-
-    def test_ratio_trace_decays_for_dominant_family(self):
-        v = check_dominance(exponential_family(), GRID)
-        for n in (-3, 1, 5):
-            trace = [v.ratio_trace[(n, a)] for a in v.grid]
-            third = len(trace) // 3
-            assert np.mean(trace[-third:]) < np.mean(trace[:third])
-            assert trace[-1] < 1e-3
 
     def test_constant_ratio_below_tie_is_inconclusive(self):
         # C_1/C_0 stays at 0.5 forever: neither decayed away nor tied
@@ -200,29 +191,9 @@ class TestBoundCrossing:
 
 
 class TestAsymptotics:
-    def test_small_alpha(self):
-        rep = asymptotic_check(exponential_family(), "small_alpha")
-        assert rep.passed
-        assert all(abs(r - 1.0) < 0.02 for r in rep.phi_ratios)
-        assert all(abs(r - 1.0) < 0.02 for r in rep.lz_ratios)
-
-    def test_large_alpha(self):
-        rep = asymptotic_check(exponential_family(), "large_alpha")
-        assert rep.passed
-        assert rep.phi_dev < 1e-4 and rep.lz_dev < 1e-4
-
     def test_small_alpha_product_near_half(self):
         row = evaluate_family(exponential_family(), 1e-3)
         assert row.var_phi * row.var_lz == pytest.approx(0.5, rel=0.01)
-
-    def test_unsupported_family(self):
-        with pytest.raises(InvalidParameter):
-            asymptotic_check(polynomial_family(), "small_alpha")
-        with pytest.raises(InvalidParameter):  # the name alone is not the family
-            asymptotic_check(CoefficientFamily("exp", polynomial_family().rule),
-                             "small_alpha")
-        with pytest.raises(InvalidParameter):
-            asymptotic_check(exponential_family(), "mid_alpha")
 
 
 class TestEngineChoice:

@@ -375,6 +375,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == f"error: family {family!r} at alpha={float(alpha)}: {reason}\n"
 
+    def test_malformed_family_document_is_a_clean_error(self, malformed_spec, tmp_path,
+                                                       capsys):
+        spec, field = malformed_spec
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["verify", "--family", "custom", "--spec", str(path), "--alpha", "1"])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert "Traceback" not in err
+
 
 class TestNonFiniteThresholds:
     @pytest.mark.parametrize(

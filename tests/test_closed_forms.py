@@ -57,6 +57,19 @@ class TestExpClosed:
         assert abs(ev.var_phi - PI2_3) < 1e-3
         assert abs(math.exp(20.0) * ev.var_lz / 2.0 - 1.0) < 1e-4
 
+    @pytest.mark.parametrize("alpha", [1e-3, 2e-3, 4e-3])
+    def test_small_alpha_limit_laws(self, alpha):
+        # sigma_phi^2 ~ alpha^2 and sigma_Lz^2 ~ 1 / (2 alpha^2) as alpha -> 0
+        ev = exp_closed(alpha)
+        assert abs(ev.var_phi / alpha**2 - 1.0) <= 0.02
+        assert abs(2.0 * alpha**2 * ev.var_lz - 1.0) <= 0.02
+
+    def test_large_alpha_limit_laws(self):
+        # sigma_phi^2 -> pi^2/3 and sigma_Lz^2 ~ 2 e^{-2 alpha} as alpha -> inf
+        ev = exp_closed(20.0)
+        assert abs(ev.var_phi / PI2_3 - 1.0) <= 1e-4
+        assert abs(math.exp(40.0) * ev.var_lz / 2.0 - 1.0) <= 1e-4
+
     def test_no_overflow_far_out(self):
         ev = exp_closed(500.0)
         assert ev.var_lz == pytest.approx(0.0, abs=1e-300)

@@ -177,6 +177,11 @@ class TestJsonInterface:
         with pytest.raises(InvalidParameter):
             family_from_dict(spec)
 
+    def test_malformed_document_names_the_field(self, malformed_spec):
+        spec, field = malformed_spec
+        with pytest.raises(InvalidParameter, match=field):
+            family_from_dict(spec)
+
     def test_real_flag_contradicting_table(self):
         with pytest.raises(InvalidParameter):
             family_from_dict(

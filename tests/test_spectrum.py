@@ -226,6 +226,29 @@ class TestBuildSpectrum:
         with pytest.raises(DegenerateState):
             build_spectrum(zero, 1.0)
 
+    def test_probes_keep_mass_past_a_quiet_stretch(self):
+        # e^{-|n|} plus spikes of 1e-3 at n = +-64: the fitted tails pass at
+        # N = 21, and only the probe past that edge sees the spikes
+        def rule(n, alpha):
+            return np.exp(-alpha * np.abs(n)) + np.where(np.abs(n) == 64, 1e-3, 0.0)
+
+        s = build_spectrum(CoefficientFamily("spiked", rule), 1.0)
+        assert s.cutoff == 64
+        assert s.coeffs[0] == s.coeffs[-1] == pytest.approx(1e-3 + math.exp(-64.0))
+
+    def test_underflowing_amplitudes_are_degenerate(self, evaluations):
+        # |1e-200|^2 underflows to 0 everywhere: the zero-tail test stops
+        # after the first ring and its probes instead of growing to n_max
+        def rule(n, alpha):
+            return np.full(np.shape(n), 1e-200)
+
+        with pytest.raises(DegenerateState) as exc_info:
+            build_spectrum(CoefficientFamily("tiny", rule), 1.0)
+        assert str(exc_info.value) == (
+            "family 'tiny' at alpha=1.0: all amplitudes below the underflow threshold"
+        )
+        assert sum(n.size for n in evaluations) == 41
+
     @pytest.mark.parametrize("alpha", [0.0, -3.0, math.nan])
     def test_invalid_alpha(self, alpha):
         with pytest.raises(InvalidParameter):
