@@ -23,7 +23,6 @@ from .closed_forms import (
     ExpFamilyEval,
     PolyFamilyEval,
     exp_closed,
-    exp_state_bound,
     poly_closed,
 )
 from .errors import (
@@ -107,7 +106,6 @@ __all__ = [
     "dilog",
     "evaluate_family",
     "exp_closed",
-    "exp_state_bound",
     "exponential_family",
     "family_from_dict",
     "find_alpha_star",

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_forms import POLY_PHI_REL_TOL, _poly_eval, exp_closed, exp_state_bound
+from .closed_forms import POLY_PHI_REL_TOL, _poly_eval, exp_closed
 from .errors import (
     DivergentMoment,
     InvalidParameter,
@@ -25,7 +25,7 @@ from .errors import (
     NotAttainable,
 )
 from .families import CoefficientFamily, exponential_family, polynomial_family
-from .moments import _state_bound, uncertainty_report
+from .moments import uncertainty_report
 from .spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL, build_spectrum
 from .spectrum import tail_second_moment
 
@@ -62,35 +62,21 @@ class SweepRow:
         return math.isnan(self.var_lz)
 
 
-def _exp_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
-    ev = exp_closed(alpha)
-    return ev.var_phi, ev.var_lz, exp_state_bound(alpha)
-
-
-def _poly_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
-    ev, spec = _poly_eval(alpha)
-    return ev.var_phi, ev.var_lz, _state_bound(spec)
-
-
-def _series_row(family: CoefficientFamily, alpha: float) -> tuple[float, float, float]:
-    rep = uncertainty_report(build_spectrum(family, alpha))
-    return rep.var_phi, rep.var_lz, rep.state_bound
-
-
 _EXP = exponential_family()
 _POLY = polynomial_family()
 
 
 def _engine(family: CoefficientFamily):
-    """The (var_phi, var_lz, state_bound) evaluator and sweep "# engine:" note
-    that serve ``family``.  A built-in matches by dataclass == (name, rule and
-    flags), so a family that only borrows a built-in's name runs the generic
-    series engine."""
+    """The evaluator alpha -> moment record (var_phi, var_lz and state_bound
+    among its fields) and sweep "# engine:" note that serve ``family``.  A
+    built-in matches by dataclass == (name, rule and flags), so a family that
+    only borrows a built-in's name runs the generic series engine."""
     if family is _EXP or family == _EXP:  # callers mostly pass the constant
-        return _exp_row, "closed forms"
+        return exp_closed, "closed forms"
     if family is _POLY or family == _POLY:
-        return _poly_row, f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
-    return _series_row, f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}"
+        return _poly_eval, f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
+    return (lambda alpha: uncertainty_report(build_spectrum(family, alpha)),
+            f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}")
 
 
 def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
@@ -100,14 +86,14 @@ def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
     closed forms; any other family, whatever its name, runs the generic
     series engine.  Divergent sigma_Lz propagates as DivergentMoment.
     """
-    var_phi, var_lz, state_bound = _engine(family)[0](family, alpha)
+    rec = _engine(family)[0](alpha)
     return SweepRow(
         alpha=float(alpha),
-        var_phi=var_phi,
-        var_lz=var_lz,
-        product=math.sqrt(var_phi * var_lz),
+        var_phi=rec.var_phi,
+        var_lz=rec.var_lz,
+        product=math.sqrt(rec.var_phi * rec.var_lz),
         hr_bound=HR_BOUND,
-        state_bound=state_bound,
+        state_bound=rec.state_bound,
     )
 
 

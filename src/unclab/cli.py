@@ -122,28 +122,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "# units: hbar = 1; product = sigma_phi * sigma_Lz",
         ",".join(_CSV_COLUMNS),
     ]
-    divergent = 0
     for r in rows:
-        if r.divergent:
-            divergent += 1
-            cells = [_fmt(r.alpha), "div", "div", "div", _fmt(r.hr_bound), "div"]
-        else:
-            cells = [
-                _fmt(r.alpha),
-                _fmt(r.var_phi),
-                _fmt(r.var_lz),
-                _fmt(r.product),
-                _fmt(r.hr_bound),
-                _fmt(r.state_bound),
-            ]
-        lines.append(",".join(cells))
+        cells = (getattr(r, c) for c in _CSV_COLUMNS)
+        lines.append(",".join("div" if math.isnan(x) else _fmt(x) for x in cells))
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_DIVERGENT_ROWS if divergent else EXIT_OK
+    return EXIT_DIVERGENT_ROWS if any(r.divergent for r in rows) else EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -157,25 +145,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         family, grid, kappa=args.kappa, N=args.tail_n, eps=args.eps
     )
     if args.json:
+        max_tail = None if math.isinf(adm.max_tail) else adm.max_tail  # JSON has no inf
         payload = {
             "family": family.name,
-            "dominance": {
-                "verdict": verdict.verdict,
-                "dominant_index": verdict.dominant_index,
-                "grid": list(verdict.grid),
-            },
-            "admissibility": {
-                "cond_i": adm.cond_i,
-                "inf_var_phi": adm.inf_var_phi,
-                "kappa": adm.kappa,
-                "cond_ii": adm.cond_ii,
-                "max_tail": None if math.isinf(adm.max_tail) else adm.max_tail,
-                "eps": adm.eps,
-                "cond_iii": adm.cond_iii,
-                "cond_iii_strict": adm.cond_iii_strict,
-                "cond_iii_nonstrict": adm.cond_iii_nonstrict,
-                "notes": adm.notes,
-            },
+            "dominance": vars(verdict),
+            "admissibility": {**vars(adm), "max_tail": max_tail},
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -232,18 +206,7 @@ def _cmd_alpha_star(args: argparse.Namespace) -> int:
         alpha = find_alpha_star(family, args.epsilon, alpha_hint=args.hint)
     except NotAttainable as exc:
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "error": "not_attainable",
-                        "best_alpha": exc.best_alpha,
-                        "best_product": exc.best_product,
-                        "edge_alpha": exc.edge_alpha,
-                        "edge_product": exc.edge_product,
-                    },
-                    sort_keys=True,
-                )
-            )
+            print(json.dumps({"error": "not_attainable", **vars(exc)}, sort_keys=True))
         else:
             print(
                 f"not attainable: smallest product {exc.best_product:.6f} at "

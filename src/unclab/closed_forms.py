@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from .errors import DivergentMoment, InvalidParameter
 from .families import polynomial_family
-from .moments import PI_SQ_OVER_3, phi_moments
-from .spectrum import TruncatedSpectrum, build_spectrum
+from .moments import PI_SQ_OVER_3, _state_bound, phi_moments
+from .spectrum import build_spectrum
 from .special import dilog, zeta
 
 # Window tolerance for the polynomial sigma_phi^2 series; the xi sum
@@ -53,6 +53,7 @@ class ExpFamilyEval:
     mean_cos: float
     var_sin: float
     var_cos: float
+    state_bound: float  # (1/2) |1 - 2 pi |f(pi)|^2|
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,7 @@ class PolyFamilyEval:
     var_lz: float
     var_phi: float
     norm_sq: float
+    state_bound: float  # (1/2) |1 - 2 pi |f(pi)|^2| of the series window
 
 
 def exp_closed(alpha: float) -> ExpFamilyEval:
@@ -79,6 +81,9 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     mean_cos = 2.0 * u / (1.0 + u * u)  # 1 / cosh(alpha), finite for any alpha
     var_sin = th * one_minus_u2 / 2.0
     var_cos = one_minus_u2**3 / (2.0 * (1.0 + u * u) ** 2)
+    # (1/2) |1 - 2 pi |f(pi)|^2| as u (2 - u + u^2) / ((1+u^2)(1+u)): no
+    # 1 - (1 - tiny) cancellation at large alpha
+    state_bound = u * (2.0 - u + u * u) / ((1.0 + u * u) * (1.0 + u))
     return ExpFamilyEval(
         alpha=float(alpha),
         var_phi=var_phi,
@@ -88,22 +93,12 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
         mean_cos=mean_cos,
         var_sin=var_sin,
         var_cos=var_cos,
+        state_bound=state_bound,
     )
 
 
-def exp_state_bound(alpha: float) -> float:
-    """(1/2) |1 - 2 pi |f(pi)|^2| for the exponential family.
-
-    Written as u (2 - u + u^2) / ((1+u^2)(1+u)) with u = e^{-alpha}, which
-    avoids the 1 - (1 - tiny) cancellation at large alpha.
-    """
-    if not (alpha > 0.0):
-        raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
-    u = math.exp(-alpha)
-    return u * (2.0 - u + u * u) / ((1.0 + u * u) * (1.0 + u))
-
-
-def _poly_eval(alpha: float) -> tuple[PolyFamilyEval, TruncatedSpectrum]:
+def _poly_eval(alpha: float) -> PolyFamilyEval:
+    """Polynomial-family moments at ``alpha``; DivergentMoment for alpha <= 3/2."""
     if not (alpha > 0.0) or math.isnan(alpha):
         raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
     if alpha <= 1.5:
@@ -115,16 +110,13 @@ def _poly_eval(alpha: float) -> tuple[PolyFamilyEval, TruncatedSpectrum]:
     var_lz = zeta(2.0 * alpha - 2.0).value / z_norm
     spec = build_spectrum(polynomial_family(), alpha, rel_tol=POLY_PHI_REL_TOL)
     _, _, var_phi = phi_moments(spec)
-    ev = PolyFamilyEval(
+    return PolyFamilyEval(
         alpha=float(alpha),
         var_lz=var_lz,
         var_phi=var_phi,
         norm_sq=1.0 / (4.0 * math.pi * z_norm),
+        state_bound=_state_bound(spec),
     )
-    return ev, spec
 
 
-def poly_closed(alpha: float) -> PolyFamilyEval:
-    """Polynomial-family moments at ``alpha``; DivergentMoment for alpha <= 3/2."""
-    ev, _ = _poly_eval(alpha)
-    return ev
+poly_closed = _poly_eval  # the public name of the same function object

@@ -23,6 +23,10 @@ from .errors import InvalidParameter
 
 # Matching tolerance for alpha keys of tabulated families.
 _TABLE_ALPHA_TOL = 1e-12
+# Largest amplitude component a rule may return.  A state's normalization
+# makes any overall scale unobservable, and below this every square and every
+# n^2 |C_n|^2 window sum stays far inside binary64.
+_AMPLITUDE_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -30,15 +34,18 @@ class CoefficientFamily:
     """Rule (n, alpha) -> complex amplitude plus symmetry metadata.
 
     ``rule`` must accept an integer ndarray and a positive float and return
-    a complex ndarray of the same shape.  ``is_symmetric`` (|C_n| = |C_{-n}|)
-    and ``is_real`` (exactly zero imaginary parts) are descriptive metadata:
-    no engine reads them, and realness and symmetry are read from the
-    coefficients themselves.  ``support_hint``, when set, promises C_n = 0
-    for |n| > support_hint, so spectrum construction keeps the whole support
-    and no tail past it.  A rule whose only amplitudes past the first ring
-    (|n| <= 16) and its probes are isolated modes (at n = +-1000, say) must
-    set it: the fitted rings of ``build_spectrum`` and ``tail_second_moment``
-    see only the indices they sample, and would read it as ending early.
+    a complex ndarray of the same shape, whose real and imaginary parts are
+    finite and at most 1e100 in modulus (only the amplitudes' ratios are
+    observable, so any family can be scaled to that).  ``is_symmetric``
+    (|C_n| = |C_{-n}|) and ``is_real`` (exactly zero imaginary parts) are
+    descriptive metadata: no engine reads them, and realness and symmetry
+    are read from the coefficients themselves.  ``support_hint``, when set,
+    promises C_n = 0 for |n| > support_hint, so spectrum construction keeps
+    the whole support and no tail past it.  A rule whose only amplitudes
+    past the first ring (|n| <= 16) and its probes are isolated modes (at
+    n = +-1000, say) must set it: the fitted rings of ``build_spectrum`` and
+    ``tail_second_moment`` see only the indices they sample, and would read
+    it as ending early.
     """
 
     name: str
@@ -58,9 +65,12 @@ class CoefficientFamily:
                 f"family {self.name!r}: rule returned shape {out.shape}, "
                 f"expected {n_arr.shape}"
             )
-        if not np.all(np.isfinite(out)):
+        # NaN fails the comparison too; no square is taken before this test
+        peak = max(np.abs(out.real).max(initial=0.0), np.abs(out.imag).max(initial=0.0))
+        if not peak <= _AMPLITUDE_MAX:
             raise InvalidParameter(
-                f"family {self.name!r}: non-finite amplitude at alpha={alpha}"
+                f"family {self.name!r} at alpha={alpha}: amplitude component {peak:g} "
+                f"is not a finite number of at most {_AMPLITUDE_MAX:g}; rescale the family"
             )
         return out
 
@@ -174,16 +184,21 @@ def _parse_table(raw: Mapping) -> dict[float, dict[int, complex]]:
             raise InvalidParameter(f"table key {key!r} is not a number")
         if not a > 0.0:
             raise InvalidParameter(f"table alpha {key!r} must be positive")
-        entry: dict[int, complex] = {}
         try:
-            for n, re, im in rows:
-                entry[int(n)] = complex(float(re), float(im))
+            values = [(n, complex(float(re), float(im))) for n, re, im in rows]
         except (TypeError, ValueError) as exc:
             raise InvalidParameter(
                 f"table alpha {key!r}: rows must be [n, re, im] numbers, got {rows!r}"
             ) from exc
-        table[a] = entry
+        table[a] = {_index(n, f"table alpha {key!r}"): v for n, v in values}
     return table
+
+
+def _index(value, where: str) -> int:
+    """A document's index n: an integer, not a float or bool that int() truncates."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameter(f"{where}: n must be an integer, got {value!r}")
+    return int(value)
 
 
 def _table_lookup(
@@ -220,10 +235,10 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
     seen: set[int] = set()
     for e in entries:
         try:
-            n = int(e["n"])
-            expr = str(e["expr"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n, expr = e["n"], str(e["expr"])
+        except (KeyError, TypeError) as exc:
             raise InvalidParameter(f"bad entry {e!r}") from exc
+        n = _index(n, f"entry {e!r}")
         if expr not in _VALID_EXPRS:
             raise InvalidParameter(
                 f"entry n={n}: expr must be one of {_VALID_EXPRS}, got {expr!r}"

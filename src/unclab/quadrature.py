@@ -507,18 +507,7 @@ class CompareReport:
         return {
             "tol": self.tol,
             "all_passed": self.all_passed,
-            "rows": [
-                {
-                    "name": r.name,
-                    "series": r.series,
-                    "quadrature": r.quadrature,
-                    "diff": r.diff,
-                    "est_error": r.est_error,
-                    "passed": r.passed,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(vars(r)) for r in self.rows],
         }
 
 

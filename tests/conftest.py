@@ -30,6 +30,16 @@ _MALFORMED = {
     "table-list": (dict(_TABLE, table=[1]), "table must map"),
     "entries-number": (dict(_SINGLE, entries=5), "entries"),
     "top-level-array": ([_SINGLE], "JSON object"),
+    "entry-index-fraction": (
+        dict(_SINGLE, entries=[{"n": 1.5, "expr": "exp"}]), "n must be an integer, got 1.5"
+    ),
+    "entry-index-bool": (
+        dict(_SINGLE, entries=[{"n": True, "expr": "exp"}]), "n must be an integer, got True"
+    ),
+    "table-index-fraction": (
+        dict(_TABLE, table={"1.0": [[0, 1, 0], [1.5, 1, 0]]}),
+        "table alpha '1.0': n must be an integer, got 1.5",
+    ),
 }
 
 

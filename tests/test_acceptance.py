@@ -16,7 +16,6 @@ from unclab import (
     build_spectrum,
     compare_report,
     exp_closed,
-    exp_state_bound,
     exponential_family,
     find_alpha_star,
     find_bound_crossing,
@@ -178,7 +177,7 @@ def test_criterion_8_state_dependent_bound_never_violated():
     worst = math.inf
     for a in GRID_40:
         ev = exp_closed(float(a))
-        margin = math.sqrt(ev.var_phi * ev.var_lz) - exp_state_bound(float(a))
+        margin = math.sqrt(ev.var_phi * ev.var_lz) - ev.state_bound
         worst = min(worst, margin)
     ok = worst >= -1e-10
     report(8, ok, f"exp grid [0.05, 10] x 40: min(product - state_bound) = "

@@ -68,6 +68,27 @@ class TestDominance:
         assert v.verdict == "inconclusive"
         assert v.dominant_index is None
 
+    def test_vanishing_tail_amplitudes_are_inconclusive(self):
+        # every probed amplitude is 0 at the largest alpha: no candidate k
+        fam = CoefficientFamily("fades", lambda n, a: np.where(n == 0, float(a < 10.0), 0.0))
+        v = check_dominance(fam, GRID)
+        assert v.verdict == "inconclusive"
+        assert v.dominant_index is None
+
+    def test_candidate_zero_somewhere_on_the_grid_is_inconclusive(self):
+        # C_0 is the largest amplitude at the grid tail but vanishes below alpha = 1
+        rule = lambda n, a: np.where(n == 0, float(a >= 1.0), np.exp(-a * np.abs(n)))
+        v = check_dominance(CoefficientFamily("late", rule), GRID)
+        assert v.verdict == "inconclusive"
+        assert v.dominant_index is None
+
+    def test_small_but_growing_ratio_is_inconclusive(self):
+        # C_1 / C_0 = 1e-5 alpha ends below DOMINANCE_THRESHOLD, but it grows
+        rule = lambda n, a: np.where(n == 0, 1.0, np.where(n == 1, 1e-5 * a, 0.0))
+        v = check_dominance(CoefficientFamily("creeping", rule), GRID)
+        assert v.verdict == "inconclusive"
+        assert v.dominant_index is None
+
     def test_grid_validation(self):
         with pytest.raises(InvalidParameter):
             check_dominance(exponential_family(), [1.0, 0.5, 2.0] * 4)
@@ -122,6 +143,19 @@ class TestAdmissibility:
         )
         assert rep.cond_i and rep.cond_ii and rep.cond_iii
         assert rep.inf_var_phi == pytest.approx(PI2_3, abs=1e-12)
+
+    def test_condition_iii_passes_on_a_run_that_skips_a_bump(self):
+        # C_1 jumps up at one grid point, so the full grid is not decreasing;
+        # the run over every other point is, and is long enough
+        def rule(n, a):
+            c1 = 2.0 if 2.0 < a < 2.5 else math.exp(-a)
+            return np.where(n == 0, 1.0, np.where(np.abs(n) == 1, c1, 0.0))
+
+        assert sum(2.0 < a < 2.5 for a in GRID) == 1
+        fam = CoefficientFamily("bump", rule, support_hint=1)
+        rep = check_admissibility(fam, GRID, kappa=0.1, N=10, eps=1.0)
+        assert rep.cond_iii and rep.cond_iii_nonstrict
+        assert not rep.cond_iii_strict  # C_0 = 1 is constant
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):

@@ -386,6 +386,18 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert "Traceback" not in err
 
+    def test_overflowing_amplitude_is_a_clean_error(self, tmp_path, capsys):
+        spec = dict(SINGLE_MODE_SPEC, entries=[
+            {"n": 0, "expr": "exp"}, {"n": 1, "expr": "exp", "scale": 1e308}
+        ])
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["verify", "--family", "custom", "--spec", str(path), "--alpha", "1"])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: family 'single' at alpha=1.0: amplitude component ")
+        assert err.count("\n") == 1
+
 
 class TestNonFiniteThresholds:
     @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from unclab import (
     NonConvergent,
     build_spectrum,
     exp_closed,
-    exp_state_bound,
     exponential_family,
     lz_moments,
     phi_moments,
@@ -74,7 +73,7 @@ class TestExpClosed:
         ev = exp_closed(500.0)
         assert ev.var_lz == pytest.approx(0.0, abs=1e-300)
         assert ev.var_phi == pytest.approx(PI2_3, abs=1e-12)
-        assert exp_state_bound(500.0) >= 0.0
+        assert ev.state_bound >= 0.0
 
     @pytest.mark.parametrize("alpha", [800.0, 1e308])
     def test_finite_beyond_cosh_overflow(self, alpha):
@@ -130,7 +129,7 @@ class TestExpBoundary:
     def test_weight_matches_naive_expression(self):
         for a in (0.3, 1.0, 5.0):
             naive = 0.5 * (1.0 - math.tanh(a) * math.tanh(a / 2.0) ** 2)
-            assert exp_state_bound(a) == pytest.approx(naive, rel=1e-14)
+            assert exp_closed(a).state_bound == pytest.approx(naive, rel=1e-14)
 
     def test_state_bound_is_cancellation_free_at_large_alpha(self):
         # 1 - 2 pi |f(pi)|^2 ~ 4 e^-alpha: the direct form loses digits,
@@ -139,8 +138,9 @@ class TestExpBoundary:
         want = math.exp(-a) * (2.0 - math.exp(-a) + math.exp(-2 * a)) / (
             (1.0 + math.exp(-2 * a)) * (1.0 + math.exp(-a))
         )
-        assert exp_state_bound(a) == pytest.approx(want, rel=1e-15)
-        assert exp_state_bound(a) == pytest.approx(2.0 * math.exp(-a), rel=1e-12)
+        bound = exp_closed(a).state_bound
+        assert bound == pytest.approx(want, rel=1e-15)
+        assert bound == pytest.approx(2.0 * math.exp(-a), rel=1e-12)
 
 
 class TestPolyClosed:

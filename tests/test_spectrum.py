@@ -474,6 +474,44 @@ class TestFiniteSupport:
         assert evaluations == []
 
 
+class TestOverflowingAmplitudes:
+    """An amplitude whose square could overflow fails where it is evaluated,
+    before any window sum: with a clean error, not a warning or NaN moments."""
+
+    BIG_DOC = {
+        "name": "big",
+        "symmetric": True,
+        "real": True,
+        "entries": [{"n": 0, "expr": "exp"}, {"n": 1, "expr": "exp", "scale": 1e308}],
+    }
+
+    @staticmethod
+    def assert_rejected(family, alpha, peak):
+        with pytest.raises(InvalidParameter) as info:
+            build_spectrum(family, alpha)
+        assert str(info.value).startswith(
+            f"family {family.name!r} at alpha={alpha}: amplitude component {peak:g} "
+            "is not a finite number of at most 1e+100"
+        )
+
+    def test_support_path_document(self):
+        self.assert_rejected(family_from_dict(self.BIG_DOC), 0.5, 1e308 * math.exp(-0.5))
+
+    def test_support_path_table(self):
+        self.assert_rejected(table_family("big_table", {0: 1.0, 2: 1e200}), 1.0, 1e200)
+
+    def test_ring_path(self):
+        def rule(n, a):
+            return np.where(n == 3, 1e200, np.exp(-a * np.abs(n))).astype(np.complex128)
+
+        self.assert_rejected(CoefficientFamily("big_ring", rule), 1.0, 1e200)
+
+    def test_largest_allowed_amplitude_builds(self):
+        s = build_spectrum(table_family("edge", {0: 1.0, 2: 1e100}), 1.0)
+        assert s.sum_sq == pytest.approx(1e200, rel=1e-15)
+        assert math.isfinite(s.sum_n2) and math.isfinite(s.norm_sq)
+
+
 class TestEvaluateState:
     def test_single_mode_is_uniform(self):
         s = build_spectrum(single_mode_family(0), 1.0)
