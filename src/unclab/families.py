@@ -23,7 +23,7 @@ from .errors import InvalidParameter
 
 # Matching tolerance for alpha keys of tabulated families.
 _TABLE_ALPHA_TOL = 1e-12
-# Largest amplitude component a rule may return.  A state's normalization
+# Largest amplitude modulus a rule may return.  A state's normalization
 # makes any overall scale unobservable, and below this every square and every
 # n^2 |C_n|^2 window sum stays far inside binary64.
 _AMPLITUDE_MAX = 1e100
@@ -65,11 +65,11 @@ class CoefficientFamily:
                 f"family {self.name!r}: rule returned shape {out.shape}, "
                 f"expected {n_arr.shape}"
             )
-        # NaN fails the comparison too; no square is taken before this test
-        peak = max(np.abs(out.real).max(initial=0.0), np.abs(out.imag).max(initial=0.0))
+        # a NaN part gives a NaN modulus, which fails the test; no square comes first
+        peak = np.abs(out).max(initial=0.0)
         if not peak <= _AMPLITUDE_MAX:
             raise InvalidParameter(
-                f"family {self.name!r} at alpha={alpha}: amplitude component {peak:g} "
+                f"family {self.name!r} at alpha={alpha}: amplitude modulus {peak:g} "
                 f"is not a finite number of at most {_AMPLITUDE_MAX:g}; rescale the family"
             )
         return out

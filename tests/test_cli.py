@@ -395,7 +395,7 @@ class TestVerify:
         rc = main(["verify", "--family", "custom", "--spec", str(path), "--alpha", "1"])
         assert rc == EXIT_INVALID
         err = capsys.readouterr().err
-        assert err.startswith("error: family 'single' at alpha=1.0: amplitude component ")
+        assert err.startswith("error: family 'single' at alpha=1.0: amplitude modulus ")
         assert err.count("\n") == 1
 
 

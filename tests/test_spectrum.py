@@ -490,21 +490,42 @@ class TestOverflowingAmplitudes:
         with pytest.raises(InvalidParameter) as info:
             build_spectrum(family, alpha)
         assert str(info.value).startswith(
-            f"family {family.name!r} at alpha={alpha}: amplitude component {peak:g} "
+            f"family {family.name!r} at alpha={alpha}: amplitude modulus {peak:g} "
             "is not a finite number of at most 1e+100"
         )
 
-    def test_support_path_document(self):
-        self.assert_rejected(family_from_dict(self.BIG_DOC), 0.5, 1e308 * math.exp(-0.5))
+    NAN_DOC = {
+        "name": "nan_table",
+        "symmetric": True,
+        "real": False,
+        "entries": [{"n": 0, "expr": "table"}],
+        "table": {"1.0": [[0, 1, "nan"]]},
+    }
 
-    def test_support_path_table(self):
-        self.assert_rejected(table_family("big_table", {0: 1.0, 2: 1e200}), 1.0, 1e200)
+    @pytest.mark.parametrize(
+        "doc, alpha, peak",
+        [(BIG_DOC, 0.5, 1e308 * math.exp(-0.5)), (NAN_DOC, 1.0, math.nan)],
+        ids=["huge-scale", "nan-row"],
+    )
+    def test_support_path_document(self, doc, alpha, peak):
+        self.assert_rejected(family_from_dict(doc), alpha, peak)
 
-    def test_ring_path(self):
+    @pytest.mark.parametrize(
+        "c, peak", [(1e200, 1e200), (complex(1.0, math.nan), math.nan)], ids=["huge", "nan-imag"]
+    )
+    def test_support_path_table(self, c, peak):
+        self.assert_rejected(table_family("big_table", {0: 1.0, 2: c}), 1.0, peak)
+
+    @pytest.mark.parametrize(
+        "c, peak",
+        [(1e200, 1e200), (complex(1.0, math.nan), math.nan), (complex(math.nan, 0.0), math.nan)],
+        ids=["huge", "nan-imag", "nan-real"],
+    )
+    def test_ring_path(self, c, peak):
         def rule(n, a):
-            return np.where(n == 3, 1e200, np.exp(-a * np.abs(n))).astype(np.complex128)
+            return np.where(n == 3, c, np.exp(-a * np.abs(n))).astype(np.complex128)
 
-        self.assert_rejected(CoefficientFamily("big_ring", rule), 1.0, 1e200)
+        self.assert_rejected(CoefficientFamily("big_ring", rule), 1.0, peak)
 
     def test_largest_allowed_amplitude_builds(self):
         s = build_spectrum(table_family("edge", {0: 1.0, 2: 1e100}), 1.0)
