@@ -1,8 +1,9 @@
 """Command-line surface: sweeps, family checks, searches, verification.
 
-Exit codes: 0 success, 1 invalid parameters, 2 divergent rows in a sweep,
-3 no unique dominant coefficient, 4 inconclusive dominance,
-5 target not attainable / no bracket, 6 verification failures.
+Exit codes: 0 success, 1 invalid parameters or another library error,
+2 divergent rows in a sweep, 3 no unique dominant coefficient,
+4 inconclusive dominance, 5 target not attainable / no bracket,
+6 verification failures.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .errors import (
     DivergentMoment,
     InvalidParameter,
     NoBracket,
-    NonConvergent,
     NotAttainable,
-    ToleranceNotMet,
+    UncLabError,
 )
 from .families import (
     CoefficientFamily,
@@ -312,13 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InvalidParameter,
-        NonConvergent,
-        DivergentMoment,
-        ToleranceNotMet,
-        OSError,
-    ) as exc:
+    except (UncLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

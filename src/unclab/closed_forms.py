@@ -49,7 +49,6 @@ class ExpFamilyEval:
     var_phi: float
     var_lz: float
     g_value: float
-    dilog_value: float
     mean_cos: float
     var_sin: float
     var_cos: float
@@ -63,7 +62,6 @@ class PolyFamilyEval:
     alpha: float
     var_lz: float
     var_phi: float
-    norm_sq: float
     state_bound: float  # (1/2) |1 - 2 pi |f(pi)|^2| of the series window
 
 
@@ -89,7 +87,6 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
         var_phi=var_phi,
         var_lz=var_lz,
         g_value=g,
-        dilog_value=li2,
         mean_cos=mean_cos,
         var_sin=var_sin,
         var_cos=var_cos,
@@ -114,7 +111,6 @@ def _poly_eval(alpha: float) -> PolyFamilyEval:
         alpha=float(alpha),
         var_lz=var_lz,
         var_phi=var_phi,
-        norm_sq=1.0 / (4.0 * math.pi * z_norm),
         state_bound=_state_bound(spec),
     )
 

@@ -74,10 +74,6 @@ class CoefficientFamily:
             )
         return out
 
-    def coefficient(self, n: int, alpha: float) -> complex:
-        """Single-index convenience wrapper around ``coefficients``."""
-        return complex(self.coefficients([n], alpha)[0])
-
 
 def _exp_rule(n: np.ndarray, alpha: float) -> np.ndarray:
     # every |n| >= 1 amplitude is exactly 0.0 past alpha ~ 745.2; the clamp stops overflow
@@ -284,10 +280,11 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
 
 
 def load_family(path: str | Path) -> CoefficientFamily:
-    """Load a custom family from a JSON file."""
+    """Load a custom family from a UTF-8 JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameter(f"{path}: not valid JSON ({exc})") from exc
+        # json recurses once per nesting level: a deep document raises RecursionError
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise InvalidParameter(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     return family_from_dict(spec)

@@ -35,7 +35,6 @@ from .errors import DivergentMoment
 from .spectrum import TruncatedSpectrum, _fsum, boundary_density
 
 PI_SQ_OVER_3 = math.pi ** 2 / 3.0
-HR_BOUND_SQ = 0.25  # (hbar/2)^2 with hbar = 1
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,6 @@ class MomentReport:
     mean_lz: float
     second_lz: float
     var_lz: float
-    xi: float
-    product_sq: float      # var_phi * var_lz
-    hr_bound_sq: float     # 0.25, the naive Heisenberg-Robertson square
     state_bound: float     # (1/2) |1 - 2 pi |f(pi)|^2|
 
 
@@ -118,8 +114,8 @@ def lz_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
 
 
 def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:
-    """Full angle/angular-momentum moment set plus both lower bounds."""
-    mean_phi, second_phi, var_phi, xi = _phi_from_shells(s)
+    """Angle and angular-momentum moments plus the state-dependent lower bound."""
+    mean_phi, second_phi, var_phi, _ = _phi_from_shells(s)
     mean_lz, second_lz, var_lz = lz_moments(s)
     return MomentReport(
         mean_phi=mean_phi,
@@ -128,9 +124,6 @@ def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:
         mean_lz=mean_lz,
         second_lz=second_lz,
         var_lz=var_lz,
-        xi=xi,
-        product_sq=var_phi * var_lz,
-        hr_bound_sq=HR_BOUND_SQ,
         state_bound=_state_bound(s),
     )
 

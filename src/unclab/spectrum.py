@@ -97,14 +97,16 @@ def _too_slow(series: str, est: _TailEstimate) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _tail_samples(lo_n: int, hi_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-spaced sample indices over [lo_n, hi_n], as ints and floats, and
-    the fit design with columns [1, n/n_last, ln n].
+def _tail_samples(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-spaced sample indices over the outer half max(1, size // 2) ..
+    size of a window, as ints and floats, and the fit design with columns
+    [1, n/n_last, ln n].  The first sample is the half's first index.
 
-    The cached arrays are read-only: every ring over the range shares them.
+    The cached arrays are read-only: every ring of one size shares them.
     """
+    lo_n = max(1, size // 2)
     idx = np.unique(
-        np.geomspace(lo_n, hi_n, num=min(_TAIL_SAMPLES, hi_n - lo_n + 1)).astype(int)
+        np.geomspace(lo_n, size, num=min(_TAIL_SAMPLES, size - lo_n + 1)).astype(int)
     )
     ns = idx.astype(float)
     design = np.column_stack([np.ones_like(ns), ns / ns[-1], np.log(ns)])
@@ -180,25 +182,20 @@ def _classify_tail(
     )
 
 
-def _tail_estimate(
-    columns: tuple[np.ndarray, ...], lo_n: int, hi_n: int
-) -> tuple[_TailEstimate, ...]:
-    """Classify each column's decay over the index range [lo_n, hi_n].
+def _tail_estimate(columns: tuple[np.ndarray, ...]) -> tuple[_TailEstimate, ...]:
+    """Classify each column's decay over the outer half of its window.
 
     Every column holds a sequence for n = 1..len, all of one length.  They
     share one log-spaced sample set (samples spread out so that slope fits
     stay well conditioned) and one least-squares fit with a right-hand
-    side per column; all-zero windows and samples at the underflow floor
+    side per column; all-zero halves and samples at the underflow floor
     are sorted out per column before the fit.
     """
-    lo_n = max(1, lo_n)
-    if hi_n < lo_n or columns[0].size < lo_n:
-        return (_UNRESOLVED,) * len(columns)
-    idx, ns, design = _tail_samples(lo_n, hi_n)
+    idx, ns, design = _tail_samples(columns[0].size)
     out: list[_TailEstimate] = []
     fit: list[int] = []
     for values in columns:
-        if float(values[lo_n - 1 : hi_n].max()) <= _ZERO_FLOOR:
+        if float(values[idx[0] - 1 :].max()) <= _ZERO_FLOOR:
             out.append(_TailEstimate("zero", 0.0, 0.0))
         elif idx.size < 4 or np.any(values[idx - 1] <= _ZERO_FLOOR):
             out.append(_UNRESOLVED)
@@ -296,11 +293,6 @@ class TruncatedSpectrum:
     sum_n2: float                           # window sum n^2 |C_n|^2
 
     @property
-    def amplitude(self) -> float:
-        """A, the positive real root of |A|^2 (global phase unobservable)."""
-        return math.sqrt(self.norm_sq)
-
-    @property
     def lz_divergent(self) -> bool:
         """True when the family's n^2 |C_n|^2 series is non-summable."""
         return math.isinf(self.tail_bound)
@@ -309,11 +301,6 @@ class TruncatedSpectrum:
     def shells(self) -> np.ndarray:
         """S_k = sum_n conj(C_n) C_{n+k}, k = 1 .. 2N: one pass per state, read-only."""
         return _shell_sums(self.coeffs)
-
-    def coefficient(self, n: int) -> complex:
-        if abs(n) > self.cutoff:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.cutoff])
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +364,7 @@ def _rings(family: CoefficientFamily, alpha: float, n_max: int) -> Iterator[_Rin
         # first-order sensitivity of the off-diagonal 1/(n-m)^2 sums to a
         # dropped amplitude at n; quadratic mass criteria alone miss it
         x = (np.abs(cp) + np.abs(cm)) / (ns * ns)
-        yield _Ring(edge, cp, cm, u, v, x, *_tail_estimate((u, v, x), edge // 2, edge))
+        yield _Ring(edge, cp, cm, u, v, x, *_tail_estimate((u, v, x)))
 
 
 # --------------------------------------------------------------------------
@@ -697,7 +684,7 @@ def build_spectrum(
         coeffs = family.coefficients(np.arange(-support, support + 1), alpha)
         return _window(family, alpha, coeffs, 0.0, 0.0, 0.0)
 
-    c0 = complex(family.coefficient(0, alpha))
+    c0 = complex(family.coefficients(0, alpha)[0])
     u0 = abs(c0) ** 2
     for n_edge, cp, cm, u, v, x, u_est, v_est, x_est in _rings(family, alpha, n_max):
         if u_est.kind == "divergent":
@@ -740,7 +727,7 @@ def build_spectrum(
 def boundary_density(s: TruncatedSpectrum) -> float:
     """|f(pi)|^2 = |A sum_n C_n e^{i n pi}|^2, the density entering the state-dependent bound."""
     phases = np.exp(1j * math.pi * np.arange(-s.cutoff, s.cutoff + 1))
-    return abs(s.amplitude * complex(np.dot(s.coeffs, phases))) ** 2
+    return abs(math.sqrt(s.norm_sq) * complex(np.dot(s.coeffs, phases))) ** 2
 
 
 # --------------------------------------------------------------------------

@@ -47,3 +47,18 @@ _MALFORMED = {
 def malformed_spec(request):
     """A family document of the wrong shape, and the field its error names."""
     return _MALFORMED[request.param]
+
+
+_UNREADABLE = {
+    "not-utf8": (b"\xff\xfe{}", "can't decode byte 0xff"),
+    "nested-5000-deep": (b"[" * 5000 + b"]" * 5000, "maximum recursion depth"),
+}
+
+
+@pytest.fixture(params=list(_UNREADABLE), ids=list(_UNREADABLE))
+def unreadable_document(request, tmp_path):
+    """A family document file no JSON reader accepts, and what its error says."""
+    raw, reason = _UNREADABLE[request.param]
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(raw)
+    return path, reason

@@ -14,7 +14,7 @@ def evaluate_state(s, phi: float) -> complex:
     if not (-math.pi - _PHI_SLACK <= phi <= math.pi + _PHI_SLACK):
         raise InvalidParameter(f"phi must lie in [-pi, pi], got {phi!r}")
     phases = np.exp(1j * phi * np.arange(-s.cutoff, s.cutoff + 1))
-    return s.amplitude * complex(np.dot(s.coeffs, phases))
+    return math.sqrt(s.norm_sq) * complex(np.dot(s.coeffs, phases))
 
 
 def exp_xi_resummed(alpha: float, k_max: int = 200_000) -> float:

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV schema and determinism, JSON output."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -19,6 +20,7 @@ from unclab.cli import (
     main,
 )
 from unclab.closed_forms import POLY_PHI_REL_TOL
+from unclab.quadrature import ComparisonRow
 from unclab.spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL
 
 SINGLE_MODE_SPEC = {
@@ -252,6 +254,13 @@ class TestCheck:
         assert adm["cond_ii"] is False
         assert adm["max_tail"] == pytest.approx(2000.0, rel=1e-14)
 
+    def test_reversed_grid_is_invalid(self, capsys):
+        rc = main(["check", "--family", "exp", "--grid-min", "2", "--grid-max", "1"])
+        assert rc == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad grid [2.0, 1.0] x 16\n"
+
     def test_missing_spec_for_custom(self, capsys):
         assert main(["check", "--family", "custom"]) == EXIT_INVALID
 
@@ -292,6 +301,14 @@ class TestCrossing:
         assert main(["crossing", "--family", "poly", "--target", "0.5"]) \
             == EXIT_NOT_ATTAINABLE
 
+    def test_no_bracket_json(self, capsys):
+        rc = main(["crossing", "--family", "poly", "--target", "0.1", "--json"])
+        assert rc == EXIT_NOT_ATTAINABLE
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "no_bracket",
+            "detail": "product(alpha) - 0.1 has no sign change on [0.001, 50]",
+        }
+
 
 class TestAlphaStar:
     def test_exponential(self, capsys):
@@ -309,6 +326,13 @@ class TestAlphaStar:
         assert payload["error"] == "not_attainable"
         assert abs(payload["edge_product"] - 1.9467583655134124) < 2e-3
         assert payload["best_product"] >= 1.0
+
+    def test_polynomial_not_attainable_text(self, capsys):
+        rc = main(["alpha-star", "--family", "poly", "--epsilon", "0.01"])
+        assert rc == EXIT_NOT_ATTAINABLE
+        assert capsys.readouterr().out.startswith(
+            "not attainable: smallest product 1.889047 at alpha=4; "
+        )
 
     def test_infinite_hint_is_invalid(self, capsys):
         rc = main(["alpha-star", "--family", "exp", "--epsilon", "0.01",
@@ -344,6 +368,17 @@ class TestVerify:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "n/a" in out and "divergent" in out
+
+    def test_polynomial_divergent_rows_json(self, capsys):
+        rc = main(["verify", "--family", "poly", "--alpha", "1.4",
+                   "--rel-tol", "1e-5", "--json"])
+        assert rc == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        fields = {f.name for f in dataclasses.fields(ComparisonRow)}
+        assert all(set(row) == fields for row in rows)
+        lz = [row for row in rows if row["name"] in ("mean_lz", "second_lz", "var_lz")]
+        assert len(lz) == 3
+        assert all(row["passed"] is None and row["est_error"] is None for row in lz)
 
     def test_failed_tolerance_exit_code(self, capsys):
         # absurdly tight per-moment tolerance makes rows fail, not raise
@@ -385,6 +420,32 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert "Traceback" not in err
+
+    def test_unreadable_family_document_is_a_clean_error(self, unreadable_document, capsys):
+        path, reason = unreadable_document
+        rc = main(["verify", "--family", "custom", "--spec", str(path), "--alpha", "1"])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid UTF-8 JSON (")
+        assert reason in err and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "--alpha", "1"], ["sweep", "--min", "1", "--max", "2", "--steps", "2"]],
+        ids=["verify", "sweep"],
+    )
+    def test_all_zero_document_is_a_clean_error(self, command, tmp_path, capsys):
+        spec = dict(SINGLE_MODE_SPEC, name="zero", entries=[{"n": 0, "expr": "table"}],
+                    table={"1.0": [[0, 0, 0]]})
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(spec))
+        rc = main([command[0], "--family", "custom", "--spec", str(path), *command[1:]])
+        assert rc == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: family 'zero' at alpha=1.0: all amplitudes below the underflow threshold\n"
+        )
 
     def test_overflowing_amplitude_is_a_clean_error(self, tmp_path, capsys):
         spec = dict(SINGLE_MODE_SPEC, entries=[

@@ -200,6 +200,13 @@ class TestJsonInterface:
         with pytest.raises(InvalidParameter):
             load_family(path)
 
+    def test_unreadable_file_names_the_path(self, unreadable_document):
+        path, reason = unreadable_document
+        with pytest.raises(InvalidParameter) as info:
+            load_family(path)
+        assert str(info.value).startswith(f"{path}: not valid UTF-8 JSON (")
+        assert reason in str(info.value)
+
 
 _INDEX = st.integers(-40, 40)
 

@@ -60,8 +60,8 @@ def brute_xi(spec) -> complex:
                 continue
             k = n - m
             total += (
-                spec.coefficient(m).conjugate()
-                * spec.coefficient(n)
+                complex(spec.coeffs[m + N]).conjugate()
+                * complex(spec.coeffs[n + N])
                 * (-1.0) ** abs(k)
                 / k**2
             )
@@ -77,8 +77,8 @@ def brute_mean_phi(spec) -> complex:
                 continue
             k = n - m
             total += (
-                spec.coefficient(m).conjugate()
-                * spec.coefficient(n)
+                complex(spec.coeffs[m + N]).conjugate()
+                * complex(spec.coeffs[n + N])
                 * (-1.0) ** abs(k)
                 / (1j * k)
             )
@@ -201,23 +201,23 @@ class TestLzMoments:
 class TestUncertaintyReport:
     def test_exponential_alpha_one(self):
         rep = uncertainty_report(build_spectrum(exponential_family(), 1.0))
-        assert rep.product_sq == pytest.approx(0.35513887348905629, abs=1e-9)
-        assert rep.product_sq > rep.hr_bound_sq == 0.25
+        assert rep.var_phi * rep.var_lz == pytest.approx(0.35513887348905629, abs=1e-9)
+        assert rep.var_phi * rep.var_lz > 0.25
         assert rep.state_bound == pytest.approx(0.41867992071787263, abs=1e-8)
 
     def test_exponential_alpha_two_violates_hr(self):
         rep = uncertainty_report(build_spectrum(exponential_family(), 2.0))
-        assert rep.product_sq < 0.25
+        assert rep.var_phi * rep.var_lz < 0.25
 
     def test_single_mode_saturates_trivially(self):
         rep = uncertainty_report(build_spectrum(single_mode_family(0), 1.0))
-        assert rep.product_sq == 0.0
+        assert rep.var_phi * rep.var_lz == 0.0
         assert rep.state_bound == pytest.approx(0.0, abs=1e-14)
 
     def test_state_dependent_bound_on_grid(self):
         for a in np.geomspace(0.05, 10.0, 12):
             rep = uncertainty_report(build_spectrum(exponential_family(), float(a)))
-            assert math.sqrt(rep.product_sq) >= rep.state_bound - 1e-10
+            assert math.sqrt(rep.var_phi * rep.var_lz) >= rep.state_bound - 1e-10
 
     def test_var_phi_consistency(self):
         rep = uncertainty_report(build_spectrum(exponential_family(), 0.7))
@@ -250,7 +250,7 @@ class TestUncertaintyReport:
             # every angle and trig moment of a state reads one shell pass
             assert passes == [s.coeffs.size]
             assert (rep.mean_phi, rep.second_phi, rep.var_phi) == (mean, second, var)
-            assert rep.xi == xi
+            assert rep.second_phi == PI2_3 + 4.0 * PI * s.norm_sq * xi
             assert tr == trig_report(s)
             assert s.shells.shape == (2 * s.cutoff,)
             assert not s.shells.flags.writeable

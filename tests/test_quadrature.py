@@ -136,7 +136,7 @@ def _weight_transform(name: str, k: int):
 def finite_exact(s) -> dict[str, float]:
     """Moments of a finite-support state from exact pair integrals at 40 digits."""
     with mpmath.workdps(40):
-        c = {n: mpmath.mpc(s.coefficient(n)) for n in range(-s.cutoff, s.cutoff + 1)}
+        c = {n - s.cutoff: mpmath.mpc(complex(v)) for n, v in enumerate(s.coeffs)}
         c = {n: v for n, v in c.items() if v != 0}
         a2 = mpmath.mpf(s.norm_sq)
 
@@ -467,8 +467,8 @@ class TestSharedMesh:
         panels = rows.shape[1]
         h = 2.0 * PI / panels
         delta = h * _gauss_legendre()[0][0]
-        values = s.amplitude * (rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0])
-        scale = s.amplitude * np.abs(s.coeffs).sum()
+        values = math.sqrt(s.norm_sq) * (rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0])
+        scale = math.sqrt(s.norm_sq) * np.abs(s.coeffs).sum()
         for j in (0, 1, panels // 3, panels // 2, panels - 1):
             # the float nearest the node: -PI + delta + h * j rounds by
             # several ulps of pi, which f' turns into 1e-13 near phi = pi
