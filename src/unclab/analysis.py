@@ -191,6 +191,15 @@ def _index_range(name: str, bound: int) -> None:
         raise InvalidParameter(f"{name} must be <= {DEFAULT_N_MAX}, got {bound!r}")
 
 
+def _magnitudes(family: CoefficientFamily, grid: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """|C_n(alpha)| for n in ``ns``, one row per grid alpha; filled in place,
+    since a stacked list of rows would double the peak memory."""
+    mags = np.empty((grid.size, ns.size))
+    for row, a in zip(mags, grid):
+        row[:] = np.abs(family.coefficients(ns, float(a)))
+    return mags
+
+
 def check_dominance(
     family: CoefficientFamily,
     alpha_grid: Sequence[float],
@@ -207,39 +216,24 @@ def check_dominance(
     grid = _validate_grid(alpha_grid)
     _index_range("n_probe", n_probe)
     ns = np.arange(-n_probe, n_probe + 1)
-    mags = np.empty((grid.size, ns.size))
-    for i, a in enumerate(grid):
-        mags[i] = np.abs(family.coefficients(ns, float(a)))
-
-    tail_mags = mags[-1]
-    k_pos = int(np.argmax(tail_mags))
-    k = int(ns[k_pos])
-    if tail_mags[k_pos] <= 0.0:
-        return DominanceVerdict(None, "inconclusive", tuple(grid))
-
-    ref = mags[:, k_pos]
+    ratios = _magnitudes(family, grid, ns)
+    k_pos = int(np.argmax(ratios[-1]))
+    ref = ratios[:, k_pos].copy()
     if np.any(ref <= 0.0):  # candidate must be nonzero for every alpha
         return DominanceVerdict(None, "inconclusive", tuple(grid))
 
-    others = [j for j in range(ns.size) if j != k_pos]
-    tail_ratios = np.array([mags[-1, j] / ref[-1] for j in others])
-    if tail_ratios.size and tail_ratios.max() >= 1.0 - _TIE_MARGIN:
+    # every other trace over the candidate's, in place; the candidate reads 0
+    ratios /= ref[:, None]
+    ratios[:, k_pos] = 0.0
+    if ratios[-1].max() >= 1.0 - _TIE_MARGIN:
         return DominanceVerdict(None, "no_unique_dominant", tuple(grid))
 
     third = max(1, grid.size // 3)
-    decayed = True
-    for j in others:
-        ratios = mags[:, j] / ref
-        if ratios[-1] >= DOMINANCE_THRESHOLD:
-            decayed = False
-            break
-        head = float(np.mean(ratios[:third]))
-        tail = float(np.mean(ratios[-third:]))
-        if tail > head + 1e-15:  # not decreasing toward zero
-            decayed = False
-            break
-    if decayed:
-        return DominanceVerdict(k, "dominant", tuple(grid))
+    head = ratios[:third].mean(axis=0)
+    tail = ratios[-third:].mean(axis=0)
+    # decayed below the threshold, and not increasing from head to tail
+    if ratios[-1].max() < DOMINANCE_THRESHOLD and np.all(tail <= head + 1e-15):
+        return DominanceVerdict(int(ns[k_pos]), "dominant", tuple(grid))
     return DominanceVerdict(None, "inconclusive", tuple(grid))
 
 
@@ -259,8 +253,22 @@ class AdmissibilityReport:
     eps: float
     cond_iii: bool            # headline, nonstrict reading
     cond_iii_strict: bool
-    cond_iii_nonstrict: bool
     notes: str = ""
+
+
+def _decreasing_run(mags: np.ndarray, below) -> bool:
+    """Condition (iii) under ``below`` (np.less_equal or np.less): the grid's
+    rows decrease throughout, or a greedy run over max(3, G // 2) of them does."""
+    if below(mags[1:], mags[:-1]).all():
+        return True
+    # run[i]: length of the greedy run from point i, which steps to the first
+    # later point whose every amplitude is below point i's
+    run = np.ones(len(mags), dtype=int)
+    for i in range(len(mags) - 2, -1, -1):
+        later = np.flatnonzero(below(mags[i + 1:], mags[i]).all(axis=1))
+        if later.size:
+            run[i] += run[i + 1 + later[0]]
+    return bool(run.max() >= max(3, len(mags) // 2))
 
 
 def check_admissibility(
@@ -285,8 +293,7 @@ def check_admissibility(
     _index_range("N", N)
     notes: list[str] = []
 
-    var_phis = [evaluate_family(family, float(a)).var_phi for a in grid]
-    inf_var = min(var_phis)
+    inf_var = min(evaluate_family(family, float(a)).var_phi for a in grid)
     cond_i = inf_var >= kappa
 
     try:
@@ -298,31 +305,10 @@ def check_admissibility(
         cond_ii = False
         notes.append(f"condition (ii): tail not summable ({exc})")
 
-    ns = np.arange(-N, N + 1)
-    mags = np.stack([np.abs(family.coefficients(ns, float(a))) for a in grid])
-
-    def chain_ok(strict: bool) -> bool:
-        # full grid first, then the longest greedy subsequence
-        def step_ok(i: int, j: int) -> bool:
-            if strict:
-                return bool(np.all(mags[j] < mags[i]))
-            return bool(np.all(mags[j] <= mags[i]))
-
-        if all(step_ok(i, i + 1) for i in range(grid.size - 1)):
-            return True
-        best = 1
-        for start in range(grid.size):
-            length, cur = 1, start
-            for j in range(start + 1, grid.size):
-                if step_ok(cur, j):
-                    length += 1
-                    cur = j
-            best = max(best, length)
-        return best >= max(3, grid.size // 2)
-
-    cond_iii_nonstrict = chain_ok(strict=False)
-    cond_iii_strict = chain_ok(strict=True)
-    if cond_iii_nonstrict and not cond_iii_strict:
+    mags = _magnitudes(family, grid, np.arange(-N, N + 1))
+    cond_iii = _decreasing_run(mags, np.less_equal)
+    cond_iii_strict = _decreasing_run(mags, np.less)
+    if cond_iii and not cond_iii_strict:
         notes.append(
             "condition (iii): passes with nonstrict (<=) coefficient decrease "
             "only; some amplitude is constant in alpha"
@@ -335,9 +321,8 @@ def check_admissibility(
         cond_ii=cond_ii,
         max_tail=max_tail,
         eps=eps,
-        cond_iii=cond_iii_nonstrict,
+        cond_iii=cond_iii,
         cond_iii_strict=cond_iii_strict,
-        cond_iii_nonstrict=cond_iii_nonstrict,
         notes="; ".join(notes),
     )
 

@@ -171,7 +171,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(
             f"admissibility (iii): {'pass' if adm.cond_iii else 'fail'} "
             f"(strict={'pass' if adm.cond_iii_strict else 'fail'}, "
-            f"nonstrict={'pass' if adm.cond_iii_nonstrict else 'fail'})"
+            f"nonstrict={'pass' if adm.cond_iii else 'fail'})"
         )
         if adm.notes:
             print(f"notes: {adm.notes}")

@@ -27,6 +27,9 @@ _TABLE_ALPHA_TOL = 1e-12
 # makes any overall scale unobservable, and below this every square and every
 # n^2 |C_n|^2 window sum stays far inside binary64.
 _AMPLITUDE_MAX = 1e100
+# Largest index modulus: an int64 holds +-(2^63 - 1), and np.abs of it does
+# not wrap as it does at -2^63.
+_INDEX_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,11 @@ def _finite_support(
     is_symmetric: bool,
 ) -> CoefficientFamily:
     """Family with ``amplitudes(alpha)`` at the sorted ``indices``, zero elsewhere."""
+    far = [n for n in indices if abs(n) > _INDEX_MAX]
+    if far:
+        raise InvalidParameter(
+            f"family {name!r}: entry n={far[0]} is outside the index range +-(2^63 - 1)"
+        )
     keys = np.asarray(indices, dtype=np.int64)
 
     def rule(n: np.ndarray, alpha: float) -> np.ndarray:

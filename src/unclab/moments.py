@@ -110,7 +110,8 @@ def lz_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
     two_pi_a2 = 2.0 * math.pi * s.norm_sq
     mean = two_pi_a2 * s.sum_n1
     second = two_pi_a2 * s.sum_n2
-    return mean, second, second - mean * mean
+    # a variance is never negative; a single mode at n != 0 can cancel to -1e-15
+    return mean, second, max(second - mean * mean, 0.0)
 
 
 def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:

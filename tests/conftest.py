@@ -36,6 +36,14 @@ _MALFORMED = {
     "entry-index-bool": (
         dict(_SINGLE, entries=[{"n": True, "expr": "exp"}]), "n must be an integer, got True"
     ),
+    "entry-index-past-int64": (
+        dict(_SINGLE, entries=[{"n": 2**63, "expr": "exp"}]),
+        "entry n=9223372036854775808 is outside the index range",
+    ),
+    "entry-index-int64-min": (
+        dict(_SINGLE, entries=[{"n": 0, "expr": "exp"}, {"n": -2**63, "expr": "exp"}]),
+        "entry n=-9223372036854775808 is outside the index range",
+    ),
     "table-index-fraction": (
         dict(_TABLE, table={"1.0": [[0, 1, 0], [1.5, 1, 0]]}),
         "table alpha '1.0': n must be an integer, got 1.5",

@@ -2,9 +2,12 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from unclab import (
     CoefficientFamily,
@@ -24,6 +27,8 @@ from unclab import (
     table_family,
 )
 from unclab.spectrum import DEFAULT_N_MAX
+
+from oracles import decreasing_run_by_pairs, dominance_by_loop
 
 PI2_3 = math.pi**2 / 3.0
 GRID = np.geomspace(0.5, 20.0, 16)
@@ -128,7 +133,7 @@ class TestAdmissibility:
         )
         assert rep.cond_i and rep.cond_ii and rep.cond_iii
         # nonstrict passes, strict fails on the constant C_0 = 1
-        assert rep.cond_iii_nonstrict and not rep.cond_iii_strict
+        assert rep.cond_iii and not rep.cond_iii_strict
 
     def test_exponential_wide_grid_fails_condition_i(self):
         rep = check_admissibility(
@@ -154,7 +159,7 @@ class TestAdmissibility:
         assert sum(2.0 < a < 2.5 for a in GRID) == 1
         fam = CoefficientFamily("bump", rule, support_hint=1)
         rep = check_admissibility(fam, GRID, kappa=0.1, N=10, eps=1.0)
-        assert rep.cond_iii and rep.cond_iii_nonstrict
+        assert rep.cond_iii
         assert not rep.cond_iii_strict  # C_0 = 1 is constant
 
     def test_parameter_validation(self):
@@ -167,6 +172,77 @@ class TestAdmissibility:
                 exponential_family(), GRID, kappa=0.1, N=DEFAULT_N_MAX + 1, eps=1.0
             )
         assert evaluations == []
+
+
+@st.composite
+def magnitude_tables(draw):
+    """(grid, |C_n| table with one row per grid alpha and columns n = -p..p):
+    s_n e^(-r_n alpha) traces, some times per-point factors, some mirrored,
+    so that zeros, ties, constant amplitudes and non-monotone traces occur."""
+    g = draw(st.integers(8, 30))
+    p = draw(st.integers(1, 3))
+    k = 2 * p + 1
+    grid = np.geomspace(draw(st.sampled_from([0.1, 0.5, 1.0])), 20.0, g)
+    scale = st.sampled_from([0.0, 1e-4, 0.5, 1.0, 1.0]) | st.floats(1e-3, 2.0)
+    scales = draw(st.lists(scale, min_size=k, max_size=k))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=k, max_size=k))
+    mags = np.array(scales) * np.exp(-np.outer(grid, rates))
+    if draw(st.booleans()):
+        factor = st.sampled_from([1.0] * 6 + [0.0, 0.5, 2.0])
+        mags *= np.reshape(draw(st.lists(factor, min_size=g * k, max_size=g * k)), (g, k))
+    if draw(st.booleans()):  # |C_-n| = |C_n|, which ties every n != 0 with -n
+        mags[:, :p] = mags[:, :p:-1]
+    return grid, mags
+
+
+def tabulated(grid: np.ndarray, mags: np.ndarray) -> CoefficientFamily:
+    """The family whose |C_n| at grid point i is mags[i, n + p], zero past p."""
+    p = mags.shape[1] // 2
+    row = {float(a): i for i, a in enumerate(grid)}
+
+    def rule(n, a):
+        inside = np.abs(n) <= p
+        return np.where(inside, mags[row[a]][np.where(inside, n + p, 0)], 0.0)
+
+    return CoefficientFamily("tabulated", rule, is_symmetric=False, support_hint=p)
+
+
+class TestArrayRulesMatchTheLoopRules:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(magnitude_tables())
+    # the edges of the rules: a trace 1e-14 above zero past the head third
+    # (rising by more than the 1e-15 slack), and a trace tied to 1 - 1e-6
+    @example((GRID, np.column_stack([np.ones(16), (np.arange(16) >= 5) * 1e-14, np.zeros(16)])))
+    @example((GRID, np.column_stack([np.ones(16), np.full(16, 1.0 - 1e-6), np.zeros(16)])))
+    def test_dominance(self, table):
+        grid, mags = table
+        p = mags.shape[1] // 2
+        v = check_dominance(tabulated(grid, mags), grid, n_probe=p)
+        assert (v.dominant_index, v.verdict) == dominance_by_loop(mags, np.arange(-p, p + 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(magnitude_tables())
+    def test_condition_iii_both_readings(self, table):
+        grid, mags = table
+        assume(mags.any(axis=1).all())  # every grid point is a state
+        rep = check_admissibility(tabulated(grid, mags), grid, kappa=0.1,
+                                  N=mags.shape[1] // 2, eps=1.0)
+        assert type(rep.cond_iii) is bool and type(rep.cond_iii_strict) is bool
+        assert rep.cond_iii == decreasing_run_by_pairs(mags, strict=False)
+        assert rep.cond_iii_strict == decreasing_run_by_pairs(mags, strict=True)
+
+    def test_condition_iii_holds_one_magnitude_matrix(self):
+        # 16 points x 400 001 indices: a 51 MB |C_n| matrix; a stacked list of
+        # rows beside it, or a G x G x (2N + 1) comparison, would double it
+        n = 200_000
+        matrix = GRID.size * (2 * n + 1) * 8
+        tracemalloc.start()
+        try:
+            check_admissibility(exponential_family(), GRID, kappa=0.1, N=n, eps=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matrix
 
 
 class TestAlphaStar:

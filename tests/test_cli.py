@@ -188,6 +188,15 @@ class TestCheck:
         assert rc == EXIT_OK
         assert "dominant k=0" in capsys.readouterr().out
 
+    def test_single_mode_off_zero_is_dominant(self, tmp_path, capsys):
+        # the mode's var_lz cancels to a negative rounding residue on this grid
+        spec = tmp_path / "m8.json"
+        spec.write_text(json.dumps(dict(SINGLE_MODE_SPEC, name="m8", symmetric=False,
+                                        entries=[{"n": 8, "expr": "poly", "scale": 0.3}])))
+        rc = main(["check", "--family", "custom", "--spec", str(spec), "--json"])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["dominance"]["dominant_index"] == 8
+
     def test_json_output_parses(self, capsys):
         rc = main(["check", "--family", "exp", "--json"])
         assert rc == EXIT_OK

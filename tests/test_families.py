@@ -50,6 +50,11 @@ class TestBuiltins:
         assert not fam.is_real
         assert table_family("re", {0: 1.0, 2: -0.5}).is_real
 
+    def test_table_index_at_int64_min_is_rejected(self):
+        # np.abs(-2^63) wraps to -2^63, which would drop the mode from the support
+        with pytest.raises(InvalidParameter, match="entry n=-9223372036854775808"):
+            table_family("t", {0: 1.0, -2**63: 1.0})
+
     def test_single_mode_support(self):
         fam = single_mode_family(3)
         assert fam.support_hint == 3

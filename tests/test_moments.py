@@ -17,6 +17,7 @@ from unclab import (
     TrigReport,
     build_spectrum,
     compare_report,
+    evaluate_family,
     exponential_family,
     lz_moments,
     phi_moments,
@@ -179,6 +180,15 @@ class TestLzMoments:
             assert mean == pytest.approx(float(m), abs=0.0)
             assert second == pytest.approx(float(m * m), abs=0.0)
             assert var == 0.0
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.3, 1.0, 7.0])
+    def test_single_mode_variance_is_never_negative(self, m, scale):
+        # <L_z^2> - <L_z>^2 cancels to a +-1e-14 residue here, e.g. -1.8e-15
+        # for m = 3 at scale 0.1, whose square root would be a domain error
+        fam = table_family("t", {m: scale})
+        assert lz_moments(build_spectrum(fam, 1.0))[2] >= 0.0
+        assert evaluate_family(fam, 1.0).product >= 0.0
 
     def test_two_mode_unit_variance(self):
         s = build_spectrum(two_mode_family(), 1.0)
