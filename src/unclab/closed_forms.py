@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .errors import DivergentMoment, InvalidParameter
 from .families import polynomial_family
 from .moments import PI_SQ_OVER_3, _state_bound, phi_moments
-from .spectrum import build_spectrum
-from .special import dilog, zeta
+from .spectrum import _riemann_zeta, build_spectrum
+from .special import dilog
 
 # Window tolerance for the polynomial sigma_phi^2 series; the xi sum
 # converges like N^{1-2 alpha} so this stays cheap down to alpha = 1.51.
@@ -103,8 +103,8 @@ def _poly_eval(alpha: float) -> PolyFamilyEval:
             f"polynomial family needs alpha > 3/2 for a finite sigma_Lz; "
             f"got alpha={alpha}"
         )
-    z_norm = zeta(2.0 * alpha).value
-    var_lz = zeta(2.0 * alpha - 2.0).value / z_norm
+    # the build's mass and n^2 tail tests read the same two totals
+    var_lz = _riemann_zeta(2.0 * alpha - 2.0) / _riemann_zeta(2.0 * alpha)
     spec = build_spectrum(polynomial_family(), alpha, rel_tol=POLY_PHI_REL_TOL)
     _, _, var_phi = phi_moments(spec)
     return PolyFamilyEval(

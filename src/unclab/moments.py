@@ -71,7 +71,9 @@ def _phi_from_shells(s: TruncatedSpectrum) -> tuple[float, float, float, float]:
     signs = np.where(np.arange(1, shells.size + 1) % 2 == 0, 1.0, -1.0)
     four_pi_a2 = 4.0 * math.pi * s.norm_sq
     xi = 2.0 * _fsum(signs * shells.real / (k * k))
-    mean = four_pi_a2 * _fsum(signs * shells.imag / k)
+    # exactly real shells: the fsum of signed zeros would give +0.0
+    real = not np.count_nonzero(shells.imag)
+    mean = 0.0 if real else four_pi_a2 * _fsum(signs * shells.imag / k)
     second = PI_SQ_OVER_3 + four_pi_a2 * xi
     return mean, second, second - mean * mean, xi
 

@@ -10,7 +10,9 @@ the n^2 |C_n|^2 mass and the sensitivity sum |C_n| / n^2), each tested
 the same way and searched for by one gallop-and-bisect.  Only the source
 of the tails differs.  The built-in exponential and polynomial family
 values have every tail in closed form (geometric sums and Hurwitz zeta
-tails), so their cutoff is found before any amplitude is evaluated.  A
+tails), so their cutoff is found before any amplitude is evaluated; a
+zeta tail test is decided by a closed-form bracket of the tail, and zeta
+is evaluated only when the bracket straddles the threshold.  A
 family with a finite support keeps its whole support, and its tails are
 exactly zero.  Any other family (a callable, a renamed copy of a
 built-in) grows its window ring by ring, reads the dropped part of the
@@ -54,6 +56,10 @@ _FSUM_CHUNK = 1024
 # Relative rounding of a tail summed term by term: forming each n^2 |C_n|^2
 # from its amplitudes costs a few ulps, and math.fsum adds half of one.
 _TERM_ROUND = 8.0 * _EPS
+# Relative widening of a closed-form zeta tail bracket (_zeta_bracket), and
+# the least bracket it widens: below it, subnormal rounding is not relative.
+_BRACKET_MARGIN = 1e-6
+_BRACKET_FLOOR = 1e-280
 
 
 # --------------------------------------------------------------------------
@@ -384,6 +390,11 @@ class _Series:
     leading-order guess of the least n that passes.  A ``completed`` tail
     (a power-law n^2 tail, exact or fitted) is kept in full, so only its
     error is tested.  A ``diverges`` series has no tail; the text says why.
+    ``bracket(n)`` is a cheap (lo, hi) with lo <= value and value + err
+    <= hi for (value, err) = ``tail(n)``, or None where there is none.  A
+    bracket on one side of the threshold decides an uncompleted test as
+    ``tail`` would (both sides of the test are monotone in value, and so
+    is their rounding); only one that straddles it calls ``tail``.
     """
 
     label: str
@@ -392,12 +403,20 @@ class _Series:
     start: float = 0.0
     completed: bool = False
     diverges: str = ""
+    bracket: Callable[[int], tuple[float, float] | None] = lambda n: None
 
     def passes(self, n: int, rel_tol: float) -> bool:
         """Whether truncating at n leaves a tail within rel_tol."""
-        value, err = self.tail(n)
         if self.completed:
-            return err <= rel_tol * max(self.total, _ZERO_FLOOR)
+            return self.tail(n)[1] <= rel_tol * max(self.total, _ZERO_FLOOR)
+        bounds = self.bracket(n)
+        if bounds is not None:
+            lo, hi = bounds
+            if hi <= rel_tol * (self.total - hi):
+                return True
+            if lo > rel_tol * max(self.total - lo, _ZERO_FLOOR):
+                return False
+        value, err = self.tail(n)
         return value + err <= rel_tol * max(self.total - value, _ZERO_FLOOR)
 
 
@@ -509,9 +528,12 @@ def _window(
     sq = np.abs(coeffs) ** 2
     cp_sq, cm_sq = sq[cutoff + 1 :], sq[cutoff - 1 :: -1] if cutoff else sq[:0]
     ns = np.arange(1, cutoff + 1, dtype=float)
-    s0 = abs(complex(coeffs[cutoff])) ** 2 + _fsum(cp_sq + cm_sq)
+    u = cp_sq + cm_sq
+    s0 = abs(complex(coeffs[cutoff])) ** 2 + _fsum(u)
     if s0 <= _ZERO_FLOOR:
         raise DegenerateState(f"family {family.name!r} at alpha={alpha}: {_DEGENERATE}")
+    # |C_n|^2 = |C_-n|^2 bit for bit: the two sums are equal, and x - x = +0.0
+    mirrored = cp_sq.tobytes() == cm_sq.tobytes()
     return TruncatedSpectrum(
         family_name=family.name,
         alpha=float(alpha),
@@ -522,8 +544,8 @@ def _window(
         tail_err=tail_err,
         norm_tail=norm_tail,
         sum_sq=s0,
-        sum_n1=_fsum(ns * cp_sq) - _fsum(ns * cm_sq),
-        sum_n2=_fsum(ns * ns * (cp_sq + cm_sq)),
+        sum_n1=0.0 if mirrored else _fsum(ns * cp_sq) - _fsum(ns * cm_sq),
+        sum_n2=_fsum(ns * ns * u),
     )
 
 
@@ -544,18 +566,65 @@ def _zeta_tail(s: float, n: int) -> tuple[float, float]:
     return 2.0 * z.value, 2.0 * (z.est_error + slack * z.value)
 
 
+def _zeta_bracket(s: float, n: int) -> tuple[float, float] | None:
+    """(lo, hi) around the value and value + err of _zeta_tail(s, n), or None.
+
+    x^-s is completely monotone, so with a = n + 1 the Euler-Maclaurin
+    remainder after the integral and half-boundary terms has the sign of
+    the first correction s a^(-s-1) / 12 and is no larger (DLMF 2.10(i),
+    25.11), and the first term plus the integral from a + 1 brackets the
+    rest:
+        a^(1-s) / (s-1) + a^-s / 2  <=  zeta(s, a)  <=  that + s a^(-s-1) / 12
+        a^-s + (a+1)^(1-s) / (s-1)  <=  zeta(s, a)  <=  that + (a+1)^-s
+    Their intersection, doubled and widened by _BRACKET_MARGIN, holds the
+    tail's value and value + err, whose relative error (the slack on s,
+    and a few ulps of rounding) is kept a thousand times below the margin.
+    None where it is not, and near underflow.
+    """
+    a = n + 1.0
+    slack = _EPS * s * (math.log(a) + 1.0 / (s - 1.0))
+    if not slack <= 1e-3 * _BRACKET_MARGIN:
+        return None
+    p, q = a**-s, (a + 1.0) ** -s
+    em = p * a / (s - 1.0) + 0.5 * p
+    first = p + q * (a + 1.0) / (s - 1.0)
+    lo = max(em, first)
+    if lo < _BRACKET_FLOOR:
+        return None
+    hi = min(em + s * p / a / 12.0, first + q)
+    return 2.0 * lo * (1.0 - _BRACKET_MARGIN), 2.0 * hi * (1.0 + _BRACKET_MARGIN)
+
+
+@functools.lru_cache(maxsize=8)
+def _riemann_zeta(s: float) -> float:
+    """zeta(s).value, kept for the few latest s: a polynomial closed-form row
+    reads zeta(2 alpha) and zeta(2 alpha - 2), and its build the same totals."""
+    return zeta(float(s)).value
+
+
 def _zeta_series(
     label: str, s_text: str, s: float, rel_tol: float, completed: bool = False
 ) -> _Series:
-    """The series 2 zeta(s), s written ``s_text``, with its tails 2 zeta(s, n + 1)."""
+    """The series 2 zeta(s), s written ``s_text``, with its tails 2 zeta(s, n + 1).
+
+    Each tail is evaluated at most once, and the test of an uncompleted
+    series reads the closed-form bracket first."""
     if s <= 1.0:
         return _Series(label, diverges=f"{label} diverges because {s_text} <= 1")
-    total = zeta(s).value
+    total = _riemann_zeta(s)
     # the tail test holds once zeta(s, n + 1) ~ (n + 1/2)^(1 - s) / (s - 1)
     # drops to rel_tol / (1 + rel_tol) of the total
     ln_x = -math.log((s - 1.0) * rel_tol / (1.0 + rel_tol) * total) / (s - 1.0)
     start = math.exp(ln_x) - 0.5 if ln_x < 700.0 else math.inf
-    return _Series(label, functools.partial(_zeta_tail, s), 2.0 * total, start, completed)
+    tails: dict[int, tuple[float, float]] = {}
+
+    def tail(n: int) -> tuple[float, float]:
+        if n not in tails:
+            tails[n] = _zeta_tail(s, n)
+        return tails[n]
+
+    bracket = functools.partial(_zeta_bracket, s)
+    return _Series(label, tail, 2.0 * total, start, completed, bracket=bracket)
 
 
 def _poly_series(alpha: float, rel_tol: float) -> Iterator[_Series]:
@@ -627,6 +696,22 @@ _EXACT_TAILS = (
     (exponential_family(), _exp_series),
     (polynomial_family(), _poly_series),
 )
+
+
+def _poly_second_tail(alpha: float, n: int, where: str) -> float:
+    """2 zeta(2 alpha - 2, n + 1), the polynomial n^2 |C_n|^2 tail, from one
+    zeta call: _poly_series would also form the series totals."""
+    s = 2.0 * alpha - 2.0
+    if s <= 1.0:
+        raise NonConvergent(f"{where}{_SECOND} diverges because 2 alpha - 2 <= 1")
+    return _zeta_tail(s, n)[0]
+
+
+# The n^2 |C_n|^2 tail alone of each built-in family, by its tail series rule.
+_SECOND_TAILS = {
+    _exp_series: lambda alpha, n, where: _exp_second_tail(alpha, n)[0],
+    _poly_series: _poly_second_tail,
+}
 
 
 def _exact_tails(family: CoefficientFamily):
@@ -778,10 +863,7 @@ def tail_second_moment(
             raise InvalidParameter(f"grid alphas must be positive, got {alpha!r}")
         where = f"family {family.name!r} at alpha={alpha}: "
         if exact is not None:
-            _, second = itertools.islice(exact(float(alpha), DEFAULT_REL_TOL), 2)
-            if second.diverges:
-                raise NonConvergent(where + second.diverges)
-            out.append(second.tail(N)[0])
+            out.append(_SECOND_TAILS[exact](float(alpha), N, where))
             continue
         if support is not None:
             # every amplitude past the support is 0: the tail is a finite sum

@@ -1,6 +1,7 @@
 """Closed forms vs the generic series engine, plus the limit laws."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from unclab import (
     xi_sum,
     zeta,
 )
+from unclab import evaluate_family, special, spectrum
 
 from oracles import exp_xi_resummed
 
@@ -160,6 +162,32 @@ class TestPolyClosed:
     def test_divergent_below_three_halves(self, alpha):
         with pytest.raises(DivergentMoment):
             poly_closed(alpha)
+
+    def test_zeta_calls_per_fig2_row(self, monkeypatch):
+        # 3 totals, shared with the closed forms, and the 2 reported tails
+        # are the floor of 5; a tail test costs a call only when its
+        # closed-form bracket straddles the threshold (12.87 per row when
+        # every test called zeta)
+        calls = []
+        real = special.zeta
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # every unclab module that imported it (spectrum and closed_forms among them)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("unclab.") and getattr(module, "zeta", None) is real:
+                monkeypatch.setattr(module, "zeta", counted)
+        spectrum._riemann_zeta.cache_clear()
+        per_row = []
+        for alpha in np.geomspace(1.6, 50.0, 160).tolist():
+            calls.clear()
+            evaluate_family(polynomial_family(), alpha)
+            per_row.append(len(calls))
+        assert min(per_row) >= 5
+        assert sum(per_row) / len(per_row) <= 6.0
+        assert max(per_row) <= 7
 
     def test_var_phi_against_series_on_tight_window(self):
         # independent window: direct build at a different tolerance

@@ -148,6 +148,46 @@ class TestPhiMoments:
             mean, _, _ = phi_moments(s)
             assert abs(mean) < 1e-14
 
+    @pytest.mark.parametrize(
+        "family, alpha, rel_tol, zero",
+        [
+            (exponential_family(), 1.0, 1e-12, True),
+            (exponential_family(), 0.05, 1e-12, True),
+            (polynomial_family(), 2.2, 1e-8, True),
+            (polynomial_family(), 5.0, 1e-12, True),
+            (table_family("mirror", {-2: 0.5, -1: 1.0, 0: 2.0, 1: 1.0, 2: 0.5}), 1.0, 1e-12, True),
+            (
+                CoefficientFamily(
+                    "exp_phase",
+                    lambda n, a: np.exp(-a * np.abs(n) + 0.3j * n),
+                    is_real=False,
+                ),
+                1.0,
+                1e-12,
+                False,
+            ),
+            (table_family("complex", {-1: 0.5 + 0.25j, 0: 1.0, 2: -0.5j}), 1.0, 1e-12, False),
+        ],
+    )
+    def test_symmetric_sums_are_plus_zero_with_the_full_sums_bits(
+        self, family, alpha, rel_tol, zero
+    ):
+        s = build_spectrum(family, alpha, rel_tol=rel_tol)
+        n = s.cutoff
+        sq = np.abs(s.coeffs) ** 2
+        ns = np.arange(1, n + 1, dtype=float)
+        full_n1 = spectrum._fsum(ns * sq[n + 1 :]) - spectrum._fsum(ns * sq[n - 1 :: -1])
+        k = np.arange(1, 2 * n + 1)
+        signs = np.where(k % 2 == 0, 1.0, -1.0)
+        full_mean = 4.0 * PI * s.norm_sq * spectrum._fsum(signs * s.shells.imag / k)
+        mean = phi_moments(s)[0]
+        assert s.sum_n1.hex() == full_n1.hex()
+        assert mean.hex() == full_mean.hex()
+        if zero:
+            assert repr(s.sum_n1) == repr(mean) == "0.0"
+        else:
+            assert mean != 0.0
+
     def test_complex_two_mode_mean_sign_convention(self):
         # c_0 = 1, c_1 = i: |f|^2 = (1 - sin phi)/(2 pi), so <phi> = -1
         s = build_spectrum(table_family("chiral", {0: 1.0, 1: 1j}), 1.0)
