@@ -10,13 +10,14 @@ non-monotone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .closed_forms import POLY_PHI_REL_TOL, _poly_eval, exp_closed
+from .closed_forms import _poly_eval, _poly_grid, exp_closed
 from .errors import (
     DivergentMoment,
     InvalidParameter,
@@ -66,17 +67,46 @@ _EXP = exponential_family()
 _POLY = polynomial_family()
 
 
+def _each(evaluate, grid):
+    """``evaluate`` at each alpha of ``grid`` in turn, as the grid is read; a
+    DivergentMoment is yielded in place of its record."""
+    for alpha in grid:
+        try:
+            yield evaluate(float(alpha))
+        except DivergentMoment as exc:
+            yield exc
+
+
 def _engine(family: CoefficientFamily):
-    """The evaluator alpha -> moment record (var_phi, var_lz and state_bound
-    among its fields) and sweep "# engine:" note that serve ``family``.  A
-    built-in matches by dataclass == (name, rule and flags), so a family that
-    only borrows a built-in's name runs the generic series engine."""
+    """The evaluators that serve ``family``, and its sweep "# engine:" note.
+
+    The first maps alpha to a moment record (var_phi, var_lz and state_bound
+    among its fields); the second maps a grid to one record per alpha, with a
+    DivergentMoment in place of a record where sigma_Lz diverges.  A built-in
+    matches by dataclass == (name, rule and flags), so a family that only
+    borrows a built-in's name runs the generic series engine."""
     if family is _EXP or family == _EXP:  # callers mostly pass the constant
-        return exp_closed, "closed forms"
+        return exp_closed, functools.partial(_each, exp_closed), "closed forms"
     if family is _POLY or family == _POLY:
-        return _poly_eval, f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}"
-    return (lambda alpha: uncertainty_report(build_spectrum(family, alpha)),
+        return (_poly_eval, _poly_grid,
+                "closed forms: zeta ratio var_lz, polylogarithm series var_phi")
+
+    def generic(alpha):
+        return uncertainty_report(build_spectrum(family, alpha))
+
+    return (generic, functools.partial(_each, generic),
             f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}")
+
+
+def _row(alpha: float, rec) -> SweepRow:
+    return SweepRow(
+        alpha=float(alpha),
+        var_phi=rec.var_phi,
+        var_lz=rec.var_lz,
+        product=math.sqrt(rec.var_phi * rec.var_lz),
+        hr_bound=HR_BOUND,
+        state_bound=rec.state_bound,
+    )
 
 
 def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
@@ -86,15 +116,7 @@ def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
     closed forms; any other family, whatever its name, runs the generic
     series engine.  Divergent sigma_Lz propagates as DivergentMoment.
     """
-    rec = _engine(family)[0](alpha)
-    return SweepRow(
-        alpha=float(alpha),
-        var_phi=rec.var_phi,
-        var_lz=rec.var_lz,
-        product=math.sqrt(rec.var_phi * rec.var_lz),
-        hr_bound=HR_BOUND,
-        state_bound=rec.state_bound,
-    )
+    return _row(alpha, _engine(family)[0](alpha))
 
 
 def _product(family: CoefficientFamily, alpha: float) -> float:
@@ -115,9 +137,11 @@ def sweep(
 ) -> list[SweepRow]:
     """Uncertainty-product profile over an alpha grid, ordered by alpha.
 
-    Rows are computed one at a time, in grid order, on the calling thread.
-    With ``keep_going`` a divergent sigma_Lz yields a row with NaN variance
-    instead of aborting the sweep.
+    The rows come from the family's grid evaluator on the calling thread:
+    the built-in polynomial family's takes the whole grid in one call and
+    evaluates it in array blocks, the others one alpha at a time, in grid
+    order.  Each row equals evaluate_family at its alpha.  With ``keep_going`` a divergent
+    sigma_Lz yields a row with NaN variance instead of aborting the sweep.
     """
     for name, end in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
         if not math.isfinite(end):
@@ -136,15 +160,13 @@ def sweep(
         raise InvalidParameter(f"scale must be 'linear' or 'log', got {scale!r}")
 
     rows = []
-    for alpha in grid:
-        try:
-            rows.append(evaluate_family(family, float(alpha)))
-        except DivergentMoment:
-            if not keep_going:
-                raise
+    for alpha, rec in zip(grid.tolist(), _engine(family)[1](grid)):
+        if not isinstance(rec, DivergentMoment):
+            rows.append(_row(alpha, rec))
+        elif keep_going:
             rows.append(
                 SweepRow(
-                    alpha=float(alpha),
+                    alpha=alpha,
                     var_phi=math.nan,
                     var_lz=math.nan,
                     product=math.nan,
@@ -152,6 +174,8 @@ def sweep(
                     state_bound=math.nan,
                 )
             )
+        else:
+            raise rec
     return rows
 
 

@@ -113,7 +113,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: divergent sigma_Lz in sweep range: {exc}", file=sys.stderr)
         print("hint: rerun with --keep-going to mark such rows 'div'", file=sys.stderr)
         return EXIT_DIVERGENT_ROWS
-    _, engine = _engine(family)
+    engine = _engine(family)[2]
     lines = [
         f"# unclab {__version__} sweep",
         f"# family: {family.name}",

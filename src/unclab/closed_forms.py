@@ -13,10 +13,16 @@ Exponential family C_n = e^{-alpha |n|}  (u = e^{-alpha}):
     sigma_cos^2 = (1 - u^2)^3 / (2 (1 + u^2)^2)   (no cancellation at small alpha)
     2 pi |f(pi)|^2 = (1-u)^3 / ((1+u^2)(1+u))
 
-Polynomial family C_n = |n|^{-alpha}, C_0 = 0:
+Polynomial family C_n = |n|^{-alpha}, C_0 = 0 (f is the normalized state):
     |A|^2       = 1 / (4 pi zeta(2 alpha))
     sigma_Lz^2  = zeta(2 alpha - 2) / zeta(2 alpha)   (alpha > 3/2 only)
-    sigma_phi^2 has no closed form; it is delegated to the series engine.
+    f(phi)      = 2 A R(phi),  R(phi) = Re Li_alpha(e^{i phi}) = sum_{n>=1} n^-alpha cos(n phi)
+    R(pi t)     = a pi^(alpha-1) t^(alpha-1) + sum_j b_j pi^(2j) t^(2j)  for 0 < t <= 1,
+    a = pi / (2 cos(pi alpha / 2) Gamma(alpha)),  b_j = (-1)^j zeta(alpha - 2j) / (2j)!
+                  (DLMF 25.12.12; a and b_((m-1)/2) have opposite poles at odd alpha = m)
+    sigma_phi^2 = (2 pi^2 / zeta(2 alpha)) int_0^1 t^2 R(pi t)^2 dt   (<phi> = 0),
+                  a Gram sum of power integrals
+    2 pi |f(pi)|^2 = 2 eta(alpha)^2 / zeta(2 alpha),  eta(alpha) = (1 - 2^(1-alpha)) zeta(alpha)
 
 The truncation tails of both families are closed forms too, and the
 series engine (spectrum.build_spectrum) chooses their windows from them:
@@ -30,15 +36,77 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentMoment, InvalidParameter
-from .families import polynomial_family
-from .moments import PI_SQ_OVER_3, _state_bound, phi_moments
-from .spectrum import _riemann_zeta, build_spectrum
-from .special import dilog
+import numpy as np
 
-# Window tolerance for the polynomial sigma_phi^2 series; the xi sum
-# converges like N^{1-2 alpha} so this stays cheap down to alpha = 1.51.
-POLY_PHI_REL_TOL = 1e-8
+from .errors import DivergentMoment, InvalidParameter
+from .moments import PI_SQ_OVER_3
+from .spectrum import _riemann_zeta
+from .special import _zeta_entire, dilog
+
+_EULER_GAMMA = 0.5772156649015329
+# b_j kept, j < _NJ: past j = alpha / 2 they fall like 4^-j, so the last is
+# about 4^-32 = 5e-20 of the first.  The pole pair (see _poly_moments) sits at
+# J = floor(alpha / 2); for J >= _NJ it lies past the kept terms and below 1e-55.
+_NJ = 32
+_J = np.arange(_NJ)
+_TAYLOR = np.array(  # (-1)^j pi^(2j) / (2j)!, so b_j pi^(2j) = _TAYLOR[j] zeta(alpha - 2j)
+    [(-1) ** j * math.pi ** (2 * j) / math.factorial(2 * j) for j in range(_NJ)]
+)
+_HILBERT = 1.0 / (2.0 * np.add.outer(_J, _J) + 3.0)  # int_0^1 t^(2 + 2j + 2l) dt
+# Power series in eps of the pair, with eps^k, k = 1..56: their terms fall
+# like 2^-k / k for |eps| <= 1, below 3e-19 at k = 56.
+_K = np.arange(1.0, 57.0)
+_ZETA_K = np.append(np.nan, _zeta_entire(_K[1:]) + 1.0 / (_K[1:] - 1.0))  # zeta(k)
+# h_m(eps) = eps ln pi + ln((pi eps / 2) / sin(pi eps / 2)) - ln(Gamma(m + eps) / Gamma(m)),
+# one row of eps^k coefficients per J = (m - 1) / 2.  From
+#   ln((pi eps / 2) / sin(pi eps / 2)) = sum_(k >= 1) zeta(2k) (eps / 2)^2k / k    (DLMF 4.19)
+#   ln Gamma(1 + eps) = -log1p(eps) + eps (1 - gamma)
+#                       + sum_(k >= 2) (-1)^k (zeta(k) - 1) eps^k / k              (DLMF 5.7.3)
+#   ln(Gamma(m + eps) / Gamma(m)) = ln Gamma(1 + eps) + sum_(1 <= i < m) log1p(eps / i)
+# the coefficient of eps^k, with S_k = sum_(2 <= i < m) i^-k, is
+#   k = 1: ln pi - 1 + gamma - S_1;  k >= 2: (1 - eta(k)) / k for even k,
+#   (zeta(k) - 1) / k for odd k, plus (-1)^k S_k / k.
+# The log1p(eps) terms cancel for m >= 3; row 0 (m = 1) leaves its
+# + log1p(eps) out, as a series it converges too slowly near eps = 1.  The
+# last row, for no pair, is 0.
+_H_TABLE = np.zeros((_NJ + 1, _K.size))
+_H_TABLE[:_NJ] = np.where(
+    _K % 2 == 0, 1.0 - (1.0 - 2.0 ** (1.0 - _K)) * _ZETA_K, _ZETA_K - 1.0
+) / _K
+_H_TABLE[:_NJ, 0] = math.log(math.pi) - 1.0 + _EULER_GAMMA
+_H_TABLE[1:_NJ] += (-1.0) ** _K / _K * np.cumsum(  # S_k, m = 3, 5, ..: every other i
+    np.arange(2.0, 2.0 * _NJ)[:, None] ** -_K, axis=0
+)[::2]
+# Per table row J (the last: no pair): the columns past J, at J, and at J + 1;
+# P = (-1)^J pi^(m-1) / (m-1)!; and q = m + 2l + 2 (see _poly_moments)
+_ROWS = np.arange(_NJ + 1.0)[:, None]
+_AFTER, _AT, _NEXT = _J > _ROWS, _J == _ROWS, _J == _ROWS + 1.0
+_PAIR_P = np.append(_TAYLOR, 0.0)
+_PAIR_Q = 2.0 * (_ROWS + _J) + 3.0
+_LN_2 = math.log(2.0)
+_TWO_PI_SQ = 2.0 * math.pi**2
+# Past this alpha, every alpha-dependent part of var_phi and the state bound
+# is below 2^-9900 of them, so they are evaluated here; nothing overflows.
+_ALPHA_FLAT = 1e4
+# Rows per array evaluation: a block's largest temporaries, the (rows, _NJ,
+# _NJ) Gram products, then stay near 0.25 MB each.
+_BLOCK = 32
+
+
+def _pair_scalars(alpha: float) -> tuple[float, float, float, float, float, float]:
+    """The per-alpha scalars of _poly_moments: its table row (min(J, _NJ)),
+    eps, the reflection factor at J + 1, log1p(eps) if m = 1, the pair's self
+    integral 2 / (r (r + eps) (r + 2 eps)), r = 2m + 1, and 1 - 2^(1 - alpha)."""
+    half = math.floor(0.5 * alpha)
+    eps = alpha - (2.0 * half + 1.0)
+    row = min(half, _NJ)
+    # -cos(pi eps / 2) 2 (2 pi)^(eps - 2) Gamma(2 - eps), the cosine as
+    # sin(pi (1 - |eps|) / 2): exactly 0 at even alpha, where zeta(-2k) = 0
+    first = (-math.sin(0.5 * math.pi * (1.0 - abs(eps)))
+             * 2.0 * (2.0 * math.pi) ** (eps - 2.0) * math.gamma(2.0 - eps))
+    r = 4.0 * row + 3.0
+    return (row, eps, first, math.log1p(eps) if half == 0 else 0.0,
+            2.0 / (r * (r + eps) * (r + 2.0 * eps)), -math.expm1((1.0 - alpha) * _LN_2))
 
 
 @dataclass(frozen=True)
@@ -57,12 +125,12 @@ class ExpFamilyEval:
 
 @dataclass(frozen=True)
 class PolyFamilyEval:
-    """Polynomial-family moments: zeta closed forms plus the series xi."""
+    """Closed-form moment set of the polynomial family at one alpha."""
 
     alpha: float
     var_lz: float
     var_phi: float
-    state_bound: float  # (1/2) |1 - 2 pi |f(pi)|^2| of the series window
+    state_bound: float  # (1/2) |1 - 2 pi |f(pi)|^2|
 
 
 def exp_closed(alpha: float) -> ExpFamilyEval:
@@ -94,25 +162,99 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     )
 
 
+def _poly_moments(alphas: list[float], zeta_2a: list[float]) -> list[tuple[float, float]]:
+    """(var_phi, state_bound) of the polynomial family at each alpha > 3/2.
+
+    ``zeta_2a`` holds zeta(2 alpha).  The array work runs on one row per
+    alpha and every reduction along a row, so a value does not depend on the
+    other alphas it is evaluated with.
+
+    R(pi t) = a' t^(alpha-1) + sum_j b'_j t^2j with a' = a pi^(alpha-1) and
+    b'_j = b_j pi^2j (module docstring).  Write alpha = m + eps, m = 2J + 1
+    odd, eps in [-1, 1) (exact).  The terms a' t^(alpha-1) and b'_J t^(m-1)
+    carry opposite poles at eps = 0, so they are paired as
+    c t^(m-1) (t^eps - 1) / eps + (a' + b'_J) t^(m-1), with the finite
+    c = a' eps = -P e^h and a' + b'_J = P (Z - expm1(h) / eps), where
+    P = (-1)^J pi^(m-1) / (m-1)!, Z = zeta(1 + eps) - 1/eps and h as in
+    _H_TABLE.  Past J the arguments alpha - 2j are negative and reflect to
+    zeta(alpha - 2j) = (-1)^(j-J) cos(pi eps / 2) 2 (2 pi)^-x Gamma(x) zeta(x),
+    x = 2j + 1 - alpha > 1 (DLMF 25.4.2), whose Gamma factor follows by
+    recurrence in j.
+    """
+    scalars = [_pair_scalars(a) for a in alphas]
+    row, eps, first, log_m1, _, _ = np.array(scalars).T
+    row = row.astype(np.intp)
+    after, pair = _AFTER[row], _AT[row]
+    # zeta(alpha - 2j) up to J, zeta(2j + 1 - alpha) past it; Z at the pair
+    d = np.array(alphas)[:, None] - 2.0 * _J
+    x = np.where(after, 1.0 - d, d)
+    z = _zeta_entire(x)
+    x1 = x - 1.0
+    zeta = z + 1.0 / np.where(pair, 1.0, x1)  # its pair column is replaced below
+    # the reflection factors past J by recurrence from ``first``
+    step = np.where(_NEXT[row], first[:, None], x1 * (x1 - 1.0) / (-4.0 * np.pi**2))
+    b = _TAYLOR * zeta * np.cumprod(np.where(after, step, 1.0), axis=1)
+    # the pole pair; at eps = 0, expm1(h) / eps is h'(0), the first coefficient
+    h = (eps[:, None] ** _K * _H_TABLE[row]).sum(axis=1) + log_m1
+    ratio = np.divide(np.expm1(h), eps, out=_H_TABLE[row, 0], where=eps != 0.0)
+    p = _PAIR_P[row]
+    c = -p * np.exp(h)
+    z_pair = np.where(pair, z, 0.0).sum(axis=1)
+    b = np.where(pair, (p * (z_pair - ratio))[:, None], b)
+    # int_0^1 t^2 R(pi t)^2 dt: t^(m-1) (t^eps - 1) / eps has the integrals
+    # -1 / (q (q + eps)) against t^2l, q = m + 2l + 2, and self_w against itself
+    q = _PAIR_Q[row]
+    cross = (b / (q * (q + eps[:, None]))).sum(axis=1)
+    gram = (b[:, :, None] * b[:, None, :] * _HILBERT).sum(axis=(1, 2))
+    out = []
+    for a, z2, (_, _, _, _, self_w, eta_factor), g, cc, x2, z0 in zip(
+        alphas, zeta_2a, scalars, gram.tolist(), c.tolist(), cross.tolist(), z[:, 0].tolist()
+    ):
+        var_phi = (g + cc * (cc * self_w - 2.0 * x2)) * _TWO_PI_SQ / z2
+        # eta(alpha) = (1 - 2^(1 - alpha)) zeta(alpha), zeta(alpha) from column 0
+        eta = eta_factor * (z0 + 1.0 / (a - 1.0))
+        out.append((var_phi, 0.5 * abs(1.0 - 2.0 * eta * eta / z2)))
+    return out
+
+
+def _poly_grid(alphas) -> list[PolyFamilyEval | DivergentMoment]:
+    """Polynomial-family moments at each alpha of ``alphas``, evaluated in
+    array blocks of _BLOCK rows; an alpha <= 3/2 holds the DivergentMoment
+    that _poly_eval raises there."""
+    records: list[PolyFamilyEval | DivergentMoment | None] = []
+    finite = []
+    for alpha in alphas:
+        if not (alpha > 0.0) or math.isnan(alpha):
+            raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
+        if alpha <= 1.5:
+            records.append(DivergentMoment(
+                f"polynomial family needs alpha > 3/2 for a finite sigma_Lz; "
+                f"got alpha={alpha}"
+            ))
+        else:
+            records.append(None)
+            finite.append(float(alpha))
+    zeta_2a = [_riemann_zeta(2.0 * a) for a in finite]
+    flat = [min(a, _ALPHA_FLAT) for a in finite]
+    moments = [
+        pair
+        for i in range(0, len(flat), _BLOCK)
+        for pair in _poly_moments(flat[i : i + _BLOCK], zeta_2a[i : i + _BLOCK])
+    ]
+    evals = iter(
+        PolyFamilyEval(alpha=a, var_lz=_riemann_zeta(2.0 * a - 2.0) / z,
+                       var_phi=var_phi, state_bound=state_bound)
+        for a, z, (var_phi, state_bound) in zip(finite, zeta_2a, moments)
+    )
+    return [next(evals) if rec is None else rec for rec in records]
+
+
 def _poly_eval(alpha: float) -> PolyFamilyEval:
     """Polynomial-family moments at ``alpha``; DivergentMoment for alpha <= 3/2."""
-    if not (alpha > 0.0) or math.isnan(alpha):
-        raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
-    if alpha <= 1.5:
-        raise DivergentMoment(
-            f"polynomial family needs alpha > 3/2 for a finite sigma_Lz; "
-            f"got alpha={alpha}"
-        )
-    # the build's mass and n^2 tail tests read the same two totals
-    var_lz = _riemann_zeta(2.0 * alpha - 2.0) / _riemann_zeta(2.0 * alpha)
-    spec = build_spectrum(polynomial_family(), alpha, rel_tol=POLY_PHI_REL_TOL)
-    _, _, var_phi = phi_moments(spec)
-    return PolyFamilyEval(
-        alpha=float(alpha),
-        var_lz=var_lz,
-        var_phi=var_phi,
-        state_bound=_state_bound(spec),
-    )
+    (rec,) = _poly_grid([alpha])
+    if isinstance(rec, DivergentMoment):
+        raise rec
+    return rec
 
 
 poly_closed = _poly_eval  # the public name of the same function object

@@ -2,13 +2,17 @@
 
 Real dilogarithm on [-1, 0] and Hurwitz zeta for real s > 1, a > 0 (the
 Riemann zeta at a = 1).  Both are pure and carry explicit truncation-error
-estimates so callers can check their own budgets.
+estimates so callers can check their own budgets.  The polynomial closed
+forms also read the Riemann zeta over whole arrays of s, past its pole, from
+the private ``_zeta_entire``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameter
 
@@ -24,6 +28,15 @@ _ZETA_N0 = 20
 _ZETA_EM_TERMS = 4
 # zeta: ln(|B_10| / 10! / (eps / 2)), the first omitted correction over half an ulp.
 _LN_LEAD = math.log(abs(_BERNOULLI[-1]) / math.factorial(10) / (0.5 * _EPS))
+
+# _zeta_entire: logarithms of the direct terms 1..20 and of the tail boundary
+# b = 21, and the Euler-Maclaurin weights B_2j / (2j)! b^(1-2j), j = 1..4.
+_LN_TERMS = np.log(np.arange(1.0, _ZETA_N0 + 2.0))
+_EM_COEFFS = np.array([
+    _BERNOULLI[j] / math.factorial(2 * j + 2) * (_ZETA_N0 + 1.0) ** (-2 * j - 1)
+    for j in range(_ZETA_EM_TERMS)
+])
+_RISING_SHIFTS = np.arange(2.0 * _ZETA_EM_TERMS - 1.0)  # s + 0 .. s + 6
 
 # dilog: switch to the Landen reflection beyond this |z|.
 _DILOG_REFLECT = 0.5
@@ -136,3 +149,28 @@ def zeta(s: float, a: float = 1) -> EvalResult:
     # relative rounding, and an absolute floor for subnormal terms
     err = err_term + 4.0 * _EPS * abs(value) + (n0 + 8) * _TINY
     return EvalResult(value, err, n0 + _ZETA_EM_TERMS)
+
+
+def _zeta_entire(s) -> np.ndarray:
+    """zeta(s) - 1/(s - 1) elementwise over an array of real s >= 0.
+
+    The entire part of the Riemann zeta, Euler's gamma at s = 1, by the sum
+    ``zeta`` takes at a = 1: the 20 direct terms, then the Euler-Maclaurin
+    tail from b = 21 with four Bernoulli corrections, whose integral term
+    b^(1-s) / (s - 1) loses its pole as (b^(1-s) - 1) / (s - 1).  The sum
+    continues zeta analytically below s = 1, and its first omitted correction,
+    |B_10| / 10! (s)_9 b^(-s-9), is below 5e-16 for every s >= 0 (largest
+    near s = 0.9).  Each element is reduced on its own, so a value does not
+    depend on the array it sits in.
+    """
+    s = np.asarray(s, dtype=float)
+    # k^-s, k = 1..21, held at e^-700 = 1e-304 or more: far below every
+    # value, and normal numbers, which exp returns much faster than 0
+    powers = np.exp(np.maximum(np.multiply.outer(s, -_LN_TERMS), -700.0))
+    u = np.where(s == 1.0, 1e-300, 1.0 - s)  # expm1(u ln b) / u is ln b at a tiny u
+    integral = np.expm1(_LN_TERMS[-1] * u) / -u
+    # (s)_1, (s)_3, (s)_5, (s)_7 by one running product; past s = 1e3 every
+    # b^-s is 0, and the clip keeps the product finite
+    rising = np.cumprod(np.minimum(s, 1e3)[..., None] + _RISING_SHIFTS, axis=-1)[..., ::2]
+    tail = ((rising * _EM_COEFFS).sum(axis=-1) + 0.5) * powers[..., -1] + integral
+    return powers[..., :-1].sum(axis=-1) + tail

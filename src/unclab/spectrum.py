@@ -598,7 +598,8 @@ def _zeta_bracket(s: float, n: int) -> tuple[float, float] | None:
 @functools.lru_cache(maxsize=8)
 def _riemann_zeta(s: float) -> float:
     """zeta(s).value, kept for the few latest s: a polynomial closed-form row
-    reads zeta(2 alpha) and zeta(2 alpha - 2), and its build the same totals."""
+    reads zeta(2 alpha) and zeta(2 alpha - 2), and a polynomial build the
+    same totals."""
     return zeta(float(s)).value
 
 

@@ -1,6 +1,8 @@
 """Dominance, admissibility, alpha-star search, crossings, sweeps."""
 
+import dataclasses
 import math
+import re
 import threading
 import tracemalloc
 
@@ -350,6 +352,32 @@ class TestSweep:
     def test_polynomial_abort_without_keep_going(self):
         with pytest.raises(DivergentMoment):
             sweep(polynomial_family(), 1.2, 3.0, 4)
+
+    @pytest.mark.parametrize("steps", [2, 7, 33, 160])
+    def test_polynomial_rows_equal_evaluate_family_bit_for_bit(self, steps):
+        # one array evaluation for the grid, one for each alpha alone: the
+        # rows may not depend on the grid they are evaluated in
+        poly = polynomial_family()
+        rows = sweep(poly, 1.6, 50.0, steps, scale="log")
+        for row in rows:
+            alone = evaluate_family(poly, row.alpha)
+            assert [x.hex() for x in dataclasses.astuple(row)] == [
+                x.hex() for x in dataclasses.astuple(alone)
+            ]
+
+    def test_polynomial_keep_going_marks_every_row_at_or_below_three_halves(self):
+        poly = polynomial_family()
+        rows = sweep(poly, 0.5, 3.0, 6, keep_going=True)  # 0.5, 1.0, ..., 3.0
+        assert [r.divergent for r in rows] == [True, True, True, False, False, False]
+        assert all(math.isnan(r.state_bound) for r in rows[:3])
+        assert rows[3:] == [evaluate_family(poly, a) for a in (2.0, 2.5, 3.0)]
+
+    def test_polynomial_abort_names_the_first_divergent_alpha(self):
+        message = "polynomial family needs alpha > 3/2 for a finite sigma_Lz; got alpha=1.2"
+        with pytest.raises(DivergentMoment, match=re.escape(message)):
+            sweep(polynomial_family(), 1.2, 3.0, 4)
+        with pytest.raises(DivergentMoment, match=re.escape(message)):
+            evaluate_family(polynomial_family(), 1.2)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):

@@ -19,7 +19,6 @@ from unclab.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from unclab.closed_forms import POLY_PHI_REL_TOL
 from unclab.quadrature import ComparisonRow
 from unclab.spectrum import DEFAULT_N_MAX, DEFAULT_REL_TOL
 
@@ -106,10 +105,7 @@ class TestSweep:
         "family, engine",
         [
             ("exp", "closed forms"),
-            (
-                "poly",
-                f"zeta closed form; series var_phi at rel_tol={POLY_PHI_REL_TOL}",
-            ),
+            ("poly", "closed forms: zeta ratio var_lz, polylogarithm series var_phi"),
             (
                 "custom",
                 f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}",

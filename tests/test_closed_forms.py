@@ -1,7 +1,11 @@
 """Closed forms vs the generic series engine, plus the limit laws."""
 
+import csv
+import functools
 import math
 import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -22,12 +26,31 @@ from unclab import (
     xi_sum,
     zeta,
 )
-from unclab import evaluate_family, special, spectrum
+from unclab import special, spectrum, sweep
 
 from oracles import exp_xi_resummed
 
 PI = math.pi
 PI2_3 = PI**2 / 3.0
+FIG2_GRID = np.geomspace(1.6, 50.0, 160)
+_REFERENCE = Path(__file__).with_name("poly_reference.csv")
+
+
+class _Reference(NamedTuple):
+    alpha: float
+    kind: str
+    var_phi: float
+    state_bound: float
+
+
+@functools.cache
+def _reference_rows() -> tuple[_Reference, ...]:
+    with _REFERENCE.open(encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    return tuple(
+        _Reference(float(alpha), kind, float(var_phi), float(state_bound))
+        for alpha, kind, var_phi, state_bound in csv.reader(lines[1:])
+    )
 
 
 class TestExpClosed:
@@ -164,10 +187,10 @@ class TestPolyClosed:
             poly_closed(alpha)
 
     def test_zeta_calls_per_fig2_row(self, monkeypatch):
-        # 3 totals, shared with the closed forms, and the 2 reported tails
-        # are the floor of 5; a tail test costs a call only when its
-        # closed-form bracket straddles the threshold (12.87 per row when
-        # every test called zeta)
+        # the window verify builds: 3 totals and the 2 reported tails are the
+        # floor of 5; a tail test costs a call only when its closed-form
+        # bracket straddles the threshold (12.87 per row when every test
+        # called zeta)
         calls = []
         real = special.zeta
 
@@ -175,26 +198,72 @@ class TestPolyClosed:
             calls.append(args)
             return real(*args)
 
-        # every unclab module that imported it (spectrum and closed_forms among them)
+        # every unclab module that imported it (spectrum among them)
         for name, module in list(sys.modules.items()):
             if name.startswith("unclab.") and getattr(module, "zeta", None) is real:
                 monkeypatch.setattr(module, "zeta", counted)
         spectrum._riemann_zeta.cache_clear()
         per_row = []
-        for alpha in np.geomspace(1.6, 50.0, 160).tolist():
+        for alpha in FIG2_GRID.tolist():
             calls.clear()
-            evaluate_family(polynomial_family(), alpha)
+            build_spectrum(polynomial_family(), alpha, rel_tol=1e-8)
             per_row.append(len(calls))
         assert min(per_row) >= 5
         assert sum(per_row) / len(per_row) <= 6.0
         assert max(per_row) <= 7
 
+    def test_fig2_sweep_builds_no_window(self, monkeypatch):
+        calls = []
+        real = spectrum.build_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("unclab") and getattr(module, "build_spectrum", None) is real:
+                monkeypatch.setattr(module, "build_spectrum", counted)
+        rows = sweep(polynomial_family(), 1.6, 50.0, 160, scale="log")
+        assert len(rows) == 160 and calls == []
+
     def test_var_phi_against_series_on_tight_window(self):
-        # independent window: direct build at a different tolerance
-        ev = poly_closed(2.5)
-        s = build_spectrum(polynomial_family(), 2.5, rel_tol=1e-10)
-        _, _, var_phi = phi_moments(s)
-        assert ev.var_phi == pytest.approx(var_phi, abs=5e-8)
+        # independent route: the coefficient series on a window at rel_tol
+        # 1e-12, which is affordable from alpha 1.6 up (N = 185545 there)
+        for alpha in np.geomspace(1.6, 50.0, 12).tolist():
+            ev = poly_closed(alpha)
+            s = build_spectrum(polynomial_family(), alpha, rel_tol=1e-12)
+            _, _, var_phi = phi_moments(s)
+            assert ev.var_phi == pytest.approx(var_phi, rel=2e-12, abs=0.0), alpha
+
+    @pytest.mark.parametrize("alpha, state_bound", [(2.0, 0.125), (4.0, 0.5 * 407700 / 518400)])
+    def test_even_integer_is_a_removable_point(self, alpha, state_bound):
+        # sin(pi alpha / 2) zeta(2j + 1 - alpha) is 0 * inf at j = alpha / 2;
+        # there zeta(0) = -1/2 from the continuation.  The state bound is
+        # exact: eta(2) = pi^2 / 12, eta(4) = 7 pi^4 / 720
+        ev = poly_closed(alpha)
+        ref = {row.alpha: row for row in _reference_rows()}
+        assert ev.var_phi == pytest.approx(ref[alpha].var_phi, rel=1e-13, abs=0.0)
+        assert ev.state_bound == pytest.approx(state_bound, rel=1e-14, abs=0.0)
+        for side in (alpha - 1e-9, alpha + 1e-9):  # continuous through it
+            assert poly_closed(side).var_phi == pytest.approx(ev.var_phi, rel=1e-8)
+
+    def test_reference_table(self):
+        # tests/poly_reference.csv, written by tests/make_poly_reference.py in
+        # 60-digit mpmath; the README's Accuracy paragraph states these bounds
+        rows = _reference_rows()
+        assert len(rows) > 1200
+        for row in rows:
+            ev = poly_closed(row.alpha)
+            assert ev.var_phi == pytest.approx(row.var_phi, rel=1e-12, abs=0.0), row
+            bound = 1e-13 if row.kind == "fig2" else 1e-12
+            assert ev.state_bound == pytest.approx(row.state_bound, rel=bound, abs=0.0), row
+
+    def test_reference_table_covers_the_poles(self):
+        rows = _reference_rows()
+        alphas = {row.alpha for row in rows}
+        for m in range(3, 50, 2):
+            assert {m - 1e-12, float(m), m + 1e-12} <= alphas
+        assert {row.alpha for row in rows if row.kind == "fig2"} == set(FIG2_GRID[[*range(0, 160, 8), 159]])
 
 
 class TestXiResummed:

@@ -9,6 +9,7 @@ from scipy.special import spence
 from scipy.special import zeta as scipy_zeta
 
 from unclab import InvalidParameter, dilog, zeta
+from unclab.special import _zeta_entire
 
 PI = math.pi
 
@@ -159,3 +160,40 @@ class TestHurwitzZeta:
     def test_a_domain(self, a):
         with pytest.raises(InvalidParameter):
             zeta(2.0, a)
+
+
+class TestZetaEntire:
+    """The private array zeta(s) - 1/(s - 1) that the polynomial closed forms read."""
+
+    S_BELOW_TWO = [0.0, 1e-9, 0.2, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.3, 1.75, 2.0]
+
+    def test_entire_part_against_mpmath_through_the_pole(self):
+        got = _zeta_entire(np.array(self.S_BELOW_TWO))
+        with mpmath.workdps(40):
+            for s, value in zip(self.S_BELOW_TWO, got):
+                x = mpmath.mpf(s)
+                ref = mpmath.euler if s == 1.0 else mpmath.zeta(x) - 1 / (x - 1)
+                assert abs(value - ref) <= 2e-14 * abs(ref), s
+
+    @pytest.mark.parametrize("s", [2.5, 3.0, 7.5, 20.0, 60.0, 250.0])
+    def test_zeta_above_two_against_mpmath(self, s):
+        value = _zeta_entire(np.array([s]))[0] + 1.0 / (s - 1.0)
+        with mpmath.workdps(40):
+            assert abs(value - mpmath.zeta(s)) <= 4 * np.finfo(float).eps * mpmath.zeta(s)
+
+    def test_matches_the_scalar_zeta(self):
+        s = np.random.default_rng(7).uniform(1.01, 80.0, 200)
+        got = _zeta_entire(s) + 1.0 / (s - 1.0)
+        want = np.array([zeta(float(x)).value for x in s])
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+    def test_each_element_is_reduced_on_its_own(self):
+        s = np.random.default_rng(8).uniform(0.0, 40.0, (5, 7))
+        whole = _zeta_entire(s)
+        for idx in np.ndindex(s.shape):
+            assert whole[idx] == _zeta_entire(np.array([s[idx]]))[0]
+
+    def test_huge_s_does_not_warn_or_overflow(self):
+        value = _zeta_entire(np.array([1e4, 1e300]))
+        assert value[0] == pytest.approx(1.0 - 1.0 / (1e4 - 1.0), rel=1e-15)
+        assert value[1] == 1.0
