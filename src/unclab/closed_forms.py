@@ -40,8 +40,7 @@ import numpy as np
 
 from .errors import DivergentMoment, InvalidParameter
 from .moments import PI_SQ_OVER_3
-from .spectrum import _riemann_zeta
-from .special import _zeta_entire, dilog
+from .special import _zeta_entire, dilog, zeta
 
 _EULER_GAMMA = 0.5772156649015329
 # b_j kept, j < _NJ: past j = alpha / 2 they fall like 4^-j, so the last is
@@ -234,7 +233,7 @@ def _poly_grid(alphas) -> list[PolyFamilyEval | DivergentMoment]:
         else:
             records.append(None)
             finite.append(float(alpha))
-    zeta_2a = [_riemann_zeta(2.0 * a) for a in finite]
+    zeta_2a = [zeta(2.0 * a).value for a in finite]
     flat = [min(a, _ALPHA_FLAT) for a in finite]
     moments = [
         pair
@@ -242,7 +241,7 @@ def _poly_grid(alphas) -> list[PolyFamilyEval | DivergentMoment]:
         for pair in _poly_moments(flat[i : i + _BLOCK], zeta_2a[i : i + _BLOCK])
     ]
     evals = iter(
-        PolyFamilyEval(alpha=a, var_lz=_riemann_zeta(2.0 * a - 2.0) / z,
+        PolyFamilyEval(alpha=a, var_lz=zeta(2.0 * a - 2.0).value / z,
                        var_phi=var_phi, state_bound=state_bound)
         for a, z, (var_phi, state_bound) in zip(finite, zeta_2a, moments)
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -41,8 +42,11 @@ class CoefficientFamily:
     finite and at most 1e100 in modulus (only the amplitudes' ratios are
     observable, so any family can be scaled to that).  ``is_symmetric``
     (|C_n| = |C_{-n}|) and ``is_real`` (exactly zero imaginary parts) are
-    descriptive metadata: no engine reads them, and realness and symmetry
-    are read from the coefficients themselves.  ``support_hint``, when set,
+    descriptive metadata: no moment is computed from them, and realness and
+    symmetry are read from the coefficients themselves.  They take part in
+    the dataclass ==, so ``analysis._engine`` and ``spectrum._exact_tails``,
+    which match the built-in families by ==, treat a copy with other flags
+    as another family.  ``support_hint``, when set,
     promises C_n = 0 for |n| > support_hint, so spectrum construction keeps
     the whole support and no tail past it.  A rule whose only amplitudes
     past the first ring (|n| <= 16) and its probes are isolated modes (at
@@ -205,6 +209,14 @@ def _index(value, where: str) -> int:
     return int(value)
 
 
+def _flag(spec: Mapping, key: str) -> bool:
+    """A document's flag: a boolean, not a string or number that bool() reads."""
+    value = spec[key]
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameter(f"family spec {key} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def _table_lookup(
     table: dict[float, dict[int, complex]], alpha: float
 ) -> dict[int, complex]:
@@ -222,8 +234,8 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
         raise InvalidParameter(f"family spec must be a JSON object, got {type(spec).__name__}")
     try:
         name = str(spec["name"])
-        symmetric = bool(spec["symmetric"])
-        real = bool(spec["real"])
+        symmetric = _flag(spec, "symmetric")
+        real = _flag(spec, "real")
         entries = list(spec["entries"])
     except KeyError as exc:
         raise InvalidParameter(f"family spec is missing key {exc}") from exc
@@ -252,14 +264,11 @@ def family_from_dict(spec: Mapping) -> CoefficientFamily:
         if n in seen:
             raise InvalidParameter(f"duplicate entry for n = {n}")
         seen.add(n)
-        try:
-            scale = float(e.get("scale", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameter(
-                f"entry n={n}: scale must be a number, got {e['scale']!r}"
-            ) from exc
+        scale = e.get("scale", 1.0)
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+            raise InvalidParameter(f"entry n={n}: scale must be a real number, got {scale!r}")
         needs_table |= expr == "table"
-        parsed.append((n, expr, scale))
+        parsed.append((n, expr, float(scale)))
 
     table = _parse_table(spec.get("table") or {}) if needs_table else {}
     if needs_table and not table:

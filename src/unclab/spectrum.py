@@ -10,9 +10,7 @@ the n^2 |C_n|^2 mass and the sensitivity sum |C_n| / n^2), each tested
 the same way and searched for by one gallop-and-bisect.  Only the source
 of the tails differs.  The built-in exponential and polynomial family
 values have every tail in closed form (geometric sums and Hurwitz zeta
-tails), so their cutoff is found before any amplitude is evaluated; a
-zeta tail test is decided by a closed-form bracket of the tail, and zeta
-is evaluated only when the bracket straddles the threshold.  A
+tails), so their cutoff is found before any amplitude is evaluated.  A
 family with a finite support keeps its whole support, and its tails are
 exactly zero.  Any other family (a callable, a renamed copy of a
 built-in) grows its window ring by ring, reads the dropped part of the
@@ -56,10 +54,6 @@ _FSUM_CHUNK = 1024
 # Relative rounding of a tail summed term by term: forming each n^2 |C_n|^2
 # from its amplitudes costs a few ulps, and math.fsum adds half of one.
 _TERM_ROUND = 8.0 * _EPS
-# Relative widening of a closed-form zeta tail bracket (_zeta_bracket), and
-# the least bracket it widens: below it, subnormal rounding is not relative.
-_BRACKET_MARGIN = 1e-6
-_BRACKET_FLOOR = 1e-280
 
 
 # --------------------------------------------------------------------------
@@ -390,11 +384,6 @@ class _Series:
     leading-order guess of the least n that passes.  A ``completed`` tail
     (a power-law n^2 tail, exact or fitted) is kept in full, so only its
     error is tested.  A ``diverges`` series has no tail; the text says why.
-    ``bracket(n)`` is a cheap (lo, hi) with lo <= value and value + err
-    <= hi for (value, err) = ``tail(n)``, or None where there is none.  A
-    bracket on one side of the threshold decides an uncompleted test as
-    ``tail`` would (both sides of the test are monotone in value, and so
-    is their rounding); only one that straddles it calls ``tail``.
     """
 
     label: str
@@ -403,20 +392,12 @@ class _Series:
     start: float = 0.0
     completed: bool = False
     diverges: str = ""
-    bracket: Callable[[int], tuple[float, float] | None] = lambda n: None
 
     def passes(self, n: int, rel_tol: float) -> bool:
         """Whether truncating at n leaves a tail within rel_tol."""
-        if self.completed:
-            return self.tail(n)[1] <= rel_tol * max(self.total, _ZERO_FLOOR)
-        bounds = self.bracket(n)
-        if bounds is not None:
-            lo, hi = bounds
-            if hi <= rel_tol * (self.total - hi):
-                return True
-            if lo > rel_tol * max(self.total - lo, _ZERO_FLOOR):
-                return False
         value, err = self.tail(n)
+        if self.completed:
+            return err <= rel_tol * max(self.total, _ZERO_FLOOR)
         return value + err <= rel_tol * max(self.total - value, _ZERO_FLOOR)
 
 
@@ -566,66 +547,18 @@ def _zeta_tail(s: float, n: int) -> tuple[float, float]:
     return 2.0 * z.value, 2.0 * (z.est_error + slack * z.value)
 
 
-def _zeta_bracket(s: float, n: int) -> tuple[float, float] | None:
-    """(lo, hi) around the value and value + err of _zeta_tail(s, n), or None.
-
-    x^-s is completely monotone, so with a = n + 1 the Euler-Maclaurin
-    remainder after the integral and half-boundary terms has the sign of
-    the first correction s a^(-s-1) / 12 and is no larger (DLMF 2.10(i),
-    25.11), and the first term plus the integral from a + 1 brackets the
-    rest:
-        a^(1-s) / (s-1) + a^-s / 2  <=  zeta(s, a)  <=  that + s a^(-s-1) / 12
-        a^-s + (a+1)^(1-s) / (s-1)  <=  zeta(s, a)  <=  that + (a+1)^-s
-    Their intersection, doubled and widened by _BRACKET_MARGIN, holds the
-    tail's value and value + err, whose relative error (the slack on s,
-    and a few ulps of rounding) is kept a thousand times below the margin.
-    None where it is not, and near underflow.
-    """
-    a = n + 1.0
-    slack = _EPS * s * (math.log(a) + 1.0 / (s - 1.0))
-    if not slack <= 1e-3 * _BRACKET_MARGIN:
-        return None
-    p, q = a**-s, (a + 1.0) ** -s
-    em = p * a / (s - 1.0) + 0.5 * p
-    first = p + q * (a + 1.0) / (s - 1.0)
-    lo = max(em, first)
-    if lo < _BRACKET_FLOOR:
-        return None
-    hi = min(em + s * p / a / 12.0, first + q)
-    return 2.0 * lo * (1.0 - _BRACKET_MARGIN), 2.0 * hi * (1.0 + _BRACKET_MARGIN)
-
-
-@functools.lru_cache(maxsize=8)
-def _riemann_zeta(s: float) -> float:
-    """zeta(s).value, kept for the few latest s: a polynomial closed-form row
-    reads zeta(2 alpha) and zeta(2 alpha - 2), and a polynomial build the
-    same totals."""
-    return zeta(float(s)).value
-
-
 def _zeta_series(
     label: str, s_text: str, s: float, rel_tol: float, completed: bool = False
 ) -> _Series:
-    """The series 2 zeta(s), s written ``s_text``, with its tails 2 zeta(s, n + 1).
-
-    Each tail is evaluated at most once, and the test of an uncompleted
-    series reads the closed-form bracket first."""
+    """The series 2 zeta(s), s written ``s_text``, with its tails 2 zeta(s, n + 1)."""
     if s <= 1.0:
         return _Series(label, diverges=f"{label} diverges because {s_text} <= 1")
-    total = _riemann_zeta(s)
+    total = zeta(s).value
     # the tail test holds once zeta(s, n + 1) ~ (n + 1/2)^(1 - s) / (s - 1)
     # drops to rel_tol / (1 + rel_tol) of the total
     ln_x = -math.log((s - 1.0) * rel_tol / (1.0 + rel_tol) * total) / (s - 1.0)
     start = math.exp(ln_x) - 0.5 if ln_x < 700.0 else math.inf
-    tails: dict[int, tuple[float, float]] = {}
-
-    def tail(n: int) -> tuple[float, float]:
-        if n not in tails:
-            tails[n] = _zeta_tail(s, n)
-        return tails[n]
-
-    bracket = functools.partial(_zeta_bracket, s)
-    return _Series(label, tail, 2.0 * total, start, completed, bracket=bracket)
+    return _Series(label, functools.partial(_zeta_tail, s), 2.0 * total, start, completed)
 
 
 def _poly_series(alpha: float, rel_tol: float) -> Iterator[_Series]:

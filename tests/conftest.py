@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from unclab import CoefficientFamily
+
+# Every property test draws the same examples on every run, and no example
+# database replays the failures of an earlier one.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -25,6 +31,18 @@ _TABLE = dict(_SINGLE, entries=[{"n": 0, "expr": "table"}])
 _MALFORMED = {
     "scale-text": (dict(_SINGLE, entries=[{"n": 0, "expr": "exp", "scale": "x"}]), "scale"),
     "scale-null": (dict(_SINGLE, entries=[{"n": 0, "expr": "exp", "scale": None}]), "scale"),
+    "scale-bool": (
+        dict(_SINGLE, entries=[{"n": 0, "expr": "exp", "scale": True}]),
+        "scale must be a real number, got True",
+    ),
+    "scale-numeric-text": (
+        dict(_SINGLE, entries=[{"n": 0, "expr": "exp", "scale": "2.0"}]),
+        "scale must be a real number, got '2.0'",
+    ),
+    "real-text": (dict(_SINGLE, real="false"), "real must be true or false, got 'false'"),
+    "symmetric-text": (dict(_SINGLE, symmetric="no"), "symmetric must be true or false"),
+    "symmetric-number": (dict(_SINGLE, symmetric=1), "symmetric must be true or false, got 1"),
+    "real-null": (dict(_SINGLE, real=None), "real must be true or false, got None"),
     "table-row-text": (dict(_TABLE, table={"1.0": [[0, "a", 0]]}), "table alpha"),
     "table-rows-number": (dict(_TABLE, table={"1.0": 5}), "table alpha"),
     "table-list": (dict(_TABLE, table=[1]), "table must map"),

@@ -1,12 +1,10 @@
 """Independent reference values that the library itself does not need."""
 
-import dataclasses
 import math
 
 import numpy as np
 
-from unclab import InvalidParameter, NonConvergent, polynomial_family
-from unclab import spectrum
+from unclab import InvalidParameter, NonConvergent
 
 _PHI_SLACK = 1e-12
 
@@ -91,18 +89,3 @@ def decreasing_run_by_pairs(mags: np.ndarray, strict: bool) -> bool:
                 cur = j
         best = max(best, length)
     return best >= max(3, g // 2)
-
-
-def poly_build_by_zeta(alpha: float, rel_tol: float, n_max: int):
-    """build_spectrum(polynomial_family(), alpha, rel_tol, n_max) with every
-    tail test decided by its zeta tail: the library's own series and
-    gallop-and-bisect search with the closed-form brackets taken out."""
-    family = polynomial_family()
-    where = f"family {family.name!r} at alpha={alpha}: "
-    series = (
-        dataclasses.replace(s, bracket=lambda n: None)
-        for s in spectrum._poly_series(float(alpha), rel_tol)
-    )
-    cutoff, mass, second = spectrum._cutoff(series, rel_tol, n_max, where)
-    coeffs = family.coefficients(np.arange(-cutoff, cutoff + 1), alpha)
-    return spectrum._window(family, alpha, coeffs, mass.tail(cutoff)[0], *second.tail(cutoff))

@@ -210,7 +210,7 @@ def tabulated(grid: np.ndarray, mags: np.ndarray) -> CoefficientFamily:
 
 
 class TestArrayRulesMatchTheLoopRules:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(magnitude_tables())
     # the edges of the rules: a trace 1e-14 above zero past the head third
     # (rising by more than the 1e-15 slack), and a trace tied to 1 - 1e-6
@@ -222,7 +222,7 @@ class TestArrayRulesMatchTheLoopRules:
         v = check_dominance(tabulated(grid, mags), grid, n_probe=p)
         assert (v.dominant_index, v.verdict) == dominance_by_loop(mags, np.arange(-p, p + 1))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(magnitude_tables())
     def test_condition_iii_both_readings(self, table):
         grid, mags = table
@@ -256,6 +256,21 @@ class TestAlphaStar:
     def test_epsilon_half_lands_just_past_the_hr_crossing(self):
         astar = find_alpha_star(exponential_family(), 0.5)
         assert 1.29639 < astar < 1.31
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="var_lz = 2u^2/(1-u^2)^2 underflows to 0 past alpha ~ 372.5, so the "
+        "product sqrt(var_phi var_lz) reads 0.0 (ROADMAP item 6)",
+    )
+    def test_tiny_epsilon_is_met_by_the_true_product(self):
+        # sigma_Lz = sqrt(2) e^-alpha / (1 - e^-2 alpha) itself is normal here:
+        # alpha* is about 392.4, not the 373.0 the underflowed product gives
+        eps = 1e-170
+        astar = find_alpha_star(exponential_family(), eps)
+        row = evaluate_family(exponential_family(), astar)
+        log_sigma_lz = 0.5 * math.log(2.0) - astar - math.log1p(-math.exp(-2.0 * astar))
+        assert 0.5 * math.log(row.var_phi) + log_sigma_lz < math.log(eps)
+        assert row.product > 0.0
 
     def test_hint_already_inside_target(self):
         astar = find_alpha_star(exponential_family(), 0.5, alpha_hint=3.0)

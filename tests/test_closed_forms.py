@@ -26,7 +26,7 @@ from unclab import (
     xi_sum,
     zeta,
 )
-from unclab import special, spectrum, sweep
+from unclab import spectrum, sweep
 
 from oracles import exp_xi_resummed
 
@@ -185,32 +185,6 @@ class TestPolyClosed:
     def test_divergent_below_three_halves(self, alpha):
         with pytest.raises(DivergentMoment):
             poly_closed(alpha)
-
-    def test_zeta_calls_per_fig2_row(self, monkeypatch):
-        # the window verify builds: 3 totals and the 2 reported tails are the
-        # floor of 5; a tail test costs a call only when its closed-form
-        # bracket straddles the threshold (12.87 per row when every test
-        # called zeta)
-        calls = []
-        real = special.zeta
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        # every unclab module that imported it (spectrum among them)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("unclab.") and getattr(module, "zeta", None) is real:
-                monkeypatch.setattr(module, "zeta", counted)
-        spectrum._riemann_zeta.cache_clear()
-        per_row = []
-        for alpha in FIG2_GRID.tolist():
-            calls.clear()
-            build_spectrum(polynomial_family(), alpha, rel_tol=1e-8)
-            per_row.append(len(calls))
-        assert min(per_row) >= 5
-        assert sum(per_row) / len(per_row) <= 6.0
-        assert max(per_row) <= 7
 
     def test_fig2_sweep_builds_no_window(self, monkeypatch):
         calls = []

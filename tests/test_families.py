@@ -187,6 +187,19 @@ class TestJsonInterface:
         with pytest.raises(InvalidParameter, match=field):
             family_from_dict(spec)
 
+    def test_numpy_flags_and_scales_are_accepted(self):
+        spec = dict(
+            self.spec_single_mode(),
+            symmetric=np.bool_(True),
+            real=np.bool_(True),
+            entries=[{"n": -1, "expr": "exp", "scale": np.int64(2)},
+                     {"n": 1, "expr": "exp", "scale": np.float64(2.0)}],
+        )
+        fam = family_from_dict(spec)
+        assert fam.is_symmetric is True and fam.is_real is True
+        got = fam.coefficients(np.array([-1, 1]), 1.0)
+        np.testing.assert_array_equal(got, [2.0 * math.exp(-1.0)] * 2)
+
     def test_real_flag_contradicting_table(self):
         with pytest.raises(InvalidParameter):
             family_from_dict(

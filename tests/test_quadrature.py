@@ -382,7 +382,7 @@ class TestErrorBounds:
         assert rows["mean_lz"].quadrature == 0.0
 
     @given(coeffs=even_tables())
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25, deadline=None)
     def test_even_tables_bound_their_error(self, coeffs):
         s = build_spectrum(table_family("even", coeffs), 1.0)
         exact = finite_exact(s)

@@ -28,7 +28,7 @@ from unclab import (
 from unclab import special, spectrum
 from unclab.spectrum import _tail_estimate, _tail_samples
 
-from oracles import evaluate_state, poly_build_by_zeta
+from oracles import evaluate_state
 
 PI = math.pi
 
@@ -393,36 +393,6 @@ class TestExactTails:
             assert s.tail_bound == 0.0 and s.norm_tail == 0.0
             assert tail_second_moment(family, [alpha], 1) == [0.0]
 
-    def test_bracketed_tests_decide_as_zeta_does(self):
-        # log-spaced alpha, with runs at 1/2, 3/2 and past 100, by log-spaced
-        # rel_tol; n_max = 2000 keeps the windows small and makes wide ones
-        # fail, so the NonConvergent texts are compared too
-        alphas = np.concatenate(
-            (
-                np.geomspace(0.5, 300.0, 40),
-                0.5 + np.geomspace(1e-9, 0.1, 8),
-                1.5 + np.geomspace(-1e-9, -0.1, 4),
-                1.5 + np.geomspace(1e-9, 0.1, 8),
-                np.geomspace(100.0, 1000.0, 8),
-            )
-        )
-
-        def outcome(build, alpha, rel_tol):
-            try:
-                s = build(alpha, rel_tol, 2000)
-            except NonConvergent as exc:
-                return str(exc)
-            return s.cutoff, s.norm_tail, s.tail_bound, s.tail_err, s.sum_sq
-
-        def library(alpha, rel_tol, n_max):
-            return build_spectrum(polynomial_family(), alpha, rel_tol, n_max)
-
-        for alpha in alphas.tolist():
-            for rel_tol in np.geomspace(1e-15, 1e-2, 37).tolist():
-                assert outcome(library, alpha, rel_tol) == outcome(
-                    poly_build_by_zeta, alpha, rel_tol
-                ), (alpha, rel_tol)
-
     def test_poly_three_halves_is_lz_divergent_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -700,7 +670,6 @@ class TestTailSecondMoment:
             return special.zeta(s, a)
 
         monkeypatch.setattr(spectrum, "zeta", counted)
-        spectrum._riemann_zeta.cache_clear()
         grid = [1.6, 2.2, 5.4]
         got = tail_second_moment(polynomial_family(), grid, 10)
         assert calls == [(2.0 * a - 2.0, 11) for a in grid]
