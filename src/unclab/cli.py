@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -52,6 +53,10 @@ EXIT_NOT_ATTAINABLE = 5
 EXIT_VERIFY_FAILED = 6
 
 _CSV_COLUMNS = ("alpha", "var_phi", "var_lz", "product", "hr_bound", "state_bound")
+_csv_cells = operator.attrgetter(*_CSV_COLUMNS)
+# one row in one format; "%.17g" % x is format(x, ".17g"), and "nan" occurs
+# in no other number's text, so a divergent row's NaN cells become "div"
+_CSV_ROW = ",".join(["%.17g"] * len(_CSV_COLUMNS))
 
 
 def _fmt(x: float) -> str:
@@ -122,10 +127,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "# units: hbar = 1; product = sigma_phi * sigma_Lz",
         ",".join(_CSV_COLUMNS),
     ]
-    for r in rows:
-        cells = (getattr(r, c) for c in _CSV_COLUMNS)
-        lines.append(",".join("div" if math.isnan(x) else _fmt(x) for x in cells))
-    text = "\n".join(lines) + "\n"
+    body = "".join([_CSV_ROW % _csv_cells(r) + "\n" for r in rows])
+    text = "\n".join(lines) + "\n" + body.replace("nan", "div")
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DivergentMoment, InvalidParameter
 from .moments import PI_SQ_OVER_3
-from .special import _zeta_entire, dilog, zeta
+from .special import _zeta_entire, dilog
 
 _EULER_GAMMA = 0.5772156649015329
 # b_j kept, j < _NJ: past j = alpha / 2 they fall like 4^-j, so the last is
@@ -82,10 +82,12 @@ _ROWS = np.arange(_NJ + 1.0)[:, None]
 _AFTER, _AT, _NEXT = _J > _ROWS, _J == _ROWS, _J == _ROWS + 1.0
 _PAIR_P = np.append(_TAYLOR, 0.0)
 _PAIR_Q = 2.0 * (_ROWS + _J) + 3.0
+_EVEN_SHIFTS = np.array([0.0, -2.0])  # the zeta(2 alpha), zeta(2 alpha - 2) columns
 _LN_2 = math.log(2.0)
 _TWO_PI_SQ = 2.0 * math.pi**2
-# Past this alpha, every alpha-dependent part of var_phi and the state bound
-# is below 2^-9900 of them, so they are evaluated here; nothing overflows.
+# Past this alpha, every alpha-dependent part of var_lz, var_phi and the
+# state bound is below 2^-9900 of them, so they are evaluated here; nothing
+# overflows.
 _ALPHA_FLAT = 1e4
 # Rows per array evaluation: a block's largest temporaries, the (rows, _NJ,
 # _NJ) Gram products, then stay near 0.25 MB each.
@@ -161,12 +163,13 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     )
 
 
-def _poly_moments(alphas: list[float], zeta_2a: list[float]) -> list[tuple[float, float]]:
-    """(var_phi, state_bound) of the polynomial family at each alpha > 3/2.
+def _poly_moments(alphas: list[float]) -> list[tuple[float, float, float]]:
+    """(var_lz, var_phi, state_bound) of the polynomial family at each alpha > 3/2.
 
-    ``zeta_2a`` holds zeta(2 alpha).  The array work runs on one row per
-    alpha and every reduction along a row, so a value does not depend on the
-    other alphas it is evaluated with.
+    The array work runs on one row per alpha and every reduction along a
+    row, so a value does not depend on the other alphas it is evaluated with.
+    zeta(2 alpha) and zeta(2 alpha - 2), for |A|^2 and sigma_Lz^2, are two
+    more columns of the one _zeta_entire call that gives zeta(alpha - 2j).
 
     R(pi t) = a' t^(alpha-1) + sum_j b'_j t^2j with a' = a pi^(alpha-1) and
     b'_j = b_j pi^2j (module docstring).  Write alpha = m + eps, m = 2J + 1
@@ -185,9 +188,13 @@ def _poly_moments(alphas: list[float], zeta_2a: list[float]) -> list[tuple[float
     row = row.astype(np.intp)
     after, pair = _AFTER[row], _AT[row]
     # zeta(alpha - 2j) up to J, zeta(2j + 1 - alpha) past it; Z at the pair
-    d = np.array(alphas)[:, None] - 2.0 * _J
+    column = np.array(alphas)[:, None]
+    d = column - 2.0 * _J
     x = np.where(after, 1.0 - d, d)
-    z = _zeta_entire(x)
+    s_even = 2.0 * column + _EVEN_SHIFTS  # 2 alpha, 2 alpha - 2
+    z_all = _zeta_entire(np.concatenate((x, s_even), axis=1))
+    z = z_all[:, :_NJ]
+    zeta_2a, zeta_2a_minus_2 = (z_all[:, _NJ:] + 1.0 / (s_even - 1.0)).T
     x1 = x - 1.0
     zeta = z + 1.0 / np.where(pair, 1.0, x1)  # its pair column is replaced below
     # the reflection factors past J by recurrence from ``first``
@@ -206,13 +213,14 @@ def _poly_moments(alphas: list[float], zeta_2a: list[float]) -> list[tuple[float
     cross = (b / (q * (q + eps[:, None]))).sum(axis=1)
     gram = (b[:, :, None] * b[:, None, :] * _HILBERT).sum(axis=(1, 2))
     out = []
-    for a, z2, (_, _, _, _, self_w, eta_factor), g, cc, x2, z0 in zip(
-        alphas, zeta_2a, scalars, gram.tolist(), c.tolist(), cross.tolist(), z[:, 0].tolist()
+    for a, z2, z2_minus_2, (_, _, _, _, self_w, eta_factor), g, cc, x2, z0 in zip(
+        alphas, zeta_2a.tolist(), zeta_2a_minus_2.tolist(), scalars,
+        gram.tolist(), c.tolist(), cross.tolist(), z[:, 0].tolist()
     ):
         var_phi = (g + cc * (cc * self_w - 2.0 * x2)) * _TWO_PI_SQ / z2
         # eta(alpha) = (1 - 2^(1 - alpha)) zeta(alpha), zeta(alpha) from column 0
         eta = eta_factor * (z0 + 1.0 / (a - 1.0))
-        out.append((var_phi, 0.5 * abs(1.0 - 2.0 * eta * eta / z2)))
+        out.append((z2_minus_2 / z2, var_phi, 0.5 * abs(1.0 - 2.0 * eta * eta / z2)))
     return out
 
 
@@ -233,17 +241,15 @@ def _poly_grid(alphas) -> list[PolyFamilyEval | DivergentMoment]:
         else:
             records.append(None)
             finite.append(float(alpha))
-    zeta_2a = [zeta(2.0 * a).value for a in finite]
     flat = [min(a, _ALPHA_FLAT) for a in finite]
     moments = [
-        pair
+        row
         for i in range(0, len(flat), _BLOCK)
-        for pair in _poly_moments(flat[i : i + _BLOCK], zeta_2a[i : i + _BLOCK])
+        for row in _poly_moments(flat[i : i + _BLOCK])
     ]
     evals = iter(
-        PolyFamilyEval(alpha=a, var_lz=zeta(2.0 * a - 2.0).value / z,
-                       var_phi=var_phi, state_bound=state_bound)
-        for a, z, (var_phi, state_bound) in zip(finite, zeta_2a, moments)
+        PolyFamilyEval(alpha=a, var_lz=var_lz, var_phi=var_phi, state_bound=state_bound)
+        for a, (var_lz, var_phi, state_bound) in zip(finite, moments)
     )
     return [next(evals) if rec is None else rec for rec in records]
 

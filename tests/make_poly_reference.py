@@ -4,6 +4,7 @@
 For C_n = |n|^-alpha (C_0 = 0) the state is f(phi) = 2 A Re Li_alpha(e^{i phi})
 with |A|^2 = 1 / (4 pi zeta(2 alpha)), so, with phi = pi t,
 
+    var_lz      = zeta(2 alpha - 2) / zeta(2 alpha),
     var_phi     = (2 pi^2 / zeta(2 alpha)) int_0^1 t^2 R(pi t)^2 dt,
     state_bound = |1 - 2 eta(alpha)^2 / zeta(2 alpha)| / 2,
 
@@ -97,6 +98,11 @@ def var_phi(alpha: float) -> mp.mpf:
     return 2 * pi**2 / mp.zeta(2 * a) * integral
 
 
+def var_lz(alpha: float) -> mp.mpf:
+    a = mp.mpf(alpha)
+    return mp.zeta(2 * a - 2) / mp.zeta(2 * a)
+
+
 def state_bound(alpha: float) -> mp.mpf:
     a = mp.mpf(alpha)
     eta = mp.altzeta(a)
@@ -124,11 +130,11 @@ def main() -> int:
     rows = []
     for alpha, label in _points():
         rows.append((repr(alpha), label, mp.nstr(var_phi(alpha), DIGITS),
-                     mp.nstr(state_bound(alpha), DIGITS)))
+                     mp.nstr(state_bound(alpha), DIGITS), mp.nstr(var_lz(alpha), DIGITS)))
     with OUT.open("w", newline="\n") as fh:
         fh.write(f"# {OUT.name}: written by {Path(__file__).name} at mpmath dps {DPS}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("alpha", "kind", "var_phi", "state_bound"))
+        writer.writerow(("alpha", "kind", "var_phi", "state_bound", "var_lz"))
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {OUT}")
     return 0

@@ -93,6 +93,27 @@ class TestSweep:
         div_rows = [ln for ln in outerr.out.splitlines() if ",div," in ln]
         assert div_rows and div_rows[0].startswith("1.2,")
 
+    @pytest.mark.parametrize("family, lo, hi", [("exp", "0.05", "5"), ("poly", "0.9", "3"),
+                                                ("custom", "0.5", "2")])
+    def test_each_cell_is_its_17_digit_format(self, family, lo, hi, tmp_path, capsys):
+        # cell by cell, as format(x, ".17g"), and "div" for a divergent
+        # cell; a "nan" in the family name stays in the header
+        spec = tmp_path / "banana.json"
+        spec.write_text(json.dumps(dict(SINGLE_MODE_SPEC, name="banana")))
+        main(["sweep", "--family", family, "--spec", str(spec), "--min", lo, "--max", hi,
+              "--steps", "23", "--keep-going"])
+        lines = capsys.readouterr().out.splitlines()
+        fam = {"exp": unclab.exponential_family, "poly": unclab.polynomial_family,
+               "custom": functools.partial(unclab.load_family, spec)}[family]()
+        rows = unclab.sweep(fam, float(lo), float(hi), 23, keep_going=True)
+        want = [
+            ",".join("div" if math.isnan(x) else format(x, ".17g")
+                     for x in (r.alpha, r.var_phi, r.var_lz, r.product, r.hr_bound, r.state_bound))
+            for r in rows
+        ]
+        assert lines[-23:] == want
+        assert f"# family: {fam.name}" in lines
+
     def test_divergent_aborts_without_keep_going(self, capsys):
         rc = main(
             ["sweep", "--family", "poly", "--min", "1.2", "--max", "2.4",

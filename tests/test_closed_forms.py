@@ -2,8 +2,10 @@
 
 import csv
 import functools
+import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,7 +28,7 @@ from unclab import (
     xi_sum,
     zeta,
 )
-from unclab import spectrum, sweep
+from unclab import special, spectrum, sweep
 
 from oracles import exp_xi_resummed
 
@@ -34,6 +36,8 @@ PI = math.pi
 PI2_3 = PI**2 / 3.0
 FIG2_GRID = np.geomspace(1.6, 50.0, 160)
 _REFERENCE = Path(__file__).with_name("poly_reference.csv")
+_EXP_REFERENCE = Path(__file__).with_name("exp_reference.csv")
+_FIGURES_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
 
 
 class _Reference(NamedTuple):
@@ -41,15 +45,21 @@ class _Reference(NamedTuple):
     kind: str
     var_phi: float
     state_bound: float
+    var_lz: float
+
+
+def _read_table(path: Path) -> list[dict[str, str]]:
+    """The rows of a reference table or a sweep CSV, without its # lines."""
+    with path.open(encoding="utf-8") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
 @functools.cache
 def _reference_rows() -> tuple[_Reference, ...]:
-    with _REFERENCE.open(encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
     return tuple(
-        _Reference(float(alpha), kind, float(var_phi), float(state_bound))
-        for alpha, kind, var_phi, state_bound in csv.reader(lines[1:])
+        _Reference(float(r["alpha"]), r["kind"], float(r["var_phi"]),
+                   float(r["state_bound"]), float(r["var_lz"]))
+        for r in _read_table(_REFERENCE)
     )
 
 
@@ -170,6 +180,22 @@ class TestExpBoundary:
         assert bound == pytest.approx(2.0 * math.exp(-a), rel=1e-12)
 
 
+def _counted(monkeypatch, real) -> list:
+    """The calls of ``real`` made through any unclab module's name for it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unclab"):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
 class TestPolyClosed:
     def test_alpha_two_zeta_ratio(self):
         ev = poly_closed(2.0)
@@ -187,18 +213,26 @@ class TestPolyClosed:
             poly_closed(alpha)
 
     def test_fig2_sweep_builds_no_window(self, monkeypatch):
-        calls = []
-        real = spectrum.build_spectrum
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("unclab") and getattr(module, "build_spectrum", None) is real:
-                monkeypatch.setattr(module, "build_spectrum", counted)
+        calls = _counted(monkeypatch, spectrum.build_spectrum)
         rows = sweep(polynomial_family(), 1.6, 50.0, 160, scale="log")
         assert len(rows) == 160 and calls == []
+
+    def test_no_scalar_zeta_call(self, monkeypatch):
+        # zeta(2 alpha) and zeta(2 alpha - 2) are columns of the array call
+        # that gives zeta(alpha - 2j)
+        calls = _counted(monkeypatch, special.zeta)
+        rows = sweep(polynomial_family(), 1.6, 50.0, 160, scale="log")
+        assert len(rows) == 160 and calls == []
+        poly_closed(2.3)
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e308, math.inf])
+    def test_far_alpha_is_finite_and_quiet(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = poly_closed(alpha)
+        assert ev.var_lz == 1.0
+        assert math.isfinite(ev.var_phi) and math.isfinite(ev.state_bound)
 
     def test_var_phi_against_series_on_tight_window(self):
         # independent route: the coefficient series on a window at rel_tol
@@ -232,12 +266,61 @@ class TestPolyClosed:
             bound = 1e-13 if row.kind == "fig2" else 1e-12
             assert ev.state_bound == pytest.approx(row.state_bound, rel=bound, abs=0.0), row
 
+    def test_reference_table_var_lz(self):
+        # zeta(2 alpha - 2) / zeta(2 alpha) from the array zeta, on every row
+        for row in _reference_rows():
+            ev = poly_closed(row.alpha)
+            assert ev.var_lz == pytest.approx(row.var_lz, rel=1e-15, abs=0.0), row
+
     def test_reference_table_covers_the_poles(self):
         rows = _reference_rows()
         alphas = {row.alpha for row in rows}
         for m in range(3, 50, 2):
             assert {m - 1e-12, float(m), m + 1e-12} <= alphas
         assert {row.alpha for row in rows if row.kind == "fig2"} == set(FIG2_GRID[[*range(0, 160, 8), 159]])
+
+
+# Per figure and column: the worst relative error of the figure CSVs over
+# the reference rows, rounded up to one digit (the polynomial var_lz
+# measures 5.0e-16 and is held at 1e-15).
+_FIGURE_BOUNDS = {
+    "fig1_exp": {"var_phi": 5e-14, "var_lz": 4e-16, "product": 3e-14, "state_bound": 4e-16},
+    "fig2_exp": {"var_phi": 2e-16, "var_lz": 3e-16, "product": 2e-16, "state_bound": 2e-16},
+    "fig2_poly": {"var_lz": 1e-15, "product": 9e-15},
+}
+
+
+class TestFigureReferences:
+    def test_figure_csvs_against_reference_tables(self, tmp_path):
+        # tests/exp_reference.csv (40-digit, tests/make_exp_reference.py) and
+        # the var_lz column of tests/poly_reference.csv; the poly product
+        # reference is sqrt(var_phi var_lz) of the table's 30-digit values
+        spec = importlib.util.spec_from_file_location("reproduce_figures", _FIGURES_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.run(tmp_path) == 0
+        figures = {
+            name: {float(r["alpha"]): r for r in _read_table(tmp_path / f"{name}.csv")}
+            for name in _FIGURE_BOUNDS
+        }
+        with mpmath.workdps(40):
+            refs = [("fig1_exp" if r["kind"] == "fig1" else "fig2_exp", r)
+                    for r in _read_table(_EXP_REFERENCE)]
+            refs += [
+                ("fig2_poly", {**r, "product": mpmath.sqrt(mpmath.mpf(r["var_phi"])
+                                                           * mpmath.mpf(r["var_lz"]))})
+                for r in _read_table(_REFERENCE) if r["kind"] == "fig2"
+            ]
+            worst = {}
+            for name, ref in refs:
+                row = figures[name][float(ref["alpha"])]
+                for column in _FIGURE_BOUNDS[name]:
+                    want = mpmath.mpf(ref[column])
+                    rel = float(abs(mpmath.mpf(float(row[column])) - want) / want)
+                    worst[name, column] = max(worst.get((name, column), 0.0), rel)
+        assert len(refs) == 76 + 21 + 21
+        for (name, column), rel in worst.items():
+            assert rel <= _FIGURE_BOUNDS[name][column], (name, column, rel)
 
 
 class TestXiResummed:

@@ -20,6 +20,28 @@ def li2_brute(z: float, terms: int = 2000) -> float:
     return math.fsum(z**k / (k * k) for k in ks)
 
 
+_FIXED_BITS = 160
+
+
+def li2_forty_digits(z: float) -> mpmath.mpf:
+    """Li2(z) for z in [-1, 0] to about 45 digits, at the caller's mpmath precision.
+
+    The Landen reflection -Li2(w) - ln^2(1 - z) / 2, w = z / (z - 1) in
+    [0, 1/2], with Li2(w) = w S(w), S = sum_{k>=1} w^(k-1) / k^2 in [1, 2)
+    summed exactly in 160-bit fixed point (integers), so 2001 points take a
+    fraction of a second and a tiny z keeps its relative precision.
+    """
+    num, den = (-z).as_integer_ratio()  # -z = num / den
+    w = (num << _FIXED_BITS) // (num + den)
+    total, power, k = 1 << _FIXED_BITS, w, 2
+    while power:
+        total += power // (k * k)
+        power = (power * w) >> _FIXED_BITS
+        k += 1
+    li2_w = mpmath.mpf(num) / (num + den) * mpmath.ldexp(total, -_FIXED_BITS)
+    return -li2_w - mpmath.log1p(-z) ** 2 / 2
+
+
 class TestDilog:
     def test_minus_one_is_minus_pi_sq_over_12(self):
         # alternating sum of 1/k^2
@@ -42,8 +64,9 @@ class TestDilog:
 
     @pytest.mark.parametrize("z", [-1.0, -0.75, -0.5, -0.25, -0.05])
     def test_est_error_bounds_longer_summation(self, z):
-        # reference: same algorithm (reflection for |z| > 1/2) with a 10x
-        # longer series, effectively exact at these arguments
+        # reference: the power series in z, for |z| > 1/2 through the Landen
+        # reflection Li2(z) = -Li2(z/(z-1)) - ln^2(1-z)/2, with 600 terms:
+        # a different algorithm, effectively exact at these arguments
         if abs(z) > 0.5:
             w = z / (z - 1.0)
             ref = -li2_brute(w, terms=600) - 0.5 * math.log1p(-z) ** 2
@@ -52,9 +75,17 @@ class TestDilog:
         r = dilog(z)
         assert abs(r.value - ref) <= max(r.est_error, 1e-15)
 
-    def test_reflection_keeps_term_count_low(self):
-        assert dilog(-0.999).terms_used < 60
-        assert dilog(-0.3).terms_used < 60
+    def test_est_error_bounds_forty_digit_reference(self):
+        points = [*np.linspace(-1.0, 0.0, 2001).tolist(), -1.0, -0.5, -1e-300]
+        with mpmath.workdps(40):
+            for z in points:
+                r = dilog(z)
+                assert abs(r.value - li2_forty_digits(z)) <= r.est_error, z
+
+    def test_forty_digit_reference_is_the_polylog(self):
+        with mpmath.workdps(40):
+            for z in (-1.0, -0.7, -0.5, -0.3, -1e-3):
+                assert abs(li2_forty_digits(z) - mpmath.polylog(2, z)) < 1e-39
 
     @pytest.mark.parametrize("z", [-1.0000001, 0.1, 2.0, math.nan])
     def test_domain(self, z):
