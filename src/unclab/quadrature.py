@@ -17,8 +17,8 @@ real FFTs into one complex one; Press et al., Numerical Recipes, 3rd ed.,
 12.3).  A part at all P nodes is one real inverse FFT of its half spectrum
 times (-1)^n e^{i n delta}, placed in slots 0..N of P // 2 + 1 (P > 2N
 keeps the slots distinct), and its derivative is one more after
-multiplying the slots by i n.  The parts are the rows of one array, so
-each offset takes one transform for f and one for f'.  Then
+multiplying the slots by i n.  The parts are the rows of one array, so an
+offset takes one transform for f, and f' one more.  Then
 |f|^2 = g^2 + h^2, |f'|^2 = g'^2 + h'^2 and Im(conj(f) f') = g h' - h g'.
 A real-valued state, c_{-n} = conj(c_n) (checked on the coefficients, not
 taken from the family's flags), is g alone, g_n = c_n, and its
@@ -28,29 +28,35 @@ f(-phi) = f(phi).  The rule is symmetric too (nodes u and 1 - u carry
 equal weights), and the node set at offset h - delta is the negation of
 the one at delta, so such a state is evaluated at half the offsets with
 twice the weight, and its odd integrals (phi, sin, Im(conj(f) f')) are
-exactly 0.  One pass over the offsets feeds all nine integrals (norm,
-phi, phi^2, |f'|^2, Im(conj(f) f'), sin, cos, sin^2, cos^2) from the
-same node values.
+exactly 0.  Of the nine integrals, phi and phi^2 read every offset; the
+seven periodic ones (norm, sin, cos, sin^2, cos^2, |f'|^2 and
+Im(conj(f) f')) read the first offset alone, for the reason below, so f'
+is transformed once per pass.
 
 Bound.  On any P' >= P panels each offset's P' nodes are equispaced over
-a full period, so the rule integrates a trigonometric polynomial of
-degree below P' exactly.  Seven integrands are such polynomials, of
-degree at most 2N + 2 < P: norm, sin, cos, sin^2, cos^2, |f'|^2 and
-Im(conj(f) f').  The even fold keeps them exact, as its weights still sum
-to 1.  Their est_error is the rounding floor alone (see
-``_rounding_floors``).  Only phi and phi^2 are not periodic.  Their
-truncation error is bounded before any node is evaluated, by Gauss's
-Bernstein-ellipse bound summed over the panels (``_gauss_bound``), and
-P' is the smallest 2^a 3^b 5^c >= P whose bounds on the requested phi
-integrals are at most max(abs_tol, floor).  One pass on P' panels then
-gives every value, and est_error = bound + floor for phi and phi^2.
+a full period, so h' times the sum over them (h' = 2 pi / P') integrates
+a trigonometric polynomial of degree below P' exactly, and so does the
+rule, a weighted mean of such sums.  Seven integrands are such
+polynomials, of degree at most 2N + 2 < P: norm, sin, cos, sin^2, cos^2,
+|f'|^2 and Im(conj(f) f').  Each is therefore read from the nodes of the
+first offset alone, weighted h', whatever the state's symmetry.  Their
+est_error is the rounding floor alone (see ``_rounding_floors``).  Only
+phi and phi^2 are not periodic.  Each offset adds to them three node sums
+of |f|^2 against fixed grid vectors (1, grid and grid^2, with the node
+phi = grid + delta expanded).  Their truncation error is bounded before
+any node is evaluated, by Gauss's Bernstein-ellipse bound summed over the
+panels (``_gauss_bound``), and P' is the smallest 2^a 3^b 5^c >= P whose
+bounds on the requested phi integrals are at most max(abs_tol, floor).
+One pass on P' panels then gives every value, and est_error = bound +
+floor for phi and phi^2.
 
 Budget.  ``max_evals`` caps the node evaluations, and ``evaluations``
 reports them.  Both count the rule's nodes, 8 P', also where a
 mirror-symmetric state takes half of them from the other half, so a
 state's count and its budget error do not depend on its symmetry.  The
-search for P' stops at the first panel count over budget and raises
-ToleranceNotMet naming it, before any FFT runs.
+periodic integrals' one offset is among those nodes.  The search for P'
+stops at the first panel count over budget and raises ToleranceNotMet
+naming it, before any FFT runs.
 
 ``adaptive_simpson`` remains the integrator for arbitrary callables; the
 moment paths do not use it.
@@ -226,32 +232,36 @@ def _mesh_pass(
 
     The nodes at offset delta = h u_q form one length-``panels`` grid, on
     which each real part of ``_parts`` is one row of a real inverse FFT.
-    The lz integrals are left at 0 unless ``derivative`` is set; a real
-    state has one part, so Im(conj(f) f') and the lz integral are exactly
-    0.  An ``even`` state, f(-phi) = f(phi), is evaluated at the offsets
-    with q < 4 only, each weighted twice: offset h - delta = h u_{7-q}
-    carries the negated nodes and the same weight, so it adds as much to
-    each even integral and cancels each odd one (phi, sin, lz), which stay
-    exactly 0.
+    phi and phi^2 take every offset: with x = grid + delta, their node sums
+    are S1 + delta S0 and S2 + 2 delta S1 + delta^2 S0, from the three sums
+    S_k of |f|^2 grid^k over the grid.  The seven periodic integrals are
+    exact on any one offset's equispaced nodes (Bound in the module
+    docstring), so they take the first offset alone, weighted h, and f' is
+    transformed there only.  The lz integrals are left at 0 unless
+    ``derivative`` is set; a real state has one part, so Im(conj(f) f')
+    and the lz integral are exactly 0.  An ``even`` state, f(-phi) =
+    f(phi), is evaluated at the offsets with q < 4 only, each weighted
+    twice: offset h - delta = h u_{7-q} carries the negated nodes and the
+    same weight, so it adds as much to each even integral and cancels each
+    odd one (phi, sin, lz), which stay exactly 0.
     """
     N = s.cutoff
     h = 2.0 * math.pi / panels
     grid = h * np.arange(panels) - math.pi
-    sin_grid, cos_grid = np.sin(grid), np.cos(grid)
+    grid_sq = grid * grid
     parts = _parts(s)
     complex_state = len(parts) == 2
     half = np.zeros((len(parts), panels // 2 + 1), dtype=complex)
     slots = half[:, : N + 1]
     phases = slots[0]  # written in place, then scaled by the first part
     n = np.arange(N + 1)
-    i_n = 1j * n
-    x, dens, tmp, wgt = (np.empty(panels) for _ in range(4))
+    dens, tmp, wgt = (np.empty(panels) for _ in range(3))
     partial: dict[str, list[float]] = {name: [] for name in _INTEGRALS}
     odd = ("phi", "sin", "lz") if even else ()
 
-    def add(name: str, values: np.ndarray, weight: float) -> None:
+    def add(name: str, values: np.ndarray) -> None:  # on the first offset
         if name not in odd:
-            partial[name].append(weight * float(values.sum()))
+            partial[name].append(h * float(values.sum()))
 
     def sum_squares(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.square(rows[0], out=out)
@@ -264,10 +274,9 @@ def _mesh_pass(
     if even:
         nodes = nodes[: _GAUSS_POINTS // 2]
         weights = tuple(2.0 * w for w in weights[: _GAUSS_POINTS // 2])
-    for u, w in zip(nodes, weights):
+    for q, (u, w) in enumerate(zip(nodes, weights)):
         delta = h * u
         wq = h * w
-        np.add(grid, delta, out=x)
         # (-1)^n e^{i n delta}; |n delta| < pi keeps the phases accurate
         np.multiply(n, delta, out=phases.real)
         np.sin(phases.real, out=phases.imag)
@@ -278,32 +287,32 @@ def _mesh_pass(
         phases *= parts[0]
         f = np.fft.irfft(half, panels, norm="forward")  # rows g, h
         sum_squares(f, dens)
-        add("norm", dens, wq)
-        np.multiply(dens, x, out=tmp)
-        add("phi", tmp, wq)
-        tmp *= x
-        add("phi2", tmp, wq)
-        # sin(x) and cos(x) by angle addition from the grid's values
-        cd, sd = math.cos(delta), math.sin(delta)
-        for name, a, c, sign in (("sin", sin_grid, cos_grid, 1.0), ("cos", cos_grid, sin_grid, -1.0)):
-            np.multiply(a, cd, out=wgt)
-            np.multiply(c, sign * sd, out=tmp)
-            wgt += tmp
-            np.multiply(dens, wgt, out=tmp)
-            add(name, tmp, wq)
-            tmp *= wgt
-            add(name + "2", tmp, wq)
-        if derivative:
-            slots *= i_n
-            d = np.fft.irfft(half, panels, norm="forward")  # rows g', h'
-            add("lz2", sum_squares(d, tmp), wq)
-            if complex_state and not even:
-                # Im(conj(f) f') = g h' - h g'
-                np.multiply(f[0], d[1], out=tmp)
-                np.multiply(f[1], d[0], out=wgt)
-                tmp -= wgt
-                add("lz", tmp, wq)
-            del d
+        s0 = float(dens.sum())
+        s1 = float(np.multiply(dens, grid, out=tmp).sum())
+        s2 = float(np.multiply(dens, grid_sq, out=tmp).sum())
+        if not even:
+            partial["phi"].append(wq * (s1 + delta * s0))
+        partial["phi2"].append(wq * (s2 + 2.0 * delta * s1 + delta * delta * s0))
+        if not q:  # the periodic integrals
+            partial["norm"].append(h * s0)
+            x = grid + delta
+            for name, trig in (("sin", np.sin), ("cos", np.cos)):
+                trig(x, out=wgt)
+                np.multiply(dens, wgt, out=tmp)
+                add(name, tmp)
+                tmp *= wgt
+                add(name + "2", tmp)
+            if derivative:
+                slots *= 1j * n
+                d = np.fft.irfft(half, panels, norm="forward")  # rows g', h'
+                add("lz2", sum_squares(d, tmp))
+                if complex_state and not even:
+                    # Im(conj(f) f') = g h' - h g'
+                    np.multiply(f[0], d[1], out=tmp)
+                    np.multiply(f[1], d[0], out=wgt)
+                    tmp -= wgt
+                    add("lz", tmp)
+                del d
         del f  # freed before the next transform allocates
     return {name: s.norm_sq * math.fsum(v) for name, v in partial.items()}
 
@@ -314,7 +323,8 @@ def _rounding_floors(values: dict[str, float], panels: int) -> dict[str, float]:
     Each real part (g, h, g', h') is off by at most rel = eps (10 log2 P +
     40) in relative 2-norm per offset (FFT stages, phases, and the pairwise
     node sum; see the constants above).  Forming the parts rounds each
-    coefficient by at most eps / 2, inside the fixed 40 eps.  As
+    coefficient by at most eps / 2, and expanding phi = grid + delta in the
+    phi sums adds a few eps of max|w| U, both inside the fixed 40 eps.  As
     g^2 + h^2 = |f|^2 pointwise, errors of rel ||g|| and rel ||h|| add up to
     at most rel ||f||, so f and f' are off by the same rel.  For an
     integrand w u conj(v), u and v in {f, f'}, Cauchy-Schwarz over the nodes
@@ -322,6 +332,10 @@ def _rounding_floors(values: dict[str, float], panels: int) -> dict[str, float]:
     |u|^2 and |v|^2: one rel for each factor and one for the sum.
     Cauchy-Schwarz on the pair (g, h) gives the same bound for
     g h' - h g', as |dg h' - dh g'| <= |(dg, dh)| |(g', h')| at each node.
+    The periodic integrals sum one offset's nodes, weighted h, not the
+    whole rule; the bound holds for them unchanged, because |f|^2 and
+    |f'|^2 are periodic too, so h times their sums over those nodes are
+    U and V exactly.
     """
     eps = np.finfo(float).eps
     kappa = 3.0 * eps * (_FFT_STAGE_EPS * math.log2(panels) + _FIXED_EPS)

@@ -518,12 +518,15 @@ class TestSharedMesh:
         for name in calls:
             monkeypatch.setattr(np.fft, name, counted(name))
         r = quad_lz_moment(s, 2)
-        # one transform for f and one for f' per length-P grid of nodes, real
-        # or complex; a mirror-symmetric state (c_{-n} = c_n) is evaluated on
-        # half the grids
+        # one transform for f per length-P grid of nodes, real or complex, and
+        # one for f' on the first grid alone; a mirror-symmetric state
+        # (c_{-n} = c_n) is evaluated on half the grids
         grids = r.evaluations // _panel_count(s.cutoff)
         offsets = grids // 2 if case in ("exp", "poly", "even_complex") else grids
-        assert calls == {"irfft": 2 * offsets, "ifft": 0}
+        assert calls == {"irfft": offsets + 1, "ifft": 0}
+        calls["irfft"] = 0
+        quad_norm(s)  # no lz integral asked: no f'
+        assert calls == {"irfft": offsets, "ifft": 0}
 
     def test_budget_is_checked_before_any_transform(self, monkeypatch):
         s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-8)

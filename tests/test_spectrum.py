@@ -826,3 +826,72 @@ class TestTailEstimate:
         for arr in _tail_samples(512):
             assert not arr.flags.writeable
         assert _tail_samples(512)[0] is _tail_samples(512)[0]
+
+
+def fsum_bits(fsum, values):
+    """The hex of ``fsum(values)`` (the sign of zero counts), or the type it raised."""
+    try:
+        return fsum(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def list_fsum(values):
+    return math.fsum(values.tolist())
+
+
+EXTRACT_MIN = spectrum._FSUM_EXTRACT_MIN
+
+
+class TestFsum:
+    """spectrum._fsum gives math.fsum's bits without converting long arrays."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 100, EXTRACT_MIN - 1, EXTRACT_MIN, EXTRACT_MIN + 1, 2046, 2047, 4095, 10**5]
+    )
+    @pytest.mark.parametrize(
+        "lo, hi",  # binary exponents of the terms: |x| in [2^(lo-1), 2^hi)
+        [(0, 0), (-60, 0), (-600, 0), (-1073, -1000), (-1073, 1000), (-1073, 1024)],
+    )
+    def test_random_terms(self, n, lo, hi):
+        rng = np.random.default_rng([n, lo + 2000, hi + 2000])
+        mantissas = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        values = np.ldexp(mantissas, rng.integers(lo, hi + 1, n))
+        for terms in (values, np.abs(values)):
+            assert fsum_bits(spectrum._fsum, terms) == fsum_bits(list_fsum, terms)
+
+    @pytest.mark.parametrize("n", [2046, 4094, 65534])
+    def test_sums_that_fill_the_extraction_binade(self, n):
+        # n + 2 a power of two and every term near the largest: the sum of
+        # the extracted parts comes within a factor 2 of sigma, and the few
+        # negative terms extract in half units, so a sigma one binade too
+        # small rounds that sum
+        rng = np.random.default_rng(n)
+        for _ in range(8):
+            values = rng.uniform(0.5, 1.0, n)
+            values[rng.random(n) < 0.03] *= -1.0
+            assert spectrum._fsum(values).hex() == list_fsum(values).hex()
+
+    @pytest.mark.parametrize("n", [10, EXTRACT_MIN, 10**4])
+    def test_zeros_and_exact_cancellation(self, n):
+        rng = np.random.default_rng(n)
+        half = np.ldexp(rng.uniform(0.5, 1.0, n // 2), rng.integers(-1073, 1000, n // 2))
+        cancelling = rng.permutation(np.concatenate([half, -half, [0.0, -0.0]]))
+        assert list_fsum(cancelling) == 0.0
+        for values in (np.zeros(n), np.full(n, -0.0), cancelling):
+            assert spectrum._fsum(values).hex() == list_fsum(values).hex()
+
+    @pytest.mark.parametrize("n", [10, EXTRACT_MIN, 10**4])
+    def test_special_values_and_overflow(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.uniform(-1.0, 1.0, n)
+        cases = []
+        for specials in ([math.nan], [math.inf], [-math.inf], [math.inf, -math.inf], [math.nan, math.inf]):
+            values = base.copy()
+            values[rng.choice(n, len(specials), replace=False)] = specials
+            cases.append(values)
+        cases.append(np.full(n, 1e308))  # the sum overflows
+        cases.append(np.concatenate([[1e308, 1e308, -1e308], base[3:]]))  # a partial sum does
+        cases.append(np.concatenate([[1.7e308, -1.7e308], base[2:]]))  # sigma would
+        for values in cases:
+            assert fsum_bits(spectrum._fsum, values) == fsum_bits(list_fsum, values)
