@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_forms import _poly_eval, _poly_grid, exp_closed
+from .closed_forms import _poly_grid, exp_closed
 from .errors import (
     DivergentMoment,
     InvalidParameter,
@@ -44,7 +44,7 @@ CROSSING_WINDOW = (1e-3, 50.0)
 
 
 # --------------------------------------------------------------------------
-# per-alpha family evaluation (closed fast paths for the built-in families)
+# family evaluation on a grid (closed fast paths for the built-in families)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -72,41 +72,47 @@ def _each(evaluate, grid):
     DivergentMoment is yielded in place of its record."""
     for alpha in grid:
         try:
-            yield evaluate(float(alpha))
+            yield evaluate(alpha)
         except DivergentMoment as exc:
             yield exc
 
 
 def _engine(family: CoefficientFamily):
-    """The evaluators that serve ``family``, and its sweep "# engine:" note.
+    """The grid evaluator that serves ``family``, and its sweep "# engine:" note.
 
-    The first maps alpha to a moment record (var_phi, var_lz and state_bound
-    among its fields); the second maps a grid to one record per alpha, with a
-    DivergentMoment in place of a record where sigma_Lz diverges.  A built-in
+    The evaluator maps a sequence of alphas to one moment record per alpha
+    (var_phi, var_lz and state_bound among its fields), in order, with a
+    DivergentMoment in place of a record where sigma_Lz diverges.  The
+    polynomial family's evaluates the whole sequence in one call; the others
+    evaluate one alpha at a time, as their records are read.  A built-in
     matches by dataclass == (name, rule and flags), so a family that only
     borrows a built-in's name runs the generic series engine."""
     if family is _EXP or family == _EXP:  # callers mostly pass the constant
-        return exp_closed, functools.partial(_each, exp_closed), "closed forms"
+        return functools.partial(_each, exp_closed), "closed forms"
     if family is _POLY or family == _POLY:
-        return (_poly_eval, _poly_grid,
-                "closed forms: zeta ratio var_lz, polylogarithm series var_phi")
+        return _poly_grid, "closed forms: zeta ratio var_lz, polylogarithm series var_phi"
 
     def generic(alpha):
         return uncertainty_report(build_spectrum(family, alpha))
 
-    return (generic, functools.partial(_each, generic),
+    return (functools.partial(_each, generic),
             f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}")
 
 
-def _row(alpha: float, rec) -> SweepRow:
-    return SweepRow(
-        alpha=float(alpha),
-        var_phi=rec.var_phi,
-        var_lz=rec.var_lz,
-        product=math.sqrt(rec.var_phi * rec.var_lz),
-        hr_bound=HR_BOUND,
-        state_bound=rec.state_bound,
-    )
+def _rows(family: CoefficientFamily, alphas: Sequence[float], keep_going: bool = False):
+    """The SweepRows of ``family`` at ``alphas``, in order, as they are read.
+
+    Where sigma_Lz diverges the record's DivergentMoment is raised, or with
+    ``keep_going`` a row of NaN moments stands in."""
+    for alpha, rec in zip(alphas, _engine(family)[0](alphas)):
+        if not isinstance(rec, DivergentMoment):
+            var_phi, var_lz, state_bound = rec.var_phi, rec.var_lz, rec.state_bound
+        elif keep_going:
+            var_phi = var_lz = state_bound = math.nan
+        else:
+            raise rec
+        yield SweepRow(float(alpha), var_phi, var_lz, math.sqrt(var_phi * var_lz),
+                       HR_BOUND, state_bound)
 
 
 def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
@@ -116,15 +122,19 @@ def evaluate_family(family: CoefficientFamily, alpha: float) -> SweepRow:
     closed forms; any other family, whatever its name, runs the generic
     series engine.  Divergent sigma_Lz propagates as DivergentMoment.
     """
-    return _row(alpha, _engine(family)[0](alpha))
+    return next(_rows(family, [alpha]))
+
+
+def _products(family: CoefficientFamily, alphas: Sequence[float]):
+    """The searches' products at ``alphas``, in order, as they are read; a
+    divergent sigma_Lz reads as +inf."""
+    for row in _rows(family, alphas, keep_going=True):
+        yield math.inf if row.divergent else row.product
 
 
 def _product(family: CoefficientFamily, alpha: float) -> float:
-    """The searches' product; a divergent sigma_Lz reads as +inf."""
-    try:
-        return evaluate_family(family, alpha).product
-    except DivergentMoment:
-        return math.inf
+    """The searches' product at one alpha."""
+    return next(_products(family, [alpha]))
 
 
 def sweep(
@@ -137,10 +147,10 @@ def sweep(
 ) -> list[SweepRow]:
     """Uncertainty-product profile over an alpha grid, ordered by alpha.
 
-    The rows come from the family's grid evaluator on the calling thread:
-    the built-in polynomial family's takes the whole grid in one call and
-    evaluates it in array blocks, the others one alpha at a time, in grid
-    order.  Each row equals evaluate_family at its alpha.  With ``keep_going`` a divergent
+    The rows come from the family's grid evaluator (see _engine) on the
+    calling thread; evaluate_family, condition (i) of check_admissibility
+    and the scans of both searches read the same evaluator, so each row
+    equals evaluate_family at its alpha.  With ``keep_going`` a divergent
     sigma_Lz yields a row with NaN variance instead of aborting the sweep.
     """
     for name, end in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
@@ -158,25 +168,7 @@ def sweep(
         grid = np.geomspace(alpha_min, alpha_max, steps)
     else:
         raise InvalidParameter(f"scale must be 'linear' or 'log', got {scale!r}")
-
-    rows = []
-    for alpha, rec in zip(grid.tolist(), _engine(family)[1](grid)):
-        if not isinstance(rec, DivergentMoment):
-            rows.append(_row(alpha, rec))
-        elif keep_going:
-            rows.append(
-                SweepRow(
-                    alpha=alpha,
-                    var_phi=math.nan,
-                    var_lz=math.nan,
-                    product=math.nan,
-                    hr_bound=HR_BOUND,
-                    state_bound=math.nan,
-                )
-            )
-        else:
-            raise rec
-    return rows
+    return list(_rows(family, grid.tolist(), keep_going))
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +309,7 @@ def check_admissibility(
     _index_range("N", N)
     notes: list[str] = []
 
-    inf_var = min(evaluate_family(family, float(a)).var_phi for a in grid)
+    inf_var = min(row.var_phi for row in _rows(family, grid.tolist()))
     cond_i = inf_var >= kappa
 
     try:
@@ -386,31 +378,33 @@ def find_alpha_star(
     if not (0.0 < alpha_hint < math.inf):
         raise InvalidParameter(f"alpha_hint must be positive and finite, got {alpha_hint!r}")
 
-    alpha = alpha_hint
-    p = _product(family, alpha)
-    best_alpha, best_p = alpha, p
-    prev_alpha, prev_p = alpha, p
-    while p >= epsilon:
-        if alpha >= ALPHA_STAR_BUDGET:
-            raise NotAttainable(
-                f"no alpha <= {ALPHA_STAR_BUDGET:g} reaches product < {epsilon:g}; "
-                f"smallest product seen: {best_p:.6g} at alpha={best_alpha:.6g}, "
-                f"settling near {p:.6g} at the budget edge",
-                best_alpha=best_alpha,
-                best_product=best_p,
-                edge_alpha=alpha,
-                edge_product=p,
-            )
-        prev_alpha, prev_p = alpha, p
-        alpha = min(2.0 * alpha, ALPHA_STAR_BUDGET)
-        p = _product(family, alpha)
-        if p < best_p:
-            best_alpha, best_p = alpha, p
+    # hint, 2 hint, ... up to the first alpha at or past the budget, read
+    # lazily: the exponential and generic evaluators stop at the first hit
+    doubling = [alpha_hint]
+    while doubling[-1] < ALPHA_STAR_BUDGET:
+        doubling.append(min(2.0 * doubling[-1], ALPHA_STAR_BUDGET))
+    missed = []  # (alpha, product) before the first product below epsilon
+    for alpha, p in zip(doubling, _products(family, doubling)):
+        if p < epsilon:
+            break
+        missed.append((alpha, p))
+    else:
+        # the first of the smallest products
+        best_alpha, best_p = min(missed, key=lambda pair: pair[1])
+        raise NotAttainable(
+            f"no alpha <= {ALPHA_STAR_BUDGET:g} reaches product < {epsilon:g}; "
+            f"smallest product seen: {best_p:.6g} at alpha={best_alpha:.6g}, "
+            f"settling near {p:.6g} at the budget edge",
+            best_alpha=best_alpha,
+            best_product=best_p,
+            edge_alpha=alpha,
+            edge_product=p,
+        )
 
-    if prev_p < epsilon:  # the hint itself already qualified
-        return prev_alpha
-    # product(prev_alpha) >= eps > product(alpha)
-    _, hi = _bisect(lambda a: _product(family, a) < epsilon, prev_alpha, alpha,
+    if not missed:  # the hint itself already qualified
+        return alpha
+    # product(missed[-1]) >= eps > product(alpha)
+    _, hi = _bisect(lambda a: _product(family, a) < epsilon, missed[-1][0], alpha,
                     1e-3, rel_width=1e-3)
     return hi
 
@@ -426,7 +420,7 @@ def find_bound_crossing(family: CoefficientFamily, target: float) -> float:
         raise InvalidParameter(f"target must be finite, got {target!r}")
     lo_w, hi_w = CROSSING_WINDOW
     grid = np.geomspace(lo_w, hi_w, 64)
-    values = [_product(family, float(a)) - target for a in grid]
+    values = [p - target for p in _products(family, grid.tolist())]
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
         if math.isinf(a) or math.isinf(b):

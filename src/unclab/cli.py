@@ -59,11 +59,6 @@ _csv_cells = operator.attrgetter(*_CSV_COLUMNS)
 _CSV_ROW = ",".join(["%.17g"] * len(_CSV_COLUMNS))
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: lossless round-trip of binary64."""
-    return format(x, ".17g")
-
-
 def _resolve_family(args: argparse.Namespace) -> CoefficientFamily:
     if args.family == "exp":
         return exponential_family()
@@ -118,11 +113,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: divergent sigma_Lz in sweep range: {exc}", file=sys.stderr)
         print("hint: rerun with --keep-going to mark such rows 'div'", file=sys.stderr)
         return EXIT_DIVERGENT_ROWS
-    engine = _engine(family)[2]
+    engine = _engine(family)[1]
     lines = [
         f"# unclab {__version__} sweep",
         f"# family: {family.name}",
-        f"# alpha: [{_fmt(args.min)}, {_fmt(args.max)}] steps={args.steps} scale={args.scale}",
+        f"# alpha: [{args.min:.17g}, {args.max:.17g}] steps={args.steps} scale={args.scale}",
         f"# engine: {engine}",
         "# units: hbar = 1; product = sigma_phi * sigma_Lz",
         ",".join(_CSV_COLUMNS),

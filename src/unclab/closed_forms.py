@@ -136,7 +136,7 @@ class PolyFamilyEval:
 
 def exp_closed(alpha: float) -> ExpFamilyEval:
     """Evaluate every exponential-family closed form at ``alpha``."""
-    if not (alpha > 0.0) or math.isnan(alpha):
+    if not (alpha > 0.0):
         raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
     u = math.exp(-alpha)
     one_minus_u2 = -math.expm1(-2.0 * alpha)  # 1 - u^2, exact for tiny alpha
@@ -163,7 +163,7 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
     )
 
 
-def _poly_moments(alphas: list[float]) -> list[tuple[float, float, float]]:
+def _poly_moments(alphas: list[float]) -> list[list[float]]:
     """(var_lz, var_phi, state_bound) of the polynomial family at each alpha > 3/2.
 
     The array work runs on one row per alpha and every reduction along a
@@ -183,8 +183,9 @@ def _poly_moments(alphas: list[float]) -> list[tuple[float, float, float]]:
     x = 2j + 1 - alpha > 1 (DLMF 25.4.2), whose Gamma factor follows by
     recurrence in j.
     """
-    scalars = [_pair_scalars(a) for a in alphas]
-    row, eps, first, log_m1, _, _ = np.array(scalars).T
+    row, eps, first, log_m1, self_w, eta_factor = np.array(
+        [_pair_scalars(a) for a in alphas]
+    ).T
     row = row.astype(np.intp)
     after, pair = _AFTER[row], _AT[row]
     # zeta(alpha - 2j) up to J, zeta(2j + 1 - alpha) past it; Z at the pair
@@ -212,46 +213,33 @@ def _poly_moments(alphas: list[float]) -> list[tuple[float, float, float]]:
     q = _PAIR_Q[row]
     cross = (b / (q * (q + eps[:, None]))).sum(axis=1)
     gram = (b[:, :, None] * b[:, None, :] * _HILBERT).sum(axis=(1, 2))
-    out = []
-    for a, z2, z2_minus_2, (_, _, _, _, self_w, eta_factor), g, cc, x2, z0 in zip(
-        alphas, zeta_2a.tolist(), zeta_2a_minus_2.tolist(), scalars,
-        gram.tolist(), c.tolist(), cross.tolist(), z[:, 0].tolist()
-    ):
-        var_phi = (g + cc * (cc * self_w - 2.0 * x2)) * _TWO_PI_SQ / z2
-        # eta(alpha) = (1 - 2^(1 - alpha)) zeta(alpha), zeta(alpha) from column 0
-        eta = eta_factor * (z0 + 1.0 / (a - 1.0))
-        out.append((z2_minus_2 / z2, var_phi, 0.5 * abs(1.0 - 2.0 * eta * eta / z2)))
-    return out
+    var_phi = (gram + c * (c * self_w - 2.0 * cross)) * _TWO_PI_SQ / zeta_2a
+    # eta(alpha) = (1 - 2^(1 - alpha)) zeta(alpha), zeta(alpha) from column 0
+    eta = eta_factor * (z[:, 0] + 1.0 / (column[:, 0] - 1.0))
+    state_bound = 0.5 * abs(1.0 - 2.0 * eta * eta / zeta_2a)
+    return np.column_stack((zeta_2a_minus_2 / zeta_2a, var_phi, state_bound)).tolist()
 
 
 def _poly_grid(alphas) -> list[PolyFamilyEval | DivergentMoment]:
-    """Polynomial-family moments at each alpha of ``alphas``, evaluated in
-    array blocks of _BLOCK rows; an alpha <= 3/2 holds the DivergentMoment
-    that _poly_eval raises there."""
-    records: list[PolyFamilyEval | DivergentMoment | None] = []
-    finite = []
+    """Polynomial-family moments at each alpha of the sequence ``alphas``,
+    evaluated in array blocks of _BLOCK rows; an alpha <= 3/2 holds the
+    DivergentMoment that _poly_eval raises there."""
     for alpha in alphas:
-        if not (alpha > 0.0) or math.isnan(alpha):
+        if not (alpha > 0.0):
             raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
-        if alpha <= 1.5:
-            records.append(DivergentMoment(
-                f"polynomial family needs alpha > 3/2 for a finite sigma_Lz; "
-                f"got alpha={alpha}"
-            ))
-        else:
-            records.append(None)
-            finite.append(float(alpha))
-    flat = [min(a, _ALPHA_FLAT) for a in finite]
+    # a divergent alpha's row is evaluated at alpha = 2 and dropped
+    flat = [min(a, _ALPHA_FLAT) if a > 1.5 else 2.0 for a in alphas]
     moments = [
         row
         for i in range(0, len(flat), _BLOCK)
         for row in _poly_moments(flat[i : i + _BLOCK])
     ]
-    evals = iter(
-        PolyFamilyEval(alpha=a, var_lz=var_lz, var_phi=var_phi, state_bound=state_bound)
-        for a, (var_lz, var_phi, state_bound) in zip(finite, moments)
-    )
-    return [next(evals) if rec is None else rec for rec in records]
+    return [
+        PolyFamilyEval(float(a), *row) if a > 1.5 else DivergentMoment(
+            f"polynomial family needs alpha > 3/2 for a finite sigma_Lz; got alpha={a}"
+        )
+        for a, row in zip(alphas, moments)
+    ]
 
 
 def _poly_eval(alpha: float) -> PolyFamilyEval:

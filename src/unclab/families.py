@@ -44,9 +44,9 @@ class CoefficientFamily:
     (|C_n| = |C_{-n}|) and ``is_real`` (exactly zero imaginary parts) are
     descriptive metadata: no moment is computed from them, and realness and
     symmetry are read from the coefficients themselves.  They take part in
-    the dataclass ==, so ``analysis._engine`` and ``spectrum._exact_tails``,
-    which match the built-in families by ==, treat a copy with other flags
-    as another family.  ``support_hint``, when set,
+    the dataclass ==, by which ``spectrum._exact_tails`` and ``analysis._engine``
+    (the grid evaluator of every analysis driver) match the built-ins, so a
+    copy with other flags is another family to them.  ``support_hint``, when set,
     promises C_n = 0 for |n| > support_hint, so spectrum construction keeps
     the whole support and no tail past it.  A rule whose only amplitudes
     past the first ring (|n| <= 16) and its probes are isolated modes (at

@@ -702,7 +702,7 @@ def build_spectrum(
     DegenerateState when every amplitude underflows, InvalidParameter on
     domain violations.
     """
-    if not (alpha > 0.0) or math.isnan(alpha):
+    if not (alpha > 0.0):
         raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
     if not (0.0 < rel_tol < 1.0):
         raise InvalidParameter(f"rel_tol must be in (0, 1), got {rel_tol!r}")

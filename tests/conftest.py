@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -24,6 +26,28 @@ def evaluations(monkeypatch):
 
     monkeypatch.setattr(CoefficientFamily, "coefficients", coefficients)
     return calls
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """counted(real): the list of calls of ``real`` made through any unclab
+    module's name for it, recorded as made."""
+
+    def count(real) -> list:
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("unclab"):
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, wrapper)
+        return calls
+
+    return count
 
 
 _SINGLE = {"name": "s", "symmetric": True, "real": True, "entries": [{"n": 0, "expr": "exp"}]}

@@ -28,6 +28,7 @@ from unclab import (
     sweep,
     table_family,
 )
+from unclab import analysis, closed_forms
 from unclab.spectrum import DEFAULT_N_MAX
 
 from oracles import decreasing_run_by_pairs, dominance_by_loop
@@ -317,6 +318,30 @@ class TestBoundCrossing:
             find_bound_crossing(polynomial_family(), 0.5)
 
 
+class TestOneGridCallPerGrid:
+    """Condition (i) and both search scans read the grid evaluator once per
+    grid; only bisection evaluates one alpha at a time."""
+
+    def test_polynomial_alpha_star_doubling(self, counted):
+        calls = counted(closed_forms._poly_grid)
+        with pytest.raises(NotAttainable):
+            find_alpha_star(polynomial_family(), 0.01)
+        assert [len(alphas) for alphas, in calls] == [15]  # 1, 2, ..., 8192, 1e4
+
+    def test_polynomial_condition_i(self, counted):
+        calls = counted(closed_forms._poly_grid)
+        check_admissibility(polynomial_family(), np.geomspace(2, 50, 16), 0.1, 50, 1.0)
+        assert [len(alphas) for alphas, in calls] == [16]
+
+    def test_exponential_crossing_scan_is_no_product_call(self, counted):
+        calls = counted(analysis._product)
+        alpha = find_bound_crossing(exponential_family(), 0.5)
+        assert alpha == pytest.approx(1.29639, abs=1e-5)
+        # the 64-point scan reads no _product; bisection of one grid step
+        # (a factor 1.19) down to 1e-6 takes 18
+        assert len(calls) <= 20
+
+
 class TestAsymptotics:
     def test_small_alpha_product_near_half(self):
         row = evaluate_family(exponential_family(), 1e-3)
@@ -368,14 +393,19 @@ class TestSweep:
         with pytest.raises(DivergentMoment):
             sweep(polynomial_family(), 1.2, 3.0, 4)
 
-    @pytest.mark.parametrize("steps", [2, 7, 33, 160])
-    def test_polynomial_rows_equal_evaluate_family_bit_for_bit(self, steps):
-        # one array evaluation for the grid, one for each alpha alone: the
-        # rows may not depend on the grid they are evaluated in
-        poly = polynomial_family()
-        rows = sweep(poly, 1.6, 50.0, steps, scale="log")
+    @pytest.mark.parametrize(
+        "family, steps",
+        [pytest.param(polynomial_family(), steps, id=str(steps)) for steps in (2, 7, 33, 160)]
+        + [pytest.param(exponential_family(), steps, id=f"exp-{steps}") for steps in (2, 33)]
+        + [pytest.param(CoefficientFamily("exp_generic", exponential_family().rule), steps,
+                        id=f"exp_generic-{steps}") for steps in (2, 7)],
+    )
+    def test_polynomial_rows_equal_evaluate_family_bit_for_bit(self, family, steps):
+        # one grid evaluation for the sweep, one for each alpha alone, on
+        # every engine: the rows may not depend on the grid they are read from
+        rows = sweep(family, 1.6, 50.0, steps, scale="log")
         for row in rows:
-            alone = evaluate_family(poly, row.alpha)
+            alone = evaluate_family(family, row.alpha)
             assert [x.hex() for x in dataclasses.astuple(row)] == [
                 x.hex() for x in dataclasses.astuple(alone)
             ]

@@ -4,7 +4,6 @@ import csv
 import functools
 import importlib.util
 import math
-import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -180,22 +179,6 @@ class TestExpBoundary:
         assert bound == pytest.approx(2.0 * math.exp(-a), rel=1e-12)
 
 
-def _counted(monkeypatch, real) -> list:
-    """The calls of ``real`` made through any unclab module's name for it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("unclab"):
-            for key, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
-
-
 class TestPolyClosed:
     def test_alpha_two_zeta_ratio(self):
         ev = poly_closed(2.0)
@@ -212,15 +195,15 @@ class TestPolyClosed:
         with pytest.raises(DivergentMoment):
             poly_closed(alpha)
 
-    def test_fig2_sweep_builds_no_window(self, monkeypatch):
-        calls = _counted(monkeypatch, spectrum.build_spectrum)
+    def test_fig2_sweep_builds_no_window(self, counted):
+        calls = counted(spectrum.build_spectrum)
         rows = sweep(polynomial_family(), 1.6, 50.0, 160, scale="log")
         assert len(rows) == 160 and calls == []
 
-    def test_no_scalar_zeta_call(self, monkeypatch):
+    def test_no_scalar_zeta_call(self, counted):
         # zeta(2 alpha) and zeta(2 alpha - 2) are columns of the array call
         # that gives zeta(alpha - 2j)
-        calls = _counted(monkeypatch, special.zeta)
+        calls = counted(special.zeta)
         rows = sweep(polynomial_family(), 1.6, 50.0, 160, scale="log")
         assert len(rows) == 160 and calls == []
         poly_closed(2.3)
