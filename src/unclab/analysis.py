@@ -11,6 +11,7 @@ non-monotone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -412,21 +413,20 @@ def find_alpha_star(
 def find_bound_crossing(family: CoefficientFamily, target: float) -> float:
     """Solve product(alpha) = target by bracketing and bisection.
 
-    Scans a log grid over CROSSING_WINDOW for a sign change of
-    product - target, then bisects to |delta alpha| <= 1e-6.  Raises
-    NoBracket when the product never crosses the target in the window.
+    Reads a 64-point log grid over CROSSING_WINDOW up to the first sign
+    change of product - target, then bisects to |delta alpha| <= 1e-6.
+    Raises NoBracket when the product never crosses the target in the window.
     """
     if not math.isfinite(target):
         raise InvalidParameter(f"target must be finite, got {target!r}")
     lo_w, hi_w = CROSSING_WINDOW
-    grid = np.geomspace(lo_w, hi_w, 64)
-    values = [p - target for p in _products(family, grid.tolist())]
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
+    grid = np.geomspace(lo_w, hi_w, 64).tolist()
+    scan = zip(grid, (p - target for p in _products(family, grid)))
+    for (lo, a), (hi, b) in itertools.pairwise(scan):
         if math.isinf(a) or math.isinf(b):
             continue
         if a == 0.0:
-            return float(grid[i])
+            return lo
         if a * b < 0.0:
             break
     else:
@@ -437,7 +437,6 @@ def find_bound_crossing(family: CoefficientFamily, target: float) -> float:
             alpha_hi=hi_w,
         )
 
-    lo_below = values[i] < 0.0  # lo stays on this side of the target
-    lo, hi = _bisect(lambda m: (_product(family, m) - target < 0.0) != lo_below,
-                     float(grid[i]), float(grid[i + 1]), 1e-6)
+    lo_below = a < 0.0  # lo stays on this side of the target
+    lo, hi = _bisect(lambda m: (_product(family, m) - target < 0.0) != lo_below, lo, hi, 1e-6)
     return 0.5 * (lo + hi)

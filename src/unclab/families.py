@@ -155,9 +155,9 @@ def table_family(name: str, coeffs: Mapping[int, complex]) -> CoefficientFamily:
     return _finite_support(name, keys, lambda alpha: values, is_real, is_symmetric)
 
 
-def two_mode_family(amplitude: float = 0.5) -> CoefficientFamily:
-    """C_{+-1} = amplitude, everything else zero."""
-    return table_family("two_mode", {1: amplitude, -1: amplitude})
+def two_mode_family() -> CoefficientFamily:
+    """C_{+-1} = 0.5, everything else zero."""
+    return table_family("two_mode", {1: 0.5, -1: 0.5})
 
 
 # --------------------------------------------------------------------------

@@ -68,18 +68,14 @@ def _phi_from_shells(s: TruncatedSpectrum) -> tuple[float, float, float, float]:
     if shells.size == 0:
         return 0.0, PI_SQ_OVER_3, PI_SQ_OVER_3, 0.0
     k = np.arange(1, shells.size + 1, dtype=float)
-    signs = np.where(np.arange(1, shells.size + 1) % 2 == 0, 1.0, -1.0)
+    k[::2] *= -1.0  # (-1)^k on the divisors: x / -k is exactly -(x / k)
     four_pi_a2 = 4.0 * math.pi * s.norm_sq
-    xi = 2.0 * _fsum(signs * shells.real / (k * k))
+    xi = 2.0 * _fsum(shells.real / (k * np.abs(k)))
     # exactly real shells: the fsum of signed zeros would give +0.0
     real = not np.count_nonzero(shells.imag)
-    mean = 0.0 if real else four_pi_a2 * _fsum(signs * shells.imag / k)
+    mean = 0.0 if real else four_pi_a2 * _fsum(shells.imag / k)
     second = PI_SQ_OVER_3 + four_pi_a2 * xi
     return mean, second, second - mean * mean, xi
-
-
-def _state_bound(s: TruncatedSpectrum) -> float:  # (1/2) |1 - 2 pi |f(pi)|^2|
-    return 0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(s))
 
 
 def xi_sum(s: TruncatedSpectrum) -> float:
@@ -127,7 +123,7 @@ def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:
         mean_lz=mean_lz,
         second_lz=second_lz,
         var_lz=var_lz,
-        state_bound=_state_bound(s),
+        state_bound=0.5 * abs(1.0 - 2.0 * math.pi * boundary_density(s)),
     )
 
 

@@ -528,7 +528,6 @@ class CompareReport:
 def compare_report(
     s: TruncatedSpectrum,
     tol: float = 1e-8,
-    abs_tol: float = DEFAULT_ABS_TOL,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> CompareReport:
     """Run every series moment against its quadrature twin.
@@ -556,7 +555,7 @@ def compare_report(
     names = ("norm", "phi", "phi2", *_TRIG_WEIGHTS)
     if not s.lz_divergent:
         names += _DERIVATIVE_INTEGRALS
-    q = _mesh_integrals(s, names, abs_tol, max_evals)
+    q = _mesh_integrals(s, names, DEFAULT_ABS_TOL, max_evals)
 
     add_direct("norm", 1.0, q["norm"])
 

@@ -764,9 +764,12 @@ def build_spectrum(
 # --------------------------------------------------------------------------
 
 def boundary_density(s: TruncatedSpectrum) -> float:
-    """|f(pi)|^2 = |A sum_n C_n e^{i n pi}|^2, the density entering the state-dependent bound."""
-    phases = np.exp(1j * math.pi * np.arange(-s.cutoff, s.cutoff + 1))
-    return abs(math.sqrt(s.norm_sq) * complex(np.dot(s.coeffs, phases))) ** 2
+    """|f(pi)|^2 = |A|^2 |sum_n (-1)^n C_n|^2, the density entering the state-dependent bound.
+
+    Slot parity gives (-1)^n up to a sign the modulus drops.  Neighbouring slots
+    are paired, so a slowly decaying state's amplitudes cancel before the sum."""
+    c = s.coeffs
+    return s.norm_sq * abs(complex((c[:-1:2] - c[1::2]).sum() + c[-1])) ** 2
 
 
 # --------------------------------------------------------------------------

@@ -317,6 +317,17 @@ class TestBoundCrossing:
         with pytest.raises(NoBracket):
             find_bound_crossing(polynomial_family(), 0.5)
 
+    def test_family_raising_past_its_bracket_returns_its_crossing(self):
+        exp = exponential_family()
+
+        def rule(n, a):
+            if a > 20.0:
+                raise InvalidParameter(f"no amplitudes past alpha 20, got {a!r}")
+            return exp.rule(n, a)
+
+        # the bracket is grid points 41-42 (alpha near 1.3); the scan stops there
+        assert find_bound_crossing(CoefficientFamily("exp_to_20", rule), 0.5) == 1.296389724983169
+
 
 class TestOneGridCallPerGrid:
     """Condition (i) and both search scans read the grid evaluator once per
@@ -337,9 +348,16 @@ class TestOneGridCallPerGrid:
         calls = counted(analysis._product)
         alpha = find_bound_crossing(exponential_family(), 0.5)
         assert alpha == pytest.approx(1.29639, abs=1e-5)
-        # the 64-point scan reads no _product; bisection of one grid step
-        # (a factor 1.19) down to 1e-6 takes 18
+        # the scan reads no _product; bisection of one grid step (a factor
+        # 1.19) down to 1e-6 takes 18
         assert len(calls) <= 20
+
+    def test_exponential_crossing_scan_stops_at_its_bracket(self, counted):
+        calls = counted(closed_forms.exp_closed)
+        assert find_bound_crossing(exponential_family(), 0.5) == 1.296389724983169
+        # 43 scan points up to the bracket at points 41-42 of 64, and 18
+        # bisection steps
+        assert len(calls) <= 61
 
 
 class TestAsymptotics:

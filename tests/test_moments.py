@@ -19,6 +19,7 @@ from unclab import (
     compare_report,
     evaluate_family,
     exponential_family,
+    family_from_dict,
     lz_moments,
     phi_moments,
     polynomial_family,
@@ -45,6 +46,23 @@ PINNED_TABLE = {
     -4: -1.9778407743282225j,
     6: 0.5706432505115271j,
     -6: -1.9279289510115802j,
+}
+
+
+EXP_PHASE = CoefficientFamily(
+    "exp_phase", lambda n, a: np.exp(-a * np.abs(n) + 0.3j * n), is_real=False
+)
+MIXED_DOCUMENT = {
+    "name": "mixed",
+    "symmetric": False,
+    "real": False,
+    "entries": [
+        {"n": -3, "expr": "exp", "scale": 0.5},
+        {"n": 0, "expr": "exp"},
+        {"n": 2, "expr": "poly", "scale": -1.5},
+        {"n": 5, "expr": "table"},
+    ],
+    "table": {"1.0": [[5, 0.25, -0.75]]},
 }
 
 
@@ -187,6 +205,29 @@ class TestPhiMoments:
             assert repr(s.sum_n1) == repr(mean) == "0.0"
         else:
             assert mean != 0.0
+
+    @pytest.mark.parametrize(
+        "family, alpha, rel_tol",
+        [
+            (CoefficientFamily("exp_generic", exponential_family().rule), 0.01, 1e-12),
+            (EXP_PHASE, 0.005, 1e-12),
+            (polynomial_family(), 1.4, 1e-8),  # N = 17757
+            (family_from_dict(MIXED_DOCUMENT), 1.0, 1e-12),
+        ],
+        ids=["exp-renamed", "exp-phase", "poly-1.4", "mixed-document"],
+    )
+    def test_parity_on_the_divisors_keeps_the_sign_vector_bits(self, family, alpha, rel_tol):
+        s = build_spectrum(family, alpha, rel_tol=rel_tol)
+        k = np.arange(1, s.shells.size + 1, dtype=float)
+        signs = np.where(np.arange(1, s.shells.size + 1) % 2 == 0, 1.0, -1.0)
+        xi = 2.0 * spectrum._fsum(signs * s.shells.real / (k * k))
+        mean = 4.0 * PI * s.norm_sq * spectrum._fsum(signs * s.shells.imag / k)
+        if not np.count_nonzero(s.shells.imag):
+            mean = 0.0
+        second = PI2_3 + 4.0 * PI * s.norm_sq * xi
+        want = (mean, second, second - mean * mean, xi)
+        got = (*phi_moments(s), xi_sum(s))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_complex_two_mode_mean_sign_convention(self):
         # c_0 = 1, c_1 = i: |f|^2 = (1 - sin phi)/(2 pi), so <phi> = -1

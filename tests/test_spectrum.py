@@ -604,6 +604,31 @@ class TestBoundaryDensity:
         assert abs(boundary_density(s) - want) < 1e-10
         assert abs(want - 0.025884985180750779) < 1e-15
 
+    @pytest.mark.parametrize(
+        "family, alpha",
+        [
+            (exponential_family(), 0.001),  # N = 17026
+            (
+                CoefficientFamily(
+                    "exp_phase", lambda n, a: np.exp(-a * np.abs(n) + 0.3j * n), is_real=False
+                ),
+                0.005,
+            ),
+        ],
+        ids=["exp-0.001", "exp-phase-0.005"],
+    )
+    def test_matches_40_digit_alternating_sum(self, family, alpha):
+        s = build_spectrum(family, alpha)
+        with mpmath.workdps(40):
+            total = mpmath.fsum(
+                mpmath.mpc(c) if i % 2 == 0 else -mpmath.mpc(c)
+                for i, c in enumerate(s.coeffs.tolist())
+            )
+            want = float(mpmath.mpf(s.norm_sq) * abs(total) ** 2)
+        # pairing neighbouring slots keeps the cancellation of a slowly
+        # decaying state: about 2e-13 here, where per-index phases lost 3e-10
+        assert abs(boundary_density(s) - want) < 1e-11 * want
+
     def test_tends_to_uniform_for_large_alpha(self):
         for a, tol in ((8.0, 5e-3), (16.0, 2e-6)):
             s = build_spectrum(exponential_family(), a)
