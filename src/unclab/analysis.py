@@ -68,50 +68,40 @@ _EXP = exponential_family()
 _POLY = polynomial_family()
 
 
-def _each(evaluate, grid):
-    """``evaluate`` at each alpha of ``grid`` in turn, as the grid is read; a
-    DivergentMoment is yielded in place of its record."""
-    for alpha in grid:
-        try:
-            yield evaluate(alpha)
-        except DivergentMoment as exc:
-            yield exc
-
-
 def _engine(family: CoefficientFamily):
     """The grid evaluator that serves ``family``, and its sweep "# engine:" note.
 
     The evaluator maps a sequence of alphas to one moment record per alpha
-    (var_phi, var_lz and state_bound among its fields), in order, with a
-    DivergentMoment in place of a record where sigma_Lz diverges.  The
-    polynomial family's evaluates the whole sequence in one call; the others
-    evaluate one alpha at a time, as their records are read.  A built-in
-    matches by dataclass == (name, rule and flags), so a family that only
-    borrows a built-in's name runs the generic series engine."""
+    (var_phi, var_lz and state_bound among its fields), in order, with
+    var_lz = +inf where sum n^2 |C_n|^2 diverges.  The polynomial family's
+    evaluates the whole sequence in one call; the others evaluate one alpha
+    at a time, as their records are read.  A built-in matches by dataclass
+    == (name, rule and flags), so a family that only borrows a built-in's
+    name runs the generic series engine."""
     if family is _EXP or family == _EXP:  # callers mostly pass the constant
-        return functools.partial(_each, exp_closed), "closed forms"
+        return functools.partial(map, exp_closed), "closed forms"
     if family is _POLY or family == _POLY:
         return _poly_grid, "closed forms: zeta ratio var_lz, polylogarithm series var_phi"
 
     def generic(alpha):
         return uncertainty_report(build_spectrum(family, alpha))
 
-    return (functools.partial(_each, generic),
+    return (functools.partial(map, generic),
             f"generic series at rel_tol={DEFAULT_REL_TOL}, n_max={DEFAULT_N_MAX}")
 
 
 def _rows(family: CoefficientFamily, alphas: Sequence[float], keep_going: bool = False):
     """The SweepRows of ``family`` at ``alphas``, in order, as they are read.
 
-    Where sigma_Lz diverges the record's DivergentMoment is raised, or with
-    ``keep_going`` a row of NaN moments stands in."""
+    Where the record's var_lz is +inf (sigma_Lz diverges) DivergentMoment is
+    raised, or with ``keep_going`` a row of NaN moments stands in."""
     for alpha, rec in zip(alphas, _engine(family)[0](alphas)):
-        if not isinstance(rec, DivergentMoment):
-            var_phi, var_lz, state_bound = rec.var_phi, rec.var_lz, rec.state_bound
-        elif keep_going:
+        var_phi, var_lz, state_bound = rec.var_phi, rec.var_lz, rec.state_bound
+        if math.isinf(var_lz):
+            if not keep_going:
+                raise DivergentMoment(f"family {family.name!r} at alpha={float(alpha)}: sum "
+                                      "n^2 |C_n|^2 diverges, sigma_Lz does not exist")
             var_phi = var_lz = state_bound = math.nan
-        else:
-            raise rec
         yield SweepRow(float(alpha), var_phi, var_lz, math.sqrt(var_phi * var_lz),
                        HR_BOUND, state_bound)
 
@@ -297,7 +287,9 @@ def check_admissibility(
 ) -> AdmissibilityReport:
     """Test the three admissibility conditions on the given grid.
 
-    (i) inf sigma_phi^2 >= kappa; (ii) the n^2 |C_n|^2 tail beyond N stays
+    (i) inf sigma_phi^2 >= kappa over the grid points with a normalizable
+    state (sigma_phi needs no finite sigma_Lz; the other points are named in
+    the notes); (ii) the n^2 |C_n|^2 tail beyond N stays
     below eps uniformly on the grid; (iii) some increasing run of grid
     points has coefficientwise decreasing amplitudes for |n| <= N.  The
     headline for (iii) uses the nonstrict reading (constant amplitudes
@@ -310,7 +302,12 @@ def check_admissibility(
     _index_range("N", N)
     notes: list[str] = []
 
-    inf_var = min(row.var_phi for row in _rows(family, grid.tolist()))
+    alphas = grid.tolist()
+    var_phi = [rec.var_phi for rec in _engine(family)[0](alphas)]
+    lost = [a for a, v in zip(alphas, var_phi) if math.isnan(v)]
+    if lost:
+        notes.append(f"condition (i): no normalizable state at alpha in {lost}")
+    inf_var = min((v for v in var_phi if not math.isnan(v)), default=math.nan)
     cond_i = inf_var >= kappa
 
     try:

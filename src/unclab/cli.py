@@ -143,11 +143,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         family, grid, kappa=args.kappa, N=args.tail_n, eps=args.eps
     )
     if args.json:
-        max_tail = None if math.isinf(adm.max_tail) else adm.max_tail  # JSON has no inf
+        # JSON has no inf and no NaN
+        nulls = {k: None for k in ("inf_var_phi", "max_tail") if not math.isfinite(getattr(adm, k))}
         payload = {
             "family": family.name,
             "dominance": vars(verdict),
-            "admissibility": {**vars(adm), "max_tail": max_tail},
+            "admissibility": {**vars(adm), **nulls},
         }
         print(json.dumps(payload, sort_keys=True))
     else:

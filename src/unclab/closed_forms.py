@@ -15,7 +15,7 @@ Exponential family C_n = e^{-alpha |n|}  (u = e^{-alpha}):
 
 Polynomial family C_n = |n|^{-alpha}, C_0 = 0 (f is the normalized state):
     |A|^2       = 1 / (4 pi zeta(2 alpha))
-    sigma_Lz^2  = zeta(2 alpha - 2) / zeta(2 alpha)   (alpha > 3/2 only)
+    sigma_Lz^2  = zeta(2 alpha - 2) / zeta(2 alpha)   (+inf for alpha <= 3/2)
     f(phi)      = 2 A R(phi),  R(phi) = Re Li_alpha(e^{i phi}) = sum_{n>=1} n^-alpha cos(n phi)
     R(pi t)     = a pi^(alpha-1) t^(alpha-1) + sum_j b_j pi^(2j) t^(2j)  for 0 < t <= 1,
     a = pi / (2 cos(pi alpha / 2) Gamma(alpha)),  b_j = (-1)^j zeta(alpha - 2j) / (2j)!
@@ -89,8 +89,8 @@ _TWO_PI_SQ = 2.0 * math.pi**2
 # state bound is below 2^-9900 of them, so they are evaluated here; nothing
 # overflows.
 _ALPHA_FLAT = 1e4
-# Rows per array evaluation: a block's largest temporaries, the (rows, _NJ,
-# _NJ) Gram products, then stay near 0.25 MB each.
+# Rows per array evaluation: a block's largest temporaries, the Gram
+# products of a quarter of _NJ, then stay near 64 KB each.
 _BLOCK = 32
 
 
@@ -164,7 +164,7 @@ def exp_closed(alpha: float) -> ExpFamilyEval:
 
 
 def _poly_moments(alphas: list[float]) -> list[list[float]]:
-    """(var_lz, var_phi, state_bound) of the polynomial family at each alpha > 3/2.
+    """(var_lz, var_phi, state_bound) of the polynomial family at each alpha > 1/2.
 
     The array work runs on one row per alpha and every reduction along a
     row, so a value does not depend on the other alphas it is evaluated with.
@@ -195,15 +195,18 @@ def _poly_moments(alphas: list[float]) -> list[list[float]]:
     s_even = 2.0 * column + _EVEN_SHIFTS  # 2 alpha, 2 alpha - 2
     z_all = _zeta_entire(np.concatenate((x, s_even), axis=1))
     z = z_all[:, :_NJ]
-    zeta_2a, zeta_2a_minus_2 = (z_all[:, _NJ:] + 1.0 / (s_even - 1.0)).T
+    # zeta(2 alpha - 2) = +inf at and below alpha = 3/2, where its series diverges
+    poles = np.divide(1.0, s_even - 1.0, out=np.full(s_even.shape, np.inf), where=s_even > 1.0)
+    zeta_2a, zeta_2a_minus_2 = (z_all[:, _NJ:] + poles).T
     x1 = x - 1.0
     zeta = z + 1.0 / np.where(pair, 1.0, x1)  # its pair column is replaced below
     # the reflection factors past J by recurrence from ``first``
     step = np.where(_NEXT[row], first[:, None], x1 * (x1 - 1.0) / (-4.0 * np.pi**2))
     b = _TAYLOR * zeta * np.cumprod(np.where(after, step, 1.0), axis=1)
     # the pole pair; at eps = 0, expm1(h) / eps is h'(0), the first coefficient
+    # plus the 1 of log1p(eps) in row 0
     h = (eps[:, None] ** _K * _H_TABLE[row]).sum(axis=1) + log_m1
-    ratio = np.divide(np.expm1(h), eps, out=_H_TABLE[row, 0], where=eps != 0.0)
+    ratio = np.divide(np.expm1(h), eps, out=_H_TABLE[row, 0] + (row == 0), where=eps != 0.0)
     p = _PAIR_P[row]
     c = -p * np.exp(h)
     z_pair = np.where(pair, z, 0.0).sum(axis=1)
@@ -212,41 +215,48 @@ def _poly_moments(alphas: list[float]) -> list[list[float]]:
     # -1 / (q (q + eps)) against t^2l, q = m + 2l + 2, and self_w against itself
     q = _PAIR_Q[row]
     cross = (b / (q * (q + eps[:, None]))).sum(axis=1)
-    gram = (b[:, :, None] * b[:, None, :] * _HILBERT).sum(axis=(1, 2))
+    # the Gram sum by quarters of 8 j: 64 KB temporaries, which stay inside
+    # malloc's top pad, where whole (rows, _NJ, _NJ) products may be returned
+    # to the system at every free and faulted back in.  numpy sums a row's
+    # 1024 products by halves of halves, so this tree keeps the sum's bits
+    q = [(b[:, j:j + 8, None] * b[:, None, :] * _HILBERT[j:j + 8]).sum(axis=(1, 2))
+         for j in range(0, _NJ, 8)]
+    gram = (q[0] + q[1]) + (q[2] + q[3])
     var_phi = (gram + c * (c * self_w - 2.0 * cross)) * _TWO_PI_SQ / zeta_2a
-    # eta(alpha) = (1 - 2^(1 - alpha)) zeta(alpha), zeta(alpha) from column 0
-    eta = eta_factor * (z[:, 0] + 1.0 / (column[:, 0] - 1.0))
+    # eta(alpha) = (1 - 2^(1 - alpha)) zeta(alpha), zeta(alpha) from column 0;
+    # at alpha = 1 that is 0 * inf, whose limit is ln 2
+    at_1 = column[:, 0] == 1.0
+    pole = 1.0 / np.where(at_1, 1.0, column[:, 0] - 1.0)
+    eta = np.where(at_1, _LN_2, eta_factor * (z[:, 0] + pole))
     state_bound = 0.5 * abs(1.0 - 2.0 * eta * eta / zeta_2a)
     return np.column_stack((zeta_2a_minus_2 / zeta_2a, var_phi, state_bound)).tolist()
 
 
-def _poly_grid(alphas) -> list[PolyFamilyEval | DivergentMoment]:
+def _poly_grid(alphas) -> list[PolyFamilyEval]:
     """Polynomial-family moments at each alpha of the sequence ``alphas``,
-    evaluated in array blocks of _BLOCK rows; an alpha <= 3/2 holds the
-    DivergentMoment that _poly_eval raises there."""
+    evaluated in array blocks of _BLOCK rows.  var_lz is +inf at and below
+    alpha = 3/2, where sum n^2 |C_n|^2 diverges; at and below 1/2 the state
+    is not normalizable and var_phi and state_bound are NaN."""
     for alpha in alphas:
         if not (alpha > 0.0):
             raise InvalidParameter(f"alpha must be positive, got {alpha!r}")
-    # a divergent alpha's row is evaluated at alpha = 2 and dropped
-    flat = [min(a, _ALPHA_FLAT) if a > 1.5 else 2.0 for a in alphas]
-    moments = [
+    flat = [min(a, _ALPHA_FLAT) for a in alphas if a > 0.5]
+    moments = iter([
         row
         for i in range(0, len(flat), _BLOCK)
         for row in _poly_moments(flat[i : i + _BLOCK])
-    ]
-    return [
-        PolyFamilyEval(float(a), *row) if a > 1.5 else DivergentMoment(
-            f"polynomial family needs alpha > 3/2 for a finite sigma_Lz; got alpha={a}"
-        )
-        for a, row in zip(alphas, moments)
-    ]
+    ])
+    lost = (math.inf, math.nan, math.nan)  # no normalizable state
+    return [PolyFamilyEval(float(a), *(next(moments) if a > 0.5 else lost)) for a in alphas]
 
 
 def _poly_eval(alpha: float) -> PolyFamilyEval:
     """Polynomial-family moments at ``alpha``; DivergentMoment for alpha <= 3/2."""
     (rec,) = _poly_grid([alpha])
-    if isinstance(rec, DivergentMoment):
-        raise rec
+    if math.isinf(rec.var_lz):
+        raise DivergentMoment(
+            f"polynomial family needs alpha > 3/2 for a finite sigma_Lz; got alpha={alpha}"
+        )
     return rec
 
 

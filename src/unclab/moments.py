@@ -113,9 +113,11 @@ def lz_moments(s: TruncatedSpectrum) -> tuple[float, float, float]:
 
 
 def uncertainty_report(s: TruncatedSpectrum) -> MomentReport:
-    """Angle and angular-momentum moments plus the state-dependent lower bound."""
+    """Angle and angular-momentum moments plus the state-dependent lower bound;
+    where sum n^2 |C_n|^2 diverges, <L_z^2> and var_lz are +inf and <L_z> NaN."""
     mean_phi, second_phi, var_phi, _ = _phi_from_shells(s)
-    mean_lz, second_lz, var_lz = lz_moments(s)
+    mean_lz, second_lz, var_lz = (
+        (math.nan, math.inf, math.inf) if s.lz_divergent else lz_moments(s))
     return MomentReport(
         mean_phi=mean_phi,
         second_phi=second_phi,

@@ -42,7 +42,8 @@ OUT = Path(__file__).with_name("poly_reference.csv")
 
 def _points() -> list[tuple[float, str]]:
     """(alpha, label) pairs: fig2 rows, points around every odd and even
-    integer up to 50, and far or awkward alphas."""
+    integer up to 50, far or awkward alphas, and alphas in (1/2, 3/2], where
+    the state is normalizable but sigma_Lz diverges."""
     fig2 = np.geomspace(1.6, 50.0, 160)
     pts = [(float(fig2[i]), "fig2") for i in [*range(0, 160, 8), 159]]
     for n in range(2, 51):
@@ -52,6 +53,9 @@ def _points() -> list[tuple[float, str]]:
             pts += [(n - 10.0**-k, kind), (n + 10.0**-k, kind)]
     extra = (1.5000001, 1.51, 1.75, 2.5, 60.0, 79.0, 81.0, 150.0, 1000.0, 8192.0, 1e4)
     pts += [(a, "extra") for a in extra]
+    below = [0.51, 0.6, 0.75, 1.0, 1.2, 1.4, 1.5]
+    below += [1.0 + s * 10.0**-k for k in range(1, 13) for s in (-1, 1)]  # 0.9 .. 1.1
+    pts += [(a, "below") for a in below]
     return pts
 
 
@@ -98,9 +102,13 @@ def var_phi(alpha: float) -> mp.mpf:
     return 2 * pi**2 / mp.zeta(2 * a) * integral
 
 
-def var_lz(alpha: float) -> mp.mpf:
+def var_lz(alpha: float) -> str:
+    """zeta(2 alpha - 2) / zeta(2 alpha) in DIGITS digits, "inf" where
+    sum n^2 |C_n|^2 diverges (alpha <= 3/2)."""
+    if alpha <= 1.5:
+        return "inf"
     a = mp.mpf(alpha)
-    return mp.zeta(2 * a - 2) / mp.zeta(2 * a)
+    return mp.nstr(mp.zeta(2 * a - 2) / mp.zeta(2 * a), DIGITS)
 
 
 def state_bound(alpha: float) -> mp.mpf:
@@ -120,7 +128,7 @@ def var_phi_by_quadrature(alpha: float) -> mp.mpf:
 def main() -> int:
     mp.mp.dps = DPS
     with mp.workdps(25):
-        for alpha in (1.6, 4.3):
+        for alpha in (0.75, 1.6, 4.3):
             series, quad = var_phi(alpha), var_phi_by_quadrature(alpha)
             rel = abs(series / quad - 1)
             print(f"alpha {alpha}: series vs polylog quadrature {mp.nstr(rel, 3)}")
@@ -130,7 +138,7 @@ def main() -> int:
     rows = []
     for alpha, label in _points():
         rows.append((repr(alpha), label, mp.nstr(var_phi(alpha), DIGITS),
-                     mp.nstr(state_bound(alpha), DIGITS), mp.nstr(var_lz(alpha), DIGITS)))
+                     mp.nstr(state_bound(alpha), DIGITS), var_lz(alpha)))
     with OUT.open("w", newline="\n") as fh:
         fh.write(f"# {OUT.name}: written by {Path(__file__).name} at mpmath dps {DPS}\n")
         writer = csv.writer(fh, lineterminator="\n")

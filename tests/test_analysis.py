@@ -145,6 +145,20 @@ class TestAdmissibility:
         assert not rep.cond_i
         assert rep.inf_var_phi < 0.1
 
+    def test_polynomial_default_grid_reads_var_phi_below_three_halves(self):
+        # sigma_Lz diverges at and below alpha = 3/2; condition (i) needs
+        # sigma_phi only, and alpha = 0.5, with no normalizable state, is a note
+        rep = check_admissibility(polynomial_family(), GRID, kappa=0.1, N=50, eps=1.0)
+        assert rep.inf_var_phi == 0.4936958934924366  # at GRID[1] = 0.6394...
+        assert rep.inf_var_phi == closed_forms._poly_grid([GRID[1]])[0].var_phi
+        assert rep.cond_i and not rep.cond_ii
+        assert "condition (i): no normalizable state at alpha in [0.5]" in rep.notes
+
+    def test_polynomial_grid_with_no_normalizable_state(self):
+        rep = check_admissibility(polynomial_family(), np.geomspace(0.01, 0.5, 8),
+                                  kappa=0.1, N=50, eps=1.0)
+        assert math.isnan(rep.inf_var_phi) and not rep.cond_i
+
     def test_single_mode(self):
         rep = check_admissibility(
             single_mode_family(0), GRID, kappa=0.1, N=10, eps=1e-6
@@ -435,12 +449,32 @@ class TestSweep:
         assert all(math.isnan(r.state_bound) for r in rows[:3])
         assert rows[3:] == [evaluate_family(poly, a) for a in (2.0, 2.5, 3.0)]
 
+    def test_polynomial_grid_yields_records_only(self):
+        # divergence is var_lz = +inf in the record, never an exception object
+        recs = closed_forms._poly_grid(np.linspace(0.3, 3.0, 28).tolist())
+        assert {type(rec) for rec in recs} == {closed_forms.PolyFamilyEval}
+        assert [math.isinf(rec.var_lz) for rec in recs] == [
+            rec.alpha <= 1.5 for rec in recs]
+        assert [math.isnan(rec.var_phi) for rec in recs] == [
+            rec.alpha <= 0.5 for rec in recs]
+
     def test_polynomial_abort_names_the_first_divergent_alpha(self):
-        message = "polynomial family needs alpha > 3/2 for a finite sigma_Lz; got alpha=1.2"
+        message = ("family 'poly' at alpha=1.2: sum n^2 |C_n|^2 diverges, "
+                   "sigma_Lz does not exist")
         with pytest.raises(DivergentMoment, match=re.escape(message)):
             sweep(polynomial_family(), 1.2, 3.0, 4)
         with pytest.raises(DivergentMoment, match=re.escape(message)):
             evaluate_family(polynomial_family(), 1.2)
+
+    def test_generic_abort_keeps_the_lz_moments_text(self):
+        fam = CoefficientFamily("poly_generic", polynomial_family().rule)
+        message = ("family 'poly_generic' at alpha=1.5: sum n^2 |C_n|^2 diverges, "
+                   "sigma_Lz does not exist")
+        with pytest.raises(DivergentMoment, match=re.escape(message)):
+            sweep(fam, 1.5, 3.0, 2)
+        rows = sweep(fam, 1.5, 3.0, 2, keep_going=True)
+        assert rows[0].divergent and math.isnan(rows[0].state_bound)
+        assert not rows[1].divergent
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):

@@ -198,6 +198,26 @@ class TestCheck:
         assert rc == EXIT_NO_UNIQUE_DOMINANT
         assert "no unique dominant" in capsys.readouterr().out
 
+    def test_polynomial_default_grid_json(self, capsys):
+        # sigma_Lz diverges on the grid's first points; condition (i) reads
+        # sigma_phi there, and alpha = 0.5 has no normalizable state
+        rc = main(["check", "--family", "poly", "--json"])
+        assert rc == EXIT_NO_UNIQUE_DOMINANT
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dominance"]["verdict"] == "no_unique_dominant"
+        adm = payload["admissibility"]
+        assert adm["cond_ii"] is False and adm["max_tail"] is None
+        assert adm["inf_var_phi"] == 0.4936958934924366  # at alpha = 0.6394...
+        assert "no normalizable state at alpha in [0.5]" in adm["notes"]
+
+    def test_grid_with_no_normalizable_state_is_valid_json(self, capsys):
+        rc = main(["check", "--family", "poly", "--grid-min", "0.01", "--grid-max", "0.5",
+                   "--grid-points", "8", "--json"])
+        assert rc == EXIT_NO_UNIQUE_DOMINANT
+        # strict JSON: a NaN or an inf would reach parse_constant
+        adm = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["admissibility"]
+        assert adm["inf_var_phi"] is None and adm["cond_i"] is False
+
     def test_custom_single_mode_dominant(self, tmp_path, capsys):
         spec = tmp_path / "single.json"
         spec.write_text(json.dumps(SINGLE_MODE_SPEC))

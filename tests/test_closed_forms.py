@@ -27,7 +27,7 @@ from unclab import (
     xi_sum,
     zeta,
 )
-from unclab import special, spectrum, sweep
+from unclab import closed_forms, special, spectrum, sweep
 
 from oracles import exp_xi_resummed
 
@@ -179,6 +179,12 @@ class TestExpBoundary:
         assert bound == pytest.approx(2.0 * math.exp(-a), rel=1e-12)
 
 
+def _poly_record(alpha: float) -> "closed_forms.PolyFamilyEval":
+    """The closed-form record at one alpha: poly_closed above 3/2, the grid
+    evaluator at and below it, where poly_closed raises."""
+    return poly_closed(alpha) if alpha > 1.5 else closed_forms._poly_grid([alpha])[0]
+
+
 class TestPolyClosed:
     def test_alpha_two_zeta_ratio(self):
         ev = poly_closed(2.0)
@@ -244,16 +250,50 @@ class TestPolyClosed:
         rows = _reference_rows()
         assert len(rows) > 1200
         for row in rows:
-            ev = poly_closed(row.alpha)
+            ev = _poly_record(row.alpha)
             assert ev.var_phi == pytest.approx(row.var_phi, rel=1e-12, abs=0.0), row
             bound = 1e-13 if row.kind == "fig2" else 1e-12
             assert ev.state_bound == pytest.approx(row.state_bound, rel=bound, abs=0.0), row
 
     def test_reference_table_var_lz(self):
-        # zeta(2 alpha - 2) / zeta(2 alpha) from the array zeta, on every row
+        # zeta(2 alpha - 2) / zeta(2 alpha) from the array zeta, on every row;
+        # +inf on the rows at and below 3/2
         for row in _reference_rows():
-            ev = poly_closed(row.alpha)
+            ev = _poly_record(row.alpha)
             assert ev.var_lz == pytest.approx(row.var_lz, rel=1e-15, abs=0.0), row
+        assert sum(row.var_lz == math.inf for row in _reference_rows()) == 31
+
+    def test_alpha_one_is_a_removable_point(self):
+        # at alpha = 1 both pole pairs cancel in the limit: h'(0) keeps the 1
+        # of log1p(eps), and eta(1) = ln 2.  var_phi is
+        # 12 int_0^1 t^2 ln^2(2 sin(pi t / 2)) dt
+        ev = _poly_record(1.0)
+        assert ev.var_phi == pytest.approx(1.41389875131727219284, rel=1e-14, abs=0.0)
+        state_bound = 0.5 * (1.0 - 12.0 * math.log(2.0) ** 2 / PI**2)
+        assert ev.state_bound == pytest.approx(state_bound, rel=1e-14, abs=0.0)
+
+    def test_quiet_below_three_halves(self):
+        # a grid over [1/2, 3/2], and 1 +- 2^-k and 3/2 - 2^-k down to the last bit
+        near = [c + s * 2.0**-k for k in range(2, 54) for c, s in ((1.0, -1), (1.0, 1), (1.5, -1))]
+        alphas = np.linspace(0.5, 1.5, 41).tolist() + near
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = closed_forms._poly_grid(alphas)
+        assert all(rec.var_lz == math.inf for rec in recs)
+        assert all(math.isfinite(rec.var_phi) for rec in recs[1:])
+        assert math.isnan(recs[0].var_phi)  # alpha = 1/2: not normalizable
+
+    def test_gram_by_quarters_keeps_the_whole_products_bits(self):
+        # _poly_moments sums its Gram products by quarters of 8 j, added as
+        # (q0 + q1) + (q2 + q3): numpy's pairwise sum of a row's 1024
+        # products splits the same way, so the sweep bytes do not move
+        rng = np.random.default_rng(2026)
+        b = rng.standard_normal((32, 32)) * np.exp(rng.uniform(-30.0, 5.0, (32, 32)))
+        hilbert = closed_forms._HILBERT
+        whole = (b[:, :, None] * b[:, None, :] * hilbert).sum(axis=(1, 2))
+        q = [(b[:, j:j + 8, None] * b[:, None, :] * hilbert[j:j + 8]).sum(axis=(1, 2))
+             for j in range(0, 32, 8)]
+        assert ((q[0] + q[1]) + (q[2] + q[3])).tolist() == whole.tolist()
 
     def test_reference_table_covers_the_poles(self):
         rows = _reference_rows()

@@ -310,6 +310,17 @@ class TestUncertaintyReport:
             rep = uncertainty_report(build_spectrum(exponential_family(), float(a)))
             assert math.sqrt(rep.var_phi * rep.var_lz) >= rep.state_bound - 1e-10
 
+    def test_divergent_lz_reads_as_infinite_variance(self):
+        # lz_moments raises on this state (TestLzMoments); the report keeps
+        # its angle moments and reports sigma_Lz^2 = +inf
+        s = build_spectrum(polynomial_family(), 1.2, rel_tol=1e-6)
+        rep = uncertainty_report(s)
+        assert rep.second_lz == rep.var_lz == math.inf
+        assert math.isnan(rep.mean_lz)
+        assert (rep.mean_phi, rep.second_phi, rep.var_phi) == phi_moments(s)
+        with pytest.raises(DivergentMoment, match="sigma_Lz does not exist"):
+            lz_moments(s)
+
     def test_var_phi_consistency(self):
         rep = uncertainty_report(build_spectrum(exponential_family(), 0.7))
         assert rep.var_phi == pytest.approx(
