@@ -18,7 +18,12 @@ real FFTs into one complex one; Press et al., Numerical Recipes, 3rd ed.,
 times (-1)^n e^{i n delta}, placed in slots 0..N of P // 2 + 1 (P > 2N
 keeps the slots distinct), and its derivative is one more after
 multiplying the slots by i n.  The parts are the rows of one array, so an
-offset takes one transform for f, and f' one more.  Then
+offset takes one transform for f, and f' one more.  The phasors of every
+offset come from two short tables per offset, built once per pass
+(``_phasors``): with n = a B + b and B about sqrt(N), e^{i n delta} =
+e^{i a B delta} e^{i b delta}, so a pass takes O(sqrt N) cosines and sines
+per offset, not N + 1; the first offset's periodic weights e^{i phi_j}
+are built the same way.  Then
 |f|^2 = g^2 + h^2, |f'|^2 = g'^2 + h'^2 and Im(conj(f) f') = g h' - h g'.
 A real-valued state, c_{-n} = conj(c_n) (checked on the coefficients, not
 taken from the family's flags), is g alone, g_n = c_n, and its
@@ -64,6 +69,7 @@ moment paths do not use it.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -102,8 +108,9 @@ _INTEGRALS = {
 }
 _DERIVATIVE_INTEGRALS = ("lz2", "lz")
 # Relative 2-norm error of the node values: a length-P FFT contributes at
-# most about 6 eps per radix stage, the phases and slot products a few eps
-# more; pairwise summation adds (16 + log2 P) eps.  Rounded up.
+# most about 6 eps per radix stage, the phasors and slot products 8 eps
+# more (see _rounding_floors); pairwise summation adds (16 + log2 P) eps.
+# Rounded up.
 _FFT_STAGE_EPS = 10.0
 _FIXED_EPS = 40.0
 # Strip half-widths tried by the a priori bound, in units of 1 / (largest
@@ -222,6 +229,38 @@ def _parts(s: TruncatedSpectrum) -> np.ndarray:
     return np.stack((0.5 * (pos + neg), -0.5j * (pos - neg)))
 
 
+def _phasors(
+    deltas: list[float], h: float, count: int, panels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node phasor tables, and the first offset's periodic weights.
+
+    Returns (hi, lo, weights).  Row q of the flat outer product of hi[q] and
+    lo[q], cut to ``count`` entries, is (-1)^n e^{i n delta_q}, n =
+    0..count-1; weights are e^{i (delta_0 - pi + h j)}, j = 0..panels-1.
+    For each step s (the offsets, then h) the tables are lo_b = e^{i b s}
+    for b < B, B the even number at or just above sqrt(count), and hi_a =
+    e^{i a B s}; each angle is one rounded product of an exact integer and
+    s, and e^{i (a B + b) s} = hi_a lo_b is one complex product.  B is
+    even, so (-1)^n = (-1)^b, folded exactly into the offsets' tables by
+    negating lo's odd columns.  The weights use e^{-i pi} = -1: they are
+    (-e^{i delta_0} hi_a) lo_b with s = h.  One cosine and one sine call
+    serve every table of the pass.
+    """
+    base = math.isqrt(count - 1) + 1
+    base += base % 2
+    wide = -(-panels // base)  # hi columns for the weights, the most any row needs
+    k = np.arange(base + wide)
+    k[base:] = k[:wide] * base
+    angles = np.multiply.outer(deltas + [h], k)
+    tables = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=tables.real)
+    np.sin(angles, out=tables.imag)
+    lo, hi = tables[:, :base], tables[:, base:]
+    lo[:-1, 1::2] *= -1.0
+    weights = np.multiply.outer(-cmath.exp(1j * deltas[0]) * hi[-1], lo[-1])
+    return hi[:-1, : -(-count // base)], lo[:-1], weights.reshape(-1)[:panels]
+
+
 def _mesh_pass(
     s: TruncatedSpectrum,
     panels: int,
@@ -231,7 +270,10 @@ def _mesh_pass(
     """The nine integrals on ``panels`` panels.
 
     The nodes at offset delta = h u_q form one length-``panels`` grid, on
-    which each real part of ``_parts`` is one row of a real inverse FFT.
+    which each real part of ``_parts`` is one row of a real inverse FFT of
+    the part's half spectrum times the offset's phasors (``_phasors``).
+    Every offset's slots are filled before the first transform, in one
+    array, from the phasor tables and the parts.
     phi and phi^2 take every offset: with x = grid + delta, their node sums
     are S1 + delta S0 and S2 + 2 delta S1 + delta^2 S0, from the three sums
     S_k of |f|^2 grid^k over the grid.  The seven periodic integrals are
@@ -251,9 +293,6 @@ def _mesh_pass(
     grid_sq = grid * grid
     parts = _parts(s)
     complex_state = len(parts) == 2
-    half = np.zeros((len(parts), panels // 2 + 1), dtype=complex)
-    slots = half[:, : N + 1]
-    phases = slots[0]  # written in place, then scaled by the first part
     n = np.arange(N + 1)
     dens, tmp, wgt = (np.empty(panels) for _ in range(3))
     partial: dict[str, list[float]] = {name: [] for name in _INTEGRALS}
@@ -274,18 +313,23 @@ def _mesh_pass(
     if even:
         nodes = nodes[: _GAUSS_POINTS // 2]
         weights = tuple(2.0 * w for w in weights[: _GAUSS_POINTS // 2])
-    for q, (u, w) in enumerate(zip(nodes, weights)):
-        delta = h * u
+    deltas = [h * u for u in nodes]
+    hi, lo, periodic = _phasors(deltas, h, N + 1, panels)
+    # halves[q] holds offset q's half spectra, one row per part; the rows
+    # run past panels // 2 + 1 when the phasor products do, and irfft
+    # reads the first panels // 2 + 1 slots
+    (offsets, tall), base = hi.shape, lo.shape[1]
+    halves = np.zeros((offsets, len(parts), max(panels // 2 + 1, tall * base)), dtype=complex)
+    products = halves[:, 0, : tall * base].reshape(offsets, tall, base)  # a view
+    np.multiply(hi[:, :, np.newaxis], lo[:, np.newaxis, :], out=products)
+    halves[:, 0, N + 1 : tall * base] = 0.0
+    slots = halves[:, :, : N + 1]
+    if complex_state:
+        np.multiply(slots[:, 0], parts[1], out=slots[:, 1])
+    slots[:, 0] *= parts[0]
+    for q, (delta, w) in enumerate(zip(deltas, weights)):
         wq = h * w
-        # (-1)^n e^{i n delta}; |n delta| < pi keeps the phases accurate
-        np.multiply(n, delta, out=phases.real)
-        np.sin(phases.real, out=phases.imag)
-        np.cos(phases.real, out=phases.real)
-        phases[1::2] *= -1.0
-        if complex_state:
-            np.multiply(phases, parts[1], out=slots[1])
-        phases *= parts[0]
-        f = np.fft.irfft(half, panels, norm="forward")  # rows g, h
+        f = np.fft.irfft(halves[q], panels, norm="forward")  # rows g, h
         sum_squares(f, dens)
         s0 = float(dens.sum())
         s1 = float(np.multiply(dens, grid, out=tmp).sum())
@@ -295,16 +339,14 @@ def _mesh_pass(
         partial["phi2"].append(wq * (s2 + 2.0 * delta * s1 + delta * delta * s0))
         if not q:  # the periodic integrals
             partial["norm"].append(h * s0)
-            x = grid + delta
-            for name, trig in (("sin", np.sin), ("cos", np.cos)):
-                trig(x, out=wgt)
-                np.multiply(dens, wgt, out=tmp)
+            for name, trig in (("sin", periodic.imag), ("cos", periodic.real)):
+                np.multiply(dens, trig, out=tmp)
                 add(name, tmp)
-                tmp *= wgt
+                tmp *= trig
                 add(name + "2", tmp)
             if derivative:
-                slots *= 1j * n
-                d = np.fft.irfft(half, panels, norm="forward")  # rows g', h'
+                slots[0] *= 1j * n
+                d = np.fft.irfft(halves[0], panels, norm="forward")  # rows g', h'
                 add("lz2", sum_squares(d, tmp))
                 if complex_state and not even:
                     # Im(conj(f) f') = g h' - h g'
@@ -321,7 +363,7 @@ def _rounding_floors(values: dict[str, float], panels: int) -> dict[str, float]:
     """Bound on the rounding error of each integral.
 
     Each real part (g, h, g', h') is off by at most rel = eps (10 log2 P +
-    40) in relative 2-norm per offset (FFT stages, phases, and the pairwise
+    40) in relative 2-norm per offset (FFT stages, phasors, and the pairwise
     node sum; see the constants above).  Forming the parts rounds each
     coefficient by at most eps / 2, and expanding phi = grid + delta in the
     phi sums adds a few eps of max|w| U, both inside the fixed 40 eps.  As
@@ -336,6 +378,21 @@ def _rounding_floors(values: dict[str, float], panels: int) -> dict[str, float]:
     whole rule; the bound holds for them unchanged, because |f|^2 and
     |f'|^2 are periodic too, so h times their sums over those nodes are
     U and V exactly.
+
+    The phasors (-1)^n e^{i n delta} are products hi_a lo_b of two table
+    entries (``_phasors``).  An entry's angle k s, below pi, is rounded
+    once, by at most pi eps / 2, and its cosine and sine are each within
+    about an ulp, eps / 2, so the entry is within 2.3 eps of its point on
+    the unit circle.  The complex product adds sqrt(5) eps / 2 = 1.2 eps, so a
+    phasor is within 6 eps (1.7 eps measured against mpmath at
+    N = 17757).  The product by the part's coefficient adds 1.2 eps more,
+    and the part itself eps / 2: 8 eps in all.  With 16 eps for the
+    pairwise sum, that leaves 16 eps of the fixed 40 for the phi
+    expansion.  The first offset's weights e^{i x_j} = (-e^{i delta_0}
+    hi_a) lo_b, with angles below 2 pi, are within 8 eps (2.7 measured),
+    so w and w^2 are off by at most 17 eps, which adds 17 eps max|w| U.
+    That fits inside the rel max|w| U kept for the sum, because rel is at
+    least (10 log2 P + 40) eps and the pairwise sum takes (16 + log2 P) eps.
     """
     eps = np.finfo(float).eps
     kappa = 3.0 * eps * (_FFT_STAGE_EPS * math.log2(panels) + _FIXED_EPS)

@@ -278,17 +278,38 @@ def _shell_sums(coeffs: np.ndarray) -> np.ndarray:
     window; L >= 2m - 1 for a support of m modes, so the circular
     correlation does not wrap.  A real window goes through rfft/irfft and
     gets exactly real shells; shells wider than the support are exactly 0.
+
+    A real support that is its own mirror image, c == c[::-1], of odd
+    length 2H + 1 (every built-in window and every renamed copy of one)
+    takes shorter transforms.  Let b_j = c_{H+j}, j = 0..H, the centre
+    outward with the centre halved, b_0 = c_H / 2, so that c is b plus its
+    mirror image.  Then S_k = 2 R_k + V_k, with R_k = sum_j b_j b_{j+k} the
+    autocorrelation of b and V_k = sum_j b_j b_{k-j} its self-convolution
+    (the pairs of S_k on one side of the centre, and those straddling it).
+    With G = rfft(b, L) that is one irfft(2 |G|^2 + G^2) =
+    irfft(G (3 Re G - i Im G)); L >= 3H + 1 keeps R's negative lags, which
+    wrap to L - H .. L - 1, clear of V's support 0 .. 2H.  Two transforms
+    of about 3m / 4 points replace two of 2m.
     """
     out = np.zeros(coeffs.size - 1, dtype=np.complex128)
     nonzero = np.flatnonzero(coeffs)
     if nonzero.size >= 2:
         c = coeffs[nonzero[0] : nonzero[-1] + 1]
         span = c.size - 1
-        length = _smooth_length(2 * c.size - 1)
         if np.any(c.imag):
-            f = np.fft.fft(c, length)
+            f = np.fft.fft(c, _smooth_length(2 * c.size - 1))
             out[:span] = np.fft.ifft(f.real * f.real + f.imag * f.imag)[1 : span + 1]
+        elif span % 2 == 0 and np.array_equal(c.real, c.real[::-1]):
+            b = c.real[span // 2 :].copy()
+            b[0] *= 0.5
+            length = _smooth_length(3 * (span // 2) + 1)
+            g = np.fft.rfft(b, length)
+            spec = g.conj()
+            spec.real *= 3.0
+            spec *= g
+            out.real[:span] = np.fft.irfft(spec, length)[1 : span + 1]
         else:
+            length = _smooth_length(2 * c.size - 1)
             f = np.fft.rfft(c.real, length)
             power = f.real * f.real + f.imag * f.imag
             out.real[:span] = np.fft.irfft(power, length)[1 : span + 1]

@@ -392,6 +392,47 @@ class TestShellSums:
         bound = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(c) ** 2))
         assert np.max(np.abs(got - want)) <= bound
 
+    @pytest.mark.parametrize("case", ["modes_3_4", "table_pm5", "exp_1"])
+    def test_symmetric_branch_edges(self, case, monkeypatch):
+        # {3, 4}: an even-length support, trimmed inside its window, takes
+        # the general path; {-5, 5} is mirror-symmetric with a zero centre
+        # and zeros inside; exp at alpha 1 is a whole built-in window
+        if case == "modes_3_4":
+            s = build_spectrum(table_family("modes_3_4", {3: 1.0, 4: 1.0}), 1.0)
+        elif case == "table_pm5":
+            s = build_spectrum(table_family("pm5", {-5: 1.0, 5: 1.0}), 1.0)
+        else:
+            s = build_spectrum(exponential_family(), 1.0)
+        nonzero = np.flatnonzero(s.coeffs)
+        support = s.coeffs[nonzero[0] : nonzero[-1] + 1].real
+        span = support.size - 1
+        half = span // 2
+        symmetric = span % 2 == 0 and np.array_equal(support, support[::-1])
+        assert symmetric == (case != "modes_3_4")
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recorded(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        bound = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(s.coeffs) ** 2))
+        # the window itself, and the same support padded unevenly
+        for c in (s.coeffs, np.pad(s.coeffs, (3, 5))):
+            lengths.clear()
+            got = spectrum._shell_sums(c)
+            want = np.correlate(c.real, c.real, "full")[c.size :]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= bound
+            assert not np.any(got.imag)
+            assert not np.any(got[span:])  # past the support
+            # the half-length transform covers 3 H + 1 points, the general
+            # one 2 m - 1 for the m modes of the support
+            need = 3 * half + 1 if symmetric else 2 * span + 1
+            assert lengths == [spectrum._smooth_length(need)]
+        assert phi_moments(s)[0] == 0.0
+
     def test_real_window_gives_exactly_real_shells(self):
         for s in (
             build_spectrum(exponential_family(), 0.01),
