@@ -286,10 +286,11 @@ def _shell_sums(coeffs: np.ndarray) -> np.ndarray:
     mirror image.  Then S_k = 2 R_k + V_k, with R_k = sum_j b_j b_{j+k} the
     autocorrelation of b and V_k = sum_j b_j b_{k-j} its self-convolution
     (the pairs of S_k on one side of the centre, and those straddling it).
-    With G = rfft(b, L) that is one irfft(2 |G|^2 + G^2) =
-    irfft(G (3 Re G - i Im G)); L >= 3H + 1 keeps R's negative lags, which
-    wrap to L - H .. L - 1, clear of V's support 0 .. 2H.  Two transforms
-    of about 3m / 4 points replace two of 2m.
+    With G = rfft(b, L), which is rfft(c_H .. c_2H, L) - c_H / 2, that is
+    one irfft(2 |G|^2 + G^2) = irfft(G (3 Re G - i Im G)); L >= 3H + 1
+    keeps R's negative lags, which wrap to L - H .. L - 1, clear of V's
+    support 0 .. 2H.  Two transforms of about 3m / 4 points replace two of
+    2m.
     """
     out = np.zeros(coeffs.size - 1, dtype=np.complex128)
     nonzero = np.flatnonzero(coeffs)
@@ -299,11 +300,10 @@ def _shell_sums(coeffs: np.ndarray) -> np.ndarray:
         if np.any(c.imag):
             f = np.fft.fft(c, _smooth_length(2 * c.size - 1))
             out[:span] = np.fft.ifft(f.real * f.real + f.imag * f.imag)[1 : span + 1]
-        elif span % 2 == 0 and np.array_equal(c.real, c.real[::-1]):
-            b = c.real[span // 2 :].copy()
-            b[0] *= 0.5
+        elif span % 2 == 0 and (c.real == c.real[::-1]).all():
             length = _smooth_length(3 * (span // 2) + 1)
-            g = np.fft.rfft(b, length)
+            g = np.fft.rfft(c.real[span // 2 :], length)
+            g -= 0.5 * c.real[span // 2]
             spec = g.conj()
             spec.real *= 3.0
             spec *= g

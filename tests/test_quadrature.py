@@ -480,41 +480,42 @@ class TestSharedMesh:
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double"
     )
-    def test_phasor_tables_match_mpmath(self):
+    @pytest.mark.parametrize("N, P", [(21, 45), (17757, 36000)])
+    def test_phasor_tables_match_mpmath(self, N, P):
         # the bounds of _rounding_floors: node phasors within 6 eps of
-        # (-1)^n e^{i n delta_q}, weights within 8 eps of e^{i x_j}; the
-        # 30-digit table entries are multiplied in long double, which keeps
-        # the reference within 1e-3 eps
-        N, P = 17757, 36000
+        # (-1)^n e^{i n delta_q}, weights within 8 eps of e^{i x_j}.  The
+        # reference splits n = 150 a + b too, with 30-digit factors
+        # multiplied in long double, which keeps it within 1e-3 eps.
+        # sqrt(N + 1) rounds up to an odd number at N = 21.
+        split = 150
         h = 2.0 * PI / P
         deltas = [h * u for u in _gauss_legendre()[0]]
-        hi, lo, weights = quadrature._phasors(deltas, h, N + 1, P)
-        base = lo.shape[1]
+        phasors, weights = quadrature._phasors(deltas, h, N + 1, P)
+        assert phasors.shape == (8, N + 1) and weights.shape == (P,)
         eps = np.finfo(float).eps
 
-        def reference(values):
-            out = np.empty(len(values), dtype=np.clongdouble)
-            for i, z in enumerate(values):
-                re, im = float(z.real), float(z.imag)
-                out[i] = complex(re, im)
-                out[i] += np.longdouble(float(z.real - re)) + 1j * np.longdouble(float(z.imag - im))
-            return out
+        def reference(step, count, lead=1):
+            # e^{i n step} lead, n < count, for an mpf step
+            def table(values):
+                out = np.empty(len(values), dtype=np.clongdouble)
+                for i, z in enumerate(values):
+                    re, im = float(z.real), float(z.imag)
+                    out[i] = complex(re, im)
+                    out[i] += np.longdouble(float(z.real - re))
+                    out[i] += 1j * np.longdouble(float(z.imag - im))
+                return out
 
+            lo = table([mpmath.expj(b * step) for b in range(split)])
+            hi = table([lead * mpmath.expj(a * split * step) for a in range(-(-count // split))])
+            return np.multiply.outer(hi, lo).ravel()[:count]
+
+        sign = np.where(np.arange(N + 1) % 2, -1.0, 1.0)
         with mpmath.workdps(30):
             for q, delta in enumerate(deltas):
-                d = mpmath.mpf(delta)
-                lo_ref = reference([(-1) ** b * mpmath.expj(b * d) for b in range(base)])
-                hi_ref = reference([mpmath.expj(a * base * d) for a in range(hi.shape[1])])
-                # as _mesh_pass forms them
-                got = np.multiply(hi[q, :, np.newaxis], lo[q]).ravel()[: N + 1]
-                want = np.multiply.outer(hi_ref, lo_ref).ravel()[: N + 1]
-                assert np.max(np.abs(got - want)) <= 6.0 * eps, q
-            step = mpmath.mpf(h)
+                want = sign * reference(mpmath.mpf(delta), N + 1)
+                assert np.max(np.abs(phasors[q] - want)) <= 6.0 * eps, q
             lead = mpmath.expj(mpmath.mpf(deltas[0]) - mpmath.pi)
-            lo_ref = reference([mpmath.expj(b * step) for b in range(base)])
-            hi_ref = reference([lead * mpmath.expj(a * base * step) for a in range(-(-P // base))])
-        want = np.multiply.outer(hi_ref, lo_ref).ravel()[:P]
-        assert weights.shape == (P,)
+            want = reference(mpmath.mpf(h), P, lead)
         assert np.max(np.abs(weights - want)) <= 8.0 * eps
 
     @pytest.mark.parametrize("case", ["exp", "hermitian", "pinned", "even_complex"])
