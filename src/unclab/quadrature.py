@@ -231,24 +231,24 @@ def _parts(s: TruncatedSpectrum) -> np.ndarray:
 
 def _phasors(
     deltas: list[float], h: float, count: int, panels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node phasors, and the first offset's periodic weights, from two short tables.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node phasor tables, and the first offset's periodic weights.
 
-    Returns the rows (-1)^n e^{i n delta}, n = 0..count-1, one per offset
-    delta, and e^{i (delta_0 - pi + h j)}, j = 0..panels-1.  For each step s
-    (the offsets, then h) the tables are lo_b = e^{i b s} for b < B, B the
-    even number at or just above sqrt(count), and hi_a = e^{i a B s}; each
-    angle is one rounded product of an exact integer and s, and
-    e^{i (a B + b) s} = hi_a lo_b is one complex product, so a row is the
-    flat outer product of its hi and lo cut to ``count``.  B is even, so
-    (-1)^n = (-1)^b, folded exactly into the offsets' tables by negating
-    lo's odd columns.  The weights use e^{-i pi} = -1: they are
+    Returns (hi, lo, weights).  Row q of the flat outer product of hi[q] and
+    lo[q], cut to ``count`` entries, is (-1)^n e^{i n delta_q}, n =
+    0..count-1; weights are e^{i (delta_0 - pi + h j)}, j = 0..panels-1.
+    For each step s (the offsets, then h) the tables are lo_b = e^{i b s}
+    for b < B, B the even number at or just above sqrt(count), and hi_a =
+    e^{i a B s}; each angle is one rounded product of an exact integer and
+    s, and e^{i (a B + b) s} = hi_a lo_b is one complex product.  B is
+    even, so (-1)^n = (-1)^b, folded exactly into the offsets' tables by
+    negating lo's odd columns.  The weights use e^{-i pi} = -1: they are
     (-e^{i delta_0} hi_a) lo_b with s = h.  One cosine and one sine call
     serve every table of the pass.
     """
     base = math.isqrt(count - 1) + 1
     base += base % 2
-    wide = -(-panels // base)  # hi columns for the weights, the most any row needs
+    wide = -(-panels // base)  # hi columns of the weights, the widest row
     k = np.arange(base + wide)
     k[base:] = k[:wide] * base
     angles = np.multiply.outer(deltas + [h], k)
@@ -258,9 +258,7 @@ def _phasors(
     lo, hi = tables[:, :base], tables[:, base:]
     lo[:-1, 1::2] *= -1.0
     weights = np.multiply.outer(-cmath.exp(1j * deltas[0]) * hi[-1], lo[-1])
-    tall = -(-count // base)
-    nodes = np.multiply(hi[:-1, :tall, np.newaxis], lo[:-1, np.newaxis, :])
-    return nodes.reshape(len(deltas), -1)[:, :count], weights.reshape(-1)[:panels]
+    return hi[:-1, : -(-count // base)], lo[:-1], weights.reshape(-1)[:panels]
 
 
 def _mesh_pass(
@@ -273,19 +271,20 @@ def _mesh_pass(
 
     The nodes at offset delta = h u_q form one length-``panels`` grid, on
     which each real part of ``_parts`` is one row of a real inverse FFT of
-    the part's half spectrum times the offset's phasors (``_phasors``, one
-    call per pass).  phi and phi^2 take every offset: with x = grid +
-    delta, their node sums are S1 + delta S0 and S2 + 2 delta S1 + delta^2 S0, from the three sums
-    S_k of |f|^2 grid^k over the grid.  The seven periodic integrals are
-    exact on any one offset's equispaced nodes (Bound in the module
-    docstring), so they take the first offset alone, weighted h, and f' is
-    transformed there only.  The lz integrals are left at 0 unless
-    ``derivative`` is set; a real state has one part, so Im(conj(f) f')
-    and the lz integral are exactly 0.  An ``even`` state, f(-phi) =
-    f(phi), is evaluated at the offsets with q < 4 only, each weighted
-    twice: offset h - delta = h u_{7-q} carries the negated nodes and the
-    same weight, so it adds as much to each even integral and cancels each
-    odd one (phi, sin, lz), which stay exactly 0.
+    the part's half spectrum times the offset's phasors, all filled before
+    the first transform from one ``_phasors`` call.  phi and phi^2 take
+    every offset: with x = grid + delta, their node sums are S1 + delta S0
+    and S2 + 2 delta S1 + delta^2 S0, from the three sums S_k of |f|^2
+    grid^k over the grid.  The seven periodic integrals are exact on any
+    one offset's equispaced nodes (Bound in the module docstring), so they
+    take the first offset alone, weighted h, and f' is transformed there
+    only.  The lz integrals are left at 0 unless ``derivative`` is set; a
+    real state has one part, so Im(conj(f) f') and the lz integral are
+    exactly 0.  An ``even`` state, f(-phi) = f(phi), is evaluated at the
+    offsets with q < 4 only, each weighted twice: offset h - delta =
+    h u_{7-q} carries the negated nodes and the same weight, so it adds as
+    much to each even integral and cancels each odd one (phi, sin, lz),
+    which stay exactly 0.
     """
     N = s.cutoff
     h = 2.0 * math.pi / panels
@@ -293,8 +292,6 @@ def _mesh_pass(
     grid_sq = grid * grid
     parts = _parts(s)
     complex_state = len(parts) == 2
-    half = np.zeros((len(parts), panels // 2 + 1), dtype=complex)
-    slots = half[:, : N + 1]
     n = np.arange(N + 1)
     dens, tmp, wgt = (np.empty(panels) for _ in range(3))
     partial: dict[str, list[float]] = {name: [] for name in _INTEGRALS}
@@ -316,11 +313,25 @@ def _mesh_pass(
         nodes = nodes[: _GAUSS_POINTS // 2]
         weights = tuple(2.0 * w for w in weights[: _GAUSS_POINTS // 2])
     deltas = [h * u for u in nodes]
-    phasors, periodic = _phasors(deltas, h, N + 1, panels)
+    hi, lo, periodic = _phasors(deltas, h, N + 1, panels)
+    # halves[q] holds offset q's half spectra, one row per part.  Every
+    # offset's phasors are written into part 0's slots in one product; the
+    # rows run on past panels // 2 + 1 when the product does, and irfft
+    # reads only the first panels // 2 + 1 slots.
+    (offsets, tall), base = hi.shape, lo.shape[1]
+    width = max(panels // 2 + 1, tall * base)
+    halves = np.zeros((offsets, len(parts), width), dtype=complex)
+    # a view: splitting the contiguous last axis needs no copy
+    products = halves[:, 0, : tall * base].reshape(offsets, tall, base)
+    np.multiply(hi[:, :, np.newaxis], lo[:, np.newaxis, :], out=products)
+    halves[:, 0, N + 1 : tall * base] = 0.0
+    slots = halves[:, :, : N + 1]
+    if complex_state:
+        np.multiply(slots[:, 0], parts[1], out=slots[:, 1])
+    slots[:, 0] *= parts[0]
     for q, (delta, w) in enumerate(zip(deltas, weights)):
         wq = h * w
-        np.multiply(phasors[q], parts, out=slots)
-        f = np.fft.irfft(half, panels, norm="forward")  # rows g, h
+        f = np.fft.irfft(halves[q], panels, norm="forward")  # rows g, h
         sum_squares(f, dens)
         s0 = float(dens.sum())
         s1 = float(np.multiply(dens, grid, out=tmp).sum())
@@ -336,8 +347,8 @@ def _mesh_pass(
                 tmp *= trig
                 add(name + "2", tmp)
             if derivative:
-                slots *= 1j * n
-                d = np.fft.irfft(half, panels, norm="forward")  # rows g', h'
+                slots[0] *= 1j * n
+                d = np.fft.irfft(halves[0], panels, norm="forward")  # rows g', h'
                 add("lz2", sum_squares(d, tmp))
                 if complex_state and not even:
                     # Im(conj(f) f') = g h' - h g'
