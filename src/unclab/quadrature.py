@@ -271,8 +271,8 @@ def _mesh_pass(
 
     The nodes at offset delta = h u_q form one length-``panels`` grid, on
     which each real part of ``_parts`` is one row of a real inverse FFT of
-    the part's half spectrum times the offset's phasors, all filled before
-    the first transform from one ``_phasors`` call.  phi and phi^2 take
+    the part's half spectrum times the offset's phasors, from tables that
+    one ``_phasors`` call builds for the pass.  phi and phi^2 take
     every offset: with x = grid + delta, their node sums are S1 + delta S0
     and S2 + 2 delta S1 + delta^2 S0, from the three sums S_k of |f|^2
     grid^k over the grid.  The seven periodic integrals are exact on any
@@ -314,24 +314,16 @@ def _mesh_pass(
         weights = tuple(2.0 * w for w in weights[: _GAUSS_POINTS // 2])
     deltas = [h * u for u in nodes]
     hi, lo, periodic = _phasors(deltas, h, N + 1, panels)
-    # halves[q] holds offset q's half spectra, one row per part.  Every
-    # offset's phasors are written into part 0's slots in one product; the
-    # rows run on past panels // 2 + 1 when the product does, and irfft
-    # reads only the first panels // 2 + 1 slots.
-    (offsets, tall), base = hi.shape, lo.shape[1]
-    width = max(panels // 2 + 1, tall * base)
-    halves = np.zeros((offsets, len(parts), width), dtype=complex)
-    # a view: splitting the contiguous last axis needs no copy
-    products = halves[:, 0, : tall * base].reshape(offsets, tall, base)
-    np.multiply(hi[:, :, np.newaxis], lo[:, np.newaxis, :], out=products)
-    halves[:, 0, N + 1 : tall * base] = 0.0
-    slots = halves[:, :, : N + 1]
-    if complex_state:
-        np.multiply(slots[:, 0], parts[1], out=slots[:, 1])
-    slots[:, 0] *= parts[0]
+    # one offset's phasors at a time, hi[q] x lo[q] in one reused buffer
+    rows = np.empty((hi.shape[1], lo.shape[1]), dtype=complex)
+    phasors = rows.reshape(-1)[: N + 1]
+    half = np.zeros((len(parts), panels // 2 + 1), dtype=complex)
+    slots = half[:, : N + 1]
     for q, (delta, w) in enumerate(zip(deltas, weights)):
         wq = h * w
-        f = np.fft.irfft(halves[q], panels, norm="forward")  # rows g, h
+        np.multiply(hi[q, :, np.newaxis], lo[q], out=rows)
+        np.multiply(phasors, parts, out=slots)
+        f = np.fft.irfft(half, panels, norm="forward")  # rows g, h
         sum_squares(f, dens)
         s0 = float(dens.sum())
         s1 = float(np.multiply(dens, grid, out=tmp).sum())
@@ -347,8 +339,8 @@ def _mesh_pass(
                 tmp *= trig
                 add(name + "2", tmp)
             if derivative:
-                slots[0] *= 1j * n
-                d = np.fft.irfft(halves[0], panels, norm="forward")  # rows g', h'
+                slots *= 1j * n
+                d = np.fft.irfft(half, panels, norm="forward")  # rows g', h'
                 add("lz2", sum_squares(d, tmp))
                 if complex_state and not even:
                     # Im(conj(f) f') = g h' - h g'

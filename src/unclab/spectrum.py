@@ -289,7 +289,7 @@ def _shell_sums(coeffs: np.ndarray) -> np.ndarray:
     With G = rfft(b, L), which is rfft(c_H .. c_2H, L) - c_H / 2, that is
     one irfft(2 |G|^2 + G^2) = irfft(G (3 Re G - i Im G)); L >= 3H + 1
     keeps R's negative lags, which wrap to L - H .. L - 1, clear of V's
-    support 0 .. 2H.  Two transforms of about 3m / 4 points replace two of
+    support 0 .. 2H.  Two transforms of about 3m / 2 points replace two of
     2m.
     """
     out = np.zeros(coeffs.size - 1, dtype=np.complex128)
