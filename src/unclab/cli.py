@@ -58,6 +58,13 @@ _csv_cells = operator.attrgetter(*_CSV_COLUMNS)
 # in no other number's text, so a divergent row's NaN cells become "div"
 _CSV_ROW = ",".join(["%.17g"] * len(_CSV_COLUMNS))
 
+# each dominance verdict's exit code and text line
+_VERDICTS = {
+    "dominant": (EXIT_OK, "dominance: dominant k={}"),
+    "no_unique_dominant": (EXIT_NO_UNIQUE_DOMINANT, "dominance: no unique dominant coefficient"),
+    "inconclusive": (EXIT_INCONCLUSIVE, "dominance: inconclusive"),
+}
+
 
 def _resolve_family(args: argparse.Namespace) -> CoefficientFamily:
     if args.family == "exp":
@@ -98,8 +105,7 @@ def _log_grid(lo: float, hi: float, num: int) -> list[float]:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    family = _resolve_family(args)
+def _cmd_sweep(family: CoefficientFamily, args: argparse.Namespace) -> int:
     try:
         rows = sweep(
             family,
@@ -132,13 +138,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_DIVERGENT_ROWS if any(r.divergent for r in rows) else EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    family = _resolve_family(args)
+def _cmd_check(family: CoefficientFamily, args: argparse.Namespace) -> int:
     grid = _log_grid(args.grid_min, args.grid_max, args.grid_points)
     # both ranges are checked before either report evaluates an amplitude
     _index_range("n_probe", args.n_probe)
     _index_range("N", args.tail_n)
     verdict = check_dominance(family, grid, n_probe=args.n_probe)
+    code, line = _VERDICTS[verdict.verdict]
     adm = check_admissibility(
         family, grid, kappa=args.kappa, N=args.tail_n, eps=args.eps
     )
@@ -153,12 +159,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"family: {family.name}")
-        if verdict.verdict == "dominant":
-            print(f"dominance: dominant k={verdict.dominant_index}")
-        elif verdict.verdict == "no_unique_dominant":
-            print("dominance: no unique dominant coefficient")
-        else:
-            print("dominance: inconclusive")
+        print(line.format(verdict.dominant_index))
         print(
             f"admissibility (i): {'pass' if adm.cond_i else 'fail'} "
             f"(inf var_phi={adm.inf_var_phi:.6g}, kappa={adm.kappa:g})"
@@ -174,15 +175,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         if adm.notes:
             print(f"notes: {adm.notes}")
-    if verdict.verdict == "dominant":
-        return EXIT_OK
-    if verdict.verdict == "no_unique_dominant":
-        return EXIT_NO_UNIQUE_DOMINANT
-    return EXIT_INCONCLUSIVE
+    return code
 
 
-def _cmd_crossing(args: argparse.Namespace) -> int:
-    family = _resolve_family(args)
+def _cmd_crossing(family: CoefficientFamily, args: argparse.Namespace) -> int:
     try:
         alpha = find_bound_crossing(family, args.target)
     except NoBracket as exc:
@@ -199,8 +195,7 @@ def _cmd_crossing(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_alpha_star(args: argparse.Namespace) -> int:
-    family = _resolve_family(args)
+def _cmd_alpha_star(family: CoefficientFamily, args: argparse.Namespace) -> int:
     try:
         alpha = find_alpha_star(family, args.epsilon, alpha_hint=args.hint)
     except NotAttainable as exc:
@@ -221,8 +216,7 @@ def _cmd_alpha_star(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    family = _resolve_family(args)
+def _cmd_verify(family: CoefficientFamily, args: argparse.Namespace) -> int:
     spec = build_spectrum(family, args.alpha, rel_tol=args.rel_tol)
     report = compare_report(spec, tol=args.tol)
     if args.json:
@@ -310,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve_family(args), args)
     except (UncLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

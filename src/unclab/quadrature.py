@@ -77,7 +77,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentMoment, InvalidParameter, ToleranceNotMet
+from .errors import InvalidParameter, ToleranceNotMet
 from .moments import lz_moments, phi_moments, trig_report
 from .spectrum import TruncatedSpectrum, _smooth_length
 
@@ -603,9 +603,9 @@ def compare_report(
     def add_var(name: str, series: float, q1: QuadratureResult, q2: QuadratureResult) -> None:
         add(name, series, q2.value - q1.value**2, q2.est_error + 2.0 * abs(q1.value) * q1.est_error)
 
-    names = ("norm", "phi", "phi2", *_TRIG_WEIGHTS)
-    if not s.lz_divergent:
-        names += _DERIVATIVE_INTEGRALS
+    # one divergence test picks both the f' integrals and the lz rows
+    lz = None if s.lz_divergent else lz_moments(s)
+    names = ("norm", "phi", "phi2", *_TRIG_WEIGHTS, *(() if lz is None else _DERIVATIVE_INTEGRALS))
     q = _mesh_integrals(s, names, DEFAULT_ABS_TOL, max_evals)
 
     add_direct("norm", 1.0, q["norm"])
@@ -615,16 +615,14 @@ def compare_report(
     add_direct("second_phi", second_phi, q["phi2"])
     add_var("var_phi", var_phi, q["phi"], q["phi2"])
 
-    try:
-        mean_lz, second_lz, var_lz = lz_moments(s)
-    except DivergentMoment:
+    if lz is None:
         note = "series-side sigma_Lz^2 divergent; not applicable"
         for name in ("mean_lz", "second_lz", "var_lz"):
             rows.append(ComparisonRow(name, None, None, None, None, note))
     else:
-        add_direct("mean_lz", mean_lz, q["lz"])
-        add_direct("second_lz", second_lz, q["lz2"])
-        add_var("var_lz", var_lz, q["lz"], q["lz2"])
+        add_direct("mean_lz", lz[0], q["lz"])
+        add_direct("second_lz", lz[1], q["lz2"])
+        add_var("var_lz", lz[2], q["lz"], q["lz2"])
 
     tr = trig_report(s)
     add_direct("mean_sin", tr.mean_sin, q["sin"])

@@ -665,14 +665,6 @@ def _exp_series(alpha: float, rel_tol: float) -> Iterator[_Series]:
     )
 
 
-# The built-in family values and their tail series, matched by identity or ==
-# as analysis matches its closed forms; a renamed copy is another value.
-_EXACT_TAILS = (
-    (exponential_family(), _exp_series),
-    (polynomial_family(), _poly_series),
-)
-
-
 def _poly_second_tail(alpha: float, n: int, where: str) -> float:
     """2 zeta(2 alpha - 2, n + 1), the polynomial n^2 |C_n|^2 tail, from one
     zeta call: _poly_series would also form the series totals."""
@@ -682,18 +674,20 @@ def _poly_second_tail(alpha: float, n: int, where: str) -> float:
     return _zeta_tail(s, n)[0]
 
 
-# The n^2 |C_n|^2 tail alone of each built-in family, by its tail series rule.
-_SECOND_TAILS = {
-    _exp_series: lambda alpha, n, where: _exp_second_tail(alpha, n)[0],
-    _poly_series: _poly_second_tail,
-}
+# The built-in family values, each with its tail series rule and its rule for
+# the n^2 |C_n|^2 tail alone, matched by identity or == as analysis matches its
+# closed forms; a renamed copy is another value.
+_EXACT_TAILS = (
+    (exponential_family(), _exp_series, lambda alpha, n, where: _exp_second_tail(alpha, n)[0]),
+    (polynomial_family(), _poly_series, _poly_second_tail),
+)
 
 
 def _exact_tails(family: CoefficientFamily):
-    """The tail series rule of a built-in family value, else None."""
-    for builtin, series in _EXACT_TAILS:
+    """The (tail series, n^2 tail) rules of a built-in family value, else None."""
+    for builtin, series, second in _EXACT_TAILS:
         if family is builtin or family == builtin:
-            return series
+            return series, second
     return None
 
 
@@ -732,7 +726,7 @@ def build_spectrum(
     where = f"family {family.name!r} at alpha={alpha}: "
     exact = _exact_tails(family)
     if exact is not None:
-        cutoff, mass, second = _cutoff(exact(float(alpha), rel_tol), rel_tol, n_max, where)
+        cutoff, mass, second = _cutoff(exact[0](float(alpha), rel_tol), rel_tol, n_max, where)
         coeffs = family.coefficients(np.arange(-cutoff, cutoff + 1), alpha)
         return _window(family, alpha, coeffs, mass.tail(cutoff)[0], *second.tail(cutoff))
 
@@ -841,7 +835,7 @@ def tail_second_moment(
             raise InvalidParameter(f"grid alphas must be positive, got {alpha!r}")
         where = f"family {family.name!r} at alpha={alpha}: "
         if exact is not None:
-            out.append(_SECOND_TAILS[exact](float(alpha), N, where))
+            out.append(exact[1](float(alpha), N, where))
             continue
         if support is not None:
             # every amplitude past the support is 0: the tail is a finite sum

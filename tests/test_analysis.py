@@ -275,7 +275,7 @@ class TestAlphaStar:
     @pytest.mark.xfail(
         strict=True,
         reason="var_lz = 2u^2/(1-u^2)^2 underflows to 0 past alpha ~ 372.5, so the "
-        "product sqrt(var_phi var_lz) reads 0.0 (ROADMAP item 6)",
+        "product sqrt(var_phi var_lz) reads 0.0 (ROADMAP item 2)",
     )
     def test_tiny_epsilon_is_met_by_the_true_product(self):
         # sigma_Lz = sqrt(2) e^-alpha / (1 - e^-2 alpha) itself is normal here:

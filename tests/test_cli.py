@@ -307,8 +307,22 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: bad grid [2.0, 1.0] x 16\n"
 
-    def test_missing_spec_for_custom(self, capsys):
-        assert main(["check", "--family", "custom"]) == EXIT_INVALID
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--min", "1", "--max", "2"],
+            ["check"],
+            ["crossing", "--target", "0.5"],
+            ["alpha-star", "--epsilon", "0.1"],
+            ["verify", "--alpha", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_spec_for_custom(self, argv, capsys):
+        assert main([*argv, "--family", "custom"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --family custom requires --spec FILE.json\n"
 
     @pytest.mark.parametrize("n_probe", ["0", "-1"])
     def test_probe_width_below_one_is_invalid(self, n_probe, capsys):

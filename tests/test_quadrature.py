@@ -341,12 +341,23 @@ class TestCompareReport:
         s = build_spectrum(table_family("seeded", coeffs), 1.0)
         assert compare_report(s, tol=1e-8).all_passed
 
-    def test_divergent_polynomial_rows_not_applicable(self):
+    def test_divergent_polynomial_rows_not_applicable(self, monkeypatch):
         s = build_spectrum(polynomial_family(), 1.4, rel_tol=1e-5)
+        derivative = []
+        run = quadrature._mesh_pass
+
+        def traced(s, panels, wants_derivative, even):
+            derivative.append(wants_derivative)
+            return run(s, panels, wants_derivative, even)
+
+        monkeypatch.setattr(quadrature, "_mesh_pass", traced)
         rep = compare_report(s, tol=1e-8)
-        na = {r.name for r in rep.rows if r.passed is None}
-        assert na == {"mean_lz", "second_lz", "var_lz"}
+        na = [r for r in rep.rows if r.passed is None]
+        assert [r.name for r in na] == ["mean_lz", "second_lz", "var_lz"]
+        assert {r.note for r in na} == {"series-side sigma_Lz^2 divergent; not applicable"}
         assert rep.all_passed  # failures are data; n/a rows do not fail
+        # no lz row reads f', so no mesh pass transforms it
+        assert derivative and not any(derivative)
 
     def test_norm_row_closure(self):
         s = build_spectrum(exponential_family(), 0.3)
