@@ -57,13 +57,7 @@ from .moments import (
 from .quadrature import (
     CompareReport,
     ComparisonRow,
-    QuadratureResult,
-    adaptive_simpson,
     compare_report,
-    quad_lz_moment,
-    quad_norm,
-    quad_phi_moment,
-    quad_trig_moment,
 )
 from .special import EvalResult, dilog, zeta
 from .spectrum import (
@@ -91,13 +85,11 @@ __all__ = [
     "NonConvergent",
     "NotAttainable",
     "PolyFamilyEval",
-    "QuadratureResult",
     "SweepRow",
     "ToleranceNotMet",
     "TrigReport",
     "TruncatedSpectrum",
     "UncLabError",
-    "adaptive_simpson",
     "boundary_density",
     "build_spectrum",
     "check_admissibility",
@@ -115,10 +107,6 @@ __all__ = [
     "phi_moments",
     "poly_closed",
     "polynomial_family",
-    "quad_lz_moment",
-    "quad_norm",
-    "quad_phi_moment",
-    "quad_trig_moment",
     "single_mode_family",
     "sweep",
     "table_family",

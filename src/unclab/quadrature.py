@@ -63,8 +63,8 @@ periodic integrals' one offset is among those nodes.  The search for P'
 stops at the first panel count over budget and raises ToleranceNotMet
 naming it, before any FFT runs.
 
-``adaptive_simpson`` remains the integrator for arbitrary callables; the
-moment paths do not use it.
+``adaptive_simpson`` and the four ``quad_*`` are not exported, and nothing
+in the library calls them; they stay only for the benchmark's span hooks.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameter, ToleranceNotMet
-from .moments import lz_moments, phi_moments, trig_report
+from .moments import trig_report, uncertainty_report
 from .spectrum import TruncatedSpectrum, _smooth_length
 
 DEFAULT_ABS_TOL = 1e-10
@@ -581,7 +581,7 @@ def compare_report(
     tol: float = 1e-8,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> CompareReport:
-    """Run every series moment against its quadrature twin.
+    """Check the moments of ``uncertainty_report`` and ``trig_report`` by quadrature.
 
     All quadrature rows come from the one shared mesh.  Failures
     are data (rows with passed = False), not exceptions; moments that do
@@ -593,43 +593,40 @@ def compare_report(
         raise InvalidParameter(f"tol must be positive, got {tol!r}")
     rows: list[ComparisonRow] = []
 
-    def add(name: str, series: float, quad: float, est: float) -> None:
+    def add(
+        name: str, series: float, first: QuadratureResult, second: QuadratureResult | None = None
+    ) -> None:
+        quad, est = first.value, first.est_error
+        if second is not None:  # a variance row, q2 - q1^2, error e2 + 2 |q1| e1
+            quad, est = second.value - quad**2, second.est_error + 2.0 * abs(quad) * est
         diff = abs(series - quad)
         rows.append(ComparisonRow(name, series, quad, diff, diff <= tol, est_error=est))
 
-    def add_direct(name: str, series: float, q: QuadratureResult) -> None:
-        add(name, series, q.value, q.est_error)
-
-    def add_var(name: str, series: float, q1: QuadratureResult, q2: QuadratureResult) -> None:
-        add(name, series, q2.value - q1.value**2, q2.est_error + 2.0 * abs(q1.value) * q1.est_error)
-
     # one divergence test picks both the f' integrals and the lz rows
-    lz = None if s.lz_divergent else lz_moments(s)
-    names = ("norm", "phi", "phi2", *_TRIG_WEIGHTS, *(() if lz is None else _DERIVATIVE_INTEGRALS))
+    divergent = s.lz_divergent
+    names = ("norm", "phi", "phi2", *_TRIG_WEIGHTS, *(() if divergent else _DERIVATIVE_INTEGRALS))
     q = _mesh_integrals(s, names, DEFAULT_ABS_TOL, max_evals)
+    rep, tr = uncertainty_report(s), trig_report(s)
 
-    add_direct("norm", 1.0, q["norm"])
+    add("norm", 1.0, q["norm"])
+    add("mean_phi", rep.mean_phi, q["phi"])
+    add("second_phi", rep.second_phi, q["phi2"])
+    add("var_phi", rep.var_phi, q["phi"], q["phi2"])
 
-    mean_phi, second_phi, var_phi = phi_moments(s)
-    add_direct("mean_phi", mean_phi, q["phi"])
-    add_direct("second_phi", second_phi, q["phi2"])
-    add_var("var_phi", var_phi, q["phi"], q["phi2"])
-
-    if lz is None:
+    if divergent:
         note = "series-side sigma_Lz^2 divergent; not applicable"
         for name in ("mean_lz", "second_lz", "var_lz"):
             rows.append(ComparisonRow(name, None, None, None, None, note))
     else:
-        add_direct("mean_lz", lz[0], q["lz"])
-        add_direct("second_lz", lz[1], q["lz2"])
-        add_var("var_lz", lz[2], q["lz"], q["lz2"])
+        add("mean_lz", rep.mean_lz, q["lz"])
+        add("second_lz", rep.second_lz, q["lz2"])
+        add("var_lz", rep.var_lz, q["lz"], q["lz2"])
 
-    tr = trig_report(s)
-    add_direct("mean_sin", tr.mean_sin, q["sin"])
-    add_direct("mean_cos", tr.mean_cos, q["cos"])
-    add_direct("sin_sq", tr.var_sin + tr.mean_sin**2, q["sin2"])
-    add_direct("cos_sq", tr.var_cos + tr.mean_cos**2, q["cos2"])
-    add_var("var_sin", tr.var_sin, q["sin"], q["sin2"])
-    add_var("var_cos", tr.var_cos, q["cos"], q["cos2"])
+    add("mean_sin", tr.mean_sin, q["sin"])
+    add("mean_cos", tr.mean_cos, q["cos"])
+    add("sin_sq", tr.var_sin + tr.mean_sin**2, q["sin2"])
+    add("cos_sq", tr.var_cos + tr.mean_cos**2, q["cos2"])
+    add("var_sin", tr.var_sin, q["sin"], q["sin2"])
+    add("var_cos", tr.var_cos, q["cos"], q["cos2"])
 
     return CompareReport(rows=tuple(rows), tol=tol)

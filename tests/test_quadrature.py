@@ -12,19 +12,16 @@ from hypothesis import strategies as st
 from unclab import (
     InvalidParameter,
     ToleranceNotMet,
-    adaptive_simpson,
     build_spectrum,
     compare_report,
     exp_closed,
     exponential_family,
     polynomial_family,
-    quad_lz_moment,
-    quad_norm,
-    quad_phi_moment,
-    quad_trig_moment,
     single_mode_family,
     table_family,
+    trig_report,
     two_mode_family,
+    uncertainty_report,
 )
 from unclab import quadrature
 from unclab.quadrature import (
@@ -36,6 +33,10 @@ from unclab.quadrature import (
     _panel_count,
     _rounding_floors,
     _strip_sums,
+    adaptive_simpson,
+    quad_norm,
+    quad_phi_moment,
+    quad_trig_moment,
 )
 from unclab.spectrum import _smooth_length
 
@@ -73,6 +74,10 @@ EVEN_COMPLEX_TABLE = {
     -5: -0.2j,
 }
 
+# The complex table document that CI verifies, at alpha = 1: no mirror
+# symmetry, and a nonzero <L_z>
+COMPLEX_TABLE = {-4: -1.5j, -1: 0.75 + 0.25j, 0: 1.25, 3: -0.5 + 0.5j, 6: 0.625j}
+
 # Wide spikes: phi and phi^2 need more panels than P (the first) or come
 # close to their bound on P panels (the second)
 SPIKE_TABLE = {0: 1.0, 200: 1.0, -200: 1.0}
@@ -83,18 +88,23 @@ COMPLEX_SPIKE_TABLE = {0: 1.0, 200: 1j, -197: 0.5}
 MESH_INTEGRALS = ("norm", "phi", "phi2", "sin", "cos", "sin2", "cos2", "lz2", "lz")
 PERIODIC_INTEGRALS = ("norm", "sin", "cos", "sin2", "cos2", "lz2", "lz")
 
-# compare row name -> the quad_* call that computes it directly
+# compare row name -> the mesh integral that computes it directly
 QUAD_CALLS = {
-    "norm": lambda s: quad_norm(s),
-    "mean_phi": lambda s: quad_phi_moment(s, 1),
-    "second_phi": lambda s: quad_phi_moment(s, 2),
-    "mean_lz": lambda s: quad_lz_moment(s, 1),
-    "second_lz": lambda s: quad_lz_moment(s, 2),
-    "mean_sin": lambda s: quad_trig_moment(s, "sin"),
-    "mean_cos": lambda s: quad_trig_moment(s, "cos"),
-    "sin_sq": lambda s: quad_trig_moment(s, "sin2"),
-    "cos_sq": lambda s: quad_trig_moment(s, "cos2"),
+    "norm": "norm",
+    "mean_phi": "phi",
+    "second_phi": "phi2",
+    "mean_lz": "lz",
+    "second_lz": "lz2",
+    "mean_sin": "sin",
+    "mean_cos": "cos",
+    "sin_sq": "sin2",
+    "cos_sq": "cos2",
 }
+
+
+def mesh_integral(s, name: str):
+    """One mesh integral at the default tolerance and budget, on its own pass."""
+    return _mesh_integrals(s, (name,), DEFAULT_ABS_TOL, DEFAULT_MAX_EVALS)[name]
 
 
 def exp_exact(alpha: float) -> dict[str, float]:
@@ -270,16 +280,16 @@ class TestAdaptiveSimpson:
 class TestPhiMomentQuadrature:
     def test_single_mode_second_moment(self):
         s = build_spectrum(single_mode_family(0), 1.0)
-        assert quad_phi_moment(s, 2).value == pytest.approx(PI2_3, abs=1e-10)
+        assert mesh_integral(s, "phi2").value == pytest.approx(PI2_3, abs=1e-10)
 
     def test_two_mode_second_moment_analytic(self):
         # integral of phi^2 cos^2(phi) / pi = pi^2/3 + 1/2
         s = build_spectrum(two_mode_family(), 1.0)
-        assert quad_phi_moment(s, 2).value == pytest.approx(PI2_3 + 0.5, abs=1e-10)
+        assert mesh_integral(s, "phi2").value == pytest.approx(PI2_3 + 0.5, abs=1e-10)
 
     def test_exponential_first_moment_vanishes(self):
         s = build_spectrum(exponential_family(), 1.0)
-        assert abs(quad_phi_moment(s, 1).value) < 1e-10
+        assert abs(mesh_integral(s, "phi").value) < 1e-10
 
     def test_power_domain(self):
         s = build_spectrum(single_mode_family(0), 1.0)
@@ -290,32 +300,32 @@ class TestPhiMomentQuadrature:
 class TestLzMomentQuadrature:
     def test_eigenstate(self):
         s = build_spectrum(single_mode_family(2), 1.0)
-        assert quad_lz_moment(s, 2).value == pytest.approx(4.0, abs=1e-9)
-        assert quad_lz_moment(s, 1).value == pytest.approx(2.0, abs=1e-10)
+        assert mesh_integral(s, "lz2").value == pytest.approx(4.0, abs=1e-9)
+        assert mesh_integral(s, "lz").value == pytest.approx(2.0, abs=1e-10)
 
     def test_two_mode(self):
         s = build_spectrum(two_mode_family(), 1.0)
-        assert quad_lz_moment(s, 2).value == pytest.approx(1.0, abs=1e-9)
-        assert abs(quad_lz_moment(s, 1).value) < 1e-10
+        assert mesh_integral(s, "lz2").value == pytest.approx(1.0, abs=1e-9)
+        assert abs(mesh_integral(s, "lz").value) < 1e-10
 
     def test_exponential_matches_closed_form(self):
         s = build_spectrum(exponential_family(), 1.0)
         want = 1.0 / (2.0 * math.sinh(1.0) ** 2)  # <Lz> = 0 so <Lz^2> = var
-        assert quad_lz_moment(s, 2).value == pytest.approx(want, abs=1e-9)
+        assert mesh_integral(s, "lz2").value == pytest.approx(want, abs=1e-9)
 
 
 class TestTrigMomentQuadrature:
     def test_single_mode(self):
         s = build_spectrum(single_mode_family(0), 1.0)
-        assert quad_trig_moment(s, "cos2").value == pytest.approx(0.5, abs=1e-10)
-        assert abs(quad_trig_moment(s, "sin").value) < 1e-12
+        assert mesh_integral(s, "cos2").value == pytest.approx(0.5, abs=1e-10)
+        assert abs(mesh_integral(s, "sin").value) < 1e-12
 
     def test_exponential_alpha_one(self):
         s = build_spectrum(exponential_family(), 1.0)
-        assert quad_trig_moment(s, "cos").value == pytest.approx(
+        assert mesh_integral(s, "cos").value == pytest.approx(
             1.0 / math.cosh(1.0), abs=1e-9
         )
-        assert quad_trig_moment(s, "sin2").value == pytest.approx(
+        assert mesh_integral(s, "sin2").value == pytest.approx(
             0.32926179757407123, abs=1e-9
         )
 
@@ -371,13 +381,41 @@ class TestCompareReport:
         assert d["all_passed"] is True
         assert {row["name"] for row in d["rows"]} >= {"norm", "var_phi"}
 
+    @pytest.mark.parametrize("case", ["poly_divergent", "exp", "complex_table"])
+    def test_series_column_is_the_reports(self, case):
+        s = {
+            "poly_divergent": lambda: build_spectrum(polynomial_family(), 1.4, rel_tol=1e-5),
+            "exp": lambda: build_spectrum(exponential_family(), 1.0),
+            "complex_table": lambda: build_spectrum(table_family(case, COMPLEX_TABLE), 1.0),
+        }[case]()
+        rep, tr = uncertainty_report(s), trig_report(s)
+        moments = ("mean_phi", "second_phi", "var_phi", "mean_lz", "second_lz", "var_lz")
+        want = {
+            "norm": 1.0,
+            **{name: getattr(rep, name) for name in moments},
+            "mean_sin": tr.mean_sin,
+            "mean_cos": tr.mean_cos,
+            "sin_sq": tr.var_sin + tr.mean_sin**2,
+            "cos_sq": tr.var_cos + tr.mean_cos**2,
+            "var_sin": tr.var_sin,
+            "var_cos": tr.var_cos,
+        }
+        rows = compare_report(s, tol=1e-8).rows
+        assert [r.name for r in rows] == list(want)
+        for r in rows:
+            if s.lz_divergent and r.name.endswith("_lz"):
+                assert r.series is None, r.name
+            else:
+                assert r.series == want[r.name], r.name
+        assert s.lz_divergent == (case == "poly_divergent")
+
 
 class TestErrorBounds:
     @pytest.mark.parametrize("case", BOUND_CASES)
     def test_quad_functions_bound_their_error(self, case):
         s, exact = bound_case(case)
-        for row, call in QUAD_CALLS.items():
-            r = call(s)
+        for row, name in QUAD_CALLS.items():
+            r = mesh_integral(s, name)
             assert abs(r.value - exact[row]) <= r.est_error, (row, r)
 
     @pytest.mark.parametrize("case", BOUND_CASES)
@@ -388,7 +426,7 @@ class TestErrorBounds:
 
     def test_real_state_mean_lz_is_exactly_zero(self):
         s = build_spectrum(table_family("hermitian", HERMITIAN_TABLE), 1.0)
-        assert quad_lz_moment(s, 1).value == 0.0
+        assert mesh_integral(s, "lz").value == 0.0
         rows = {r.name: r for r in compare_report(s, tol=1e-9).rows}
         assert rows["mean_lz"].quadrature == 0.0
 
@@ -403,9 +441,8 @@ class TestErrorBounds:
     @pytest.mark.parametrize("case", ["exp", "poly", "even_complex"])
     def test_even_state_odd_integrals_are_exactly_zero(self, case):
         s = mesh_state(case)
-        assert quad_phi_moment(s, 1).value == 0.0
-        assert quad_trig_moment(s, "sin").value == 0.0
-        assert quad_lz_moment(s, 1).value == 0.0
+        for name in ("phi", "sin", "lz"):
+            assert mesh_integral(s, name).value == 0.0, name
         rows = {r.name: r for r in compare_report(s, tol=1e-9).rows}
         for name in ("mean_phi", "mean_sin", "mean_lz"):
             assert rows[name].quadrature == 0.0, name
@@ -413,8 +450,8 @@ class TestErrorBounds:
     def test_variance_rows_propagate_error(self):
         s = build_spectrum(table_family("pinned", PINNED_TABLE), 1.0)
         rows = {r.name: r for r in compare_report(s).rows}
-        q1 = quad_lz_moment(s, 1)
-        q2 = quad_lz_moment(s, 2)
+        q1 = mesh_integral(s, "lz")
+        q2 = mesh_integral(s, "lz2")
         assert rows["var_lz"].est_error == pytest.approx(
             q2.est_error + 2.0 * abs(q1.value) * q1.est_error
         )
@@ -471,7 +508,7 @@ class TestSharedMesh:
             return outputs[-1]
 
         monkeypatch.setattr(np.fft, "irfft", recorded)
-        quad_norm(s)
+        mesh_integral(s, "norm")
         # the first transform is f at the first offset: one row per real part
         rows = outputs[0]
         assert rows.shape == (2 if which == "table" else 1, _panel_count(s.cutoff))
@@ -572,7 +609,7 @@ class TestSharedMesh:
 
         for name in calls:
             monkeypatch.setattr(np.fft, name, counted(name))
-        r = quad_lz_moment(s, 2)
+        r = mesh_integral(s, "lz2")
         # one transform for f per length-P grid of nodes, real or complex, and
         # one for f' on the first grid alone; a mirror-symmetric state
         # (c_{-n} = c_n) is evaluated on half the grids
@@ -580,7 +617,7 @@ class TestSharedMesh:
         offsets = grids // 2 if case in ("exp", "poly", "even_complex") else grids
         assert calls == {"irfft": offsets + 1, "ifft": 0}
         calls["irfft"] = 0
-        quad_norm(s)  # no lz integral asked: no f'
+        mesh_integral(s, "norm")  # no lz integral asked: no f'
         assert calls == {"irfft": offsets, "ifft": 0}
 
     def test_budget_is_checked_before_any_transform(self, monkeypatch):
@@ -699,8 +736,8 @@ class TestConvergenceWithRelTol:
         # tightest window's quadrature values
         fam = exponential_family()
         ref = build_spectrum(fam, 0.3, rel_tol=1e-13)
-        ref_phi2 = quad_phi_moment(ref, 2).value
-        ref_lz2 = quad_lz_moment(ref, 2).value
+        ref_phi2 = mesh_integral(ref, "phi2").value
+        ref_lz2 = mesh_integral(ref, "lz2").value
         diffs = []
         for rel in (1e-4, 1e-7, 1e-10):
             s = build_spectrum(fam, 0.3, rel_tol=rel)

@@ -19,7 +19,6 @@ from unclab import (
     exponential_family,
     family_from_dict,
     polynomial_family,
-    quad_norm,
     single_mode_family,
     table_family,
     tail_second_moment,
@@ -29,6 +28,7 @@ from unclab import special, spectrum
 from unclab.spectrum import _tail_estimate, _tail_samples
 
 from oracles import evaluate_state
+from test_quadrature import mesh_integral
 
 PI = math.pi
 
@@ -639,11 +639,11 @@ class TestQuadratureNormalization:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 4.0])
     def test_exponential(self, alpha):
         s = build_spectrum(exponential_family(), alpha)
-        assert abs(quad_norm(s).value - 1.0) < 1e-9
+        assert abs(mesh_integral(s, "norm").value - 1.0) < 1e-9
 
     def test_two_mode(self):
         s = build_spectrum(two_mode_family(), 1.0)
-        assert abs(quad_norm(s).value - 1.0) < 1e-10
+        assert abs(mesh_integral(s, "norm").value - 1.0) < 1e-10
 
 
 class TestTailSecondMoment:
