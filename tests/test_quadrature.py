@@ -89,7 +89,7 @@ MESH_INTEGRALS = ("norm", "phi", "phi2", "sin", "cos", "sin2", "cos2", "lz2", "l
 PERIODIC_INTEGRALS = ("norm", "sin", "cos", "sin2", "cos2", "lz2", "lz")
 
 # compare row name -> the mesh integral that computes it directly
-QUAD_CALLS = {
+ROW_INTEGRALS = {
     "norm": "norm",
     "mean_phi": "phi",
     "second_phi": "phi2",
@@ -414,7 +414,7 @@ class TestErrorBounds:
     @pytest.mark.parametrize("case", BOUND_CASES)
     def test_quad_functions_bound_their_error(self, case):
         s, exact = bound_case(case)
-        for row, name in QUAD_CALLS.items():
+        for row, name in ROW_INTEGRALS.items():
             r = mesh_integral(s, name)
             assert abs(r.value - exact[row]) <= r.est_error, (row, r)
 
