@@ -504,8 +504,9 @@ class TestSharedMesh:
         irfft = np.fft.irfft
 
         def recorded(*args, **kwargs):
-            outputs.append(irfft(*args, **kwargs))
-            return outputs[-1]
+            result = irfft(*args, **kwargs)
+            outputs.append(result.copy())  # the mesh reuses its output buffer
+            return result
 
         monkeypatch.setattr(np.fft, "irfft", recorded)
         mesh_integral(s, "norm")
