@@ -69,11 +69,12 @@ test, the strip sums' magnitudes and leads, the parts of ``_parts``, and
 every array of a pass (grid, grid^2, node densities, phasor rows and
 periodic weights, half spectra, the i n factor, and the rows the inverse
 FFTs write through ``out=``).  A pass on a window no wider than an earlier
-one on the same thread allocates nothing, so it takes no page faults.
+one on the same thread allocates no array of the window's size, so it
+takes no page faults.
 Each call writes every element it reads, the zero padding of the half
 spectra included, so nothing carries over from a wider call, and no
 result points into the buffers.  Each thread retains the widest buffers
-it has used, shared with the series shells: about 3.3 MB once it has
+it has used, shared with the series shells: about 3.3 MiB once it has
 checked poly alpha = 1.4 at rel_tol 1e-8 (N = 17757, 36000 panels).
 
 ``adaptive_simpson`` and the four ``quad_*`` are not exported, and nothing
@@ -233,7 +234,8 @@ def _parts(s: TruncatedSpectrum) -> np.ndarray:
     g_n = (c_n + conj(c_{-n})) / 2 and h_n = (c_n - conj(c_{-n})) / (2 i);
     multiplying by -0.5j only halves and swaps the components, so it is
     exact.  A real-valued state, c_{-n} = conj(c_n), has h = 0 and returns
-    the one row g_n = c_n.
+    the one row g_n = c_n, a view of the coefficients; the two rows of any
+    other state are scratch, valid until the thread next uses its workspace.
     """
     N = s.cutoff
     pos = s.coeffs[N:]

@@ -273,16 +273,16 @@ def _workspace(slot: int, shape: int | tuple[int, ...], dtype=np.float64) -> np.
     caller writes each element before it reads it, and no result keeps a
     view.  A buffer is replaced only when a call asks for more elements than
     it holds, so a thread keeps the widest buffer each slot has needed, and
-    a window no wider than an earlier one allocates nothing.  Functions that
+    a window no wider than an earlier one allocates no buffer.  Functions that
     never run inside one another share the slots, each numbering its buffers
     of a dtype from 0.  The one nesting is ``quadrature._mesh_pass``, which
     holds the results of ``_phasors`` (complex slot 0) and ``_parts``
     (complex slots 4 and 5) and numbers its own buffers around them.
 
-    Nothing is freed: a thread retains at most the widest mesh, shells and
-    window it has run, about 3.3 MB after ``compare_report`` on poly alpha
-    = 1.4 at rel_tol 1e-8 (N = 17757), growing linearly with N.  No
-    allocator setting of the process changes.
+    No buffer shrinks while its thread lives: a thread retains the widest
+    mesh, shells and window it has run, about 3.3 MiB after
+    ``compare_report`` on poly alpha = 1.4 at rel_tol 1e-8 (N = 17757),
+    growing linearly with N.  No allocator setting of the process changes.
     """
     flat = not isinstance(shape, tuple)
     size = shape if flat else math.prod(shape)
@@ -344,7 +344,7 @@ def _shell_sums(coeffs: np.ndarray) -> np.ndarray:
     returned shells.  Each transform pads its input itself, and every
     spectrum element is written before it is read.  The thread retains the
     widest spectra it has needed, at most 32 L bytes for transforms of
-    length L (L = 54000, 1.3 MB, at poly alpha = 1.4, rel_tol 1e-8).
+    length L (L = 54000, 1.24 MiB, at poly alpha = 1.4, rel_tol 1e-8).
     """
     out = np.zeros(coeffs.size - 1, dtype=np.complex128)
     nonzero = np.flatnonzero(coeffs)
