@@ -88,10 +88,12 @@ def _exp_rule(n: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _poly_rule(n: np.ndarray, alpha: float) -> np.ndarray:
+    # one float temporary: the power overwrites |n|, then n = 0 goes to 0.0
     absn = np.abs(n).astype(np.float64)
     with np.errstate(divide="ignore"):
-        vals = np.where(absn == 0.0, 0.0, absn ** (-alpha))
-    return vals.astype(np.complex128)
+        np.power(absn, -alpha, out=absn)
+    absn[n == 0] = 0.0
+    return absn.astype(np.complex128)
 
 
 # Frozen, so one shared value each; the closed-form engines match these by ==.

@@ -188,35 +188,26 @@ def _classify_tail(
     )
 
 
-def _tail_estimate(columns: tuple[np.ndarray, ...]) -> tuple[_TailEstimate, ...]:
-    """Classify each column's decay over the outer half of its window.
+def _tail_estimate(rows: np.ndarray) -> tuple[_TailEstimate, ...]:
+    """Classify the decay of each row of ``rows`` over the outer half of its window.
 
-    Every column holds a sequence for n = 1..len, all of one length.  They
-    share one log-spaced sample set (samples spread out so that slope fits
-    stay well conditioned) and one least-squares fit with a right-hand
-    side per column; all-zero halves and samples at the underflow floor
-    are sorted out per column before the fit.
+    Every row holds a sequence for n = 1..rows.shape[1].  They share one
+    log-spaced sample set (samples spread out so that slope fits stay well
+    conditioned), gathered for all rows at once, and one least-squares fit
+    with a right-hand side per row; all-zero halves and samples at the
+    underflow floor are sorted out before the fit, in one test each.
     """
-    idx, ns, design = _tail_samples(columns[0].size)
-    out: list[_TailEstimate] = []
-    fit: list[int] = []
-    for values in columns:
-        if float(values[idx[0] - 1 :].max()) <= _ZERO_FLOOR:
-            out.append(_TailEstimate("zero", 0.0, 0.0))
-        elif idx.size < 4 or np.any(values[idx - 1] <= _ZERO_FLOOR):
-            out.append(_UNRESOLVED)
-        else:
-            fit.append(len(out))
-            out.append(_UNRESOLVED)
-    if fit:
-        ts = np.column_stack([columns[j][idx - 1] for j in fit])
-        logt = np.log(ts)
+    idx, ns, design = _tail_samples(rows.shape[1])
+    zero = rows[:, idx[0] - 1 :].max(axis=1) <= _ZERO_FLOOR
+    ts = rows[:, idx - 1]
+    fit = np.flatnonzero(~zero & (ts > _ZERO_FLOOR).all(axis=1)) if idx.size >= 4 else []
+    out = [_TailEstimate("zero", 0.0, 0.0) if z else _UNRESOLVED for z in zero]
+    if len(fit):
+        logt = np.log(ts[fit].T)
         coef, *_ = np.linalg.lstsq(design, logt, rcond=None)
         max_resid = np.abs(design @ coef - logt).max(axis=0)
         for k, j in enumerate(fit):
-            out[j] = _classify_tail(
-                ns, float(ts[-1, k]), coef[:, k], float(max_resid[k])
-            )
+            out[j] = _classify_tail(ns, float(ts[j, -1]), coef[:, k], float(max_resid[k]))
     return tuple(out)
 
 
@@ -440,9 +431,8 @@ def _probe_ok(
     if not probes:
         return True
     arr = np.asarray(probes)
-    cp = np.abs(family.coefficients(arr, alpha)) ** 2
-    cm = np.abs(family.coefficients(-arr, alpha)) ** 2
-    v = arr.astype(float) ** 2 * (cp + cm)
+    sq = np.abs(family.coefficients(np.concatenate((arr, -arr)), alpha)) ** 2
+    v = arr.astype(float) ** 2 * (sq[: arr.size] + sq[arr.size :])
     for n, val in zip(arr, v):
         allowed = threshold
         if est is not None:
@@ -452,28 +442,94 @@ def _probe_ok(
     return True
 
 
-_Ring = collections.namedtuple("_Ring", "edge cp cm u v x u_est v_est x_est")
+_FIRST_EDGE = 16
+# A predicted ring reaches this far past the index where its fit says the
+# tails pass (the fit of a wider window moves a little), at least doubling
+# the window and at most multiplying it by _GROWTH_MAX: a fit over a short
+# window extrapolates a long way.
+_GROWTH_MARGIN = 1.25
+_GROWTH_MAX = 8
+
+# edge: the window is 0 < |n| <= edge, and c0 its amplitude at n = 0.
+# amps: (2, edge) complex, C_n and C_-n for n = 1..edge.
+# tails: (3, edge), the u, v and x sequences of build_spectrum's three tests.
+# sums: (3,), their window sums, the n = 0 terms included.
+# ests: one fit of each tail past the edge, over the window's outer half.
+_Ring = collections.namedtuple("_Ring", "edge c0 amps tails sums ests")
 
 
-def _rings(family: CoefficientFamily, alpha: float, n_max: int) -> Iterator[_Ring]:
-    """Grow the window outward from |n| <= 16, each ring as wide as the
-    window before it, up to n_max.  Yield each window n = 1..edge with its
-    amplitudes at +n and -n, the u, v and x tail sequences and one fit of
-    their tails over its outer half; each caller stops by its own test."""
-    cp = cm = np.empty(0, dtype=np.complex128)
-    edge = 0
+def _passing_index(est: _TailEstimate, target: float) -> float:
+    """Least n at which ``est``'s fitted tail past n falls to ``target``,
+    in closed form from a geometric ratio or a power-law slope; inf when
+    the fit predicts nothing."""
+    if est.kind == "zero" or est.bound <= target:
+        return 0.0
+    if est.kind == "geometric":  # the tail past n is bound * rhat^(n - n_last)
+        return est.n_last + math.log(target / est.bound) / math.log(est.rhat)
+    if est.kind == "power":  # ... and bound * (n / n_last)^(1 - s)
+        log_ratio = math.log(est.bound / target) / (est.slope - 1.0)
+        return est.n_last * math.exp(log_ratio) if log_ratio < 700.0 else math.inf
+    return math.inf
+
+
+def _next_edge(edge: int, ests: tuple[_TailEstimate, ...], sums: np.ndarray, rel_tol: float) -> int:
+    """_GROWTH_MARGIN times the index where the fits predict the tails fall
+    to rel_tol of their window sums, kept between 2 and _GROWTH_MAX times
+    ``edge``; an unresolved or divergent |C_n|^2 or |C_n|/n^2 fit doubles.
+
+    The n^2 |C_n|^2 tail counts only when its fit is geometric: it is then a
+    mass test like the other two, and for e^{-alpha |n|}-like tails the one
+    that binds.  A power-law n^2 tail is completed, and only its error is
+    tested.
+    """
+    cols = (0, 1, 2) if ests[1].kind == "geometric" else (0, 2)
+    want = max(
+        _passing_index(ests[j], rel_tol * max(float(sums[j]), _ZERO_FLOOR)) for j in cols
+    )
+    if want == math.inf:
+        return 2 * edge
+    return min(max(2 * edge, math.ceil(_GROWTH_MARGIN * want)), _GROWTH_MAX * edge)
+
+
+def _rings(
+    family: CoefficientFamily, alpha: float, n_max: int, rel_tol: float | None = None
+) -> Iterator[_Ring]:
+    """Grow the window outward from |n| <= 16 up to n_max, one
+    ``coefficients`` call per ring, and yield each window with one fit of
+    its tails; each caller stops by its own test.
+
+    With ``rel_tol``, each later ring reaches a margin past the index where
+    the last fit predicts the tails pass at rel_tol, at least doubling the
+    window and at most multiplying it by 8 (``_next_edge``); without it, and
+    where a fit predicts nothing, each ring doubles the window.  The first
+    ring's call takes n = 0 too.  Only the new ring's amplitudes and tail
+    terms are computed; the yielded arrays are never written again.
+    """
+    amps = np.empty((2, 0), dtype=np.complex128)
+    tails = np.empty((3, 0))
+    edge, top = 0, min(_FIRST_EDGE, n_max)
     while edge < n_max:
-        ring = np.arange(edge + 1, min(edge + max(16, edge), n_max) + 1)
-        cp = np.concatenate((cp, family.coefficients(ring, alpha)))
-        cm = np.concatenate((cm, family.coefficients(-ring, alpha)))
-        edge = int(ring[-1])
-        u = np.abs(cp) ** 2 + np.abs(cm) ** 2
-        ns = np.arange(1, edge + 1, dtype=float)
-        v = ns * ns * u
+        ring = np.arange(edge + 1, top + 1)
+        indices = ([0], ring, -ring) if edge == 0 else (ring, -ring)
+        c = family.coefficients(np.concatenate(indices), alpha)
+        if edge == 0:
+            c0, c = complex(c[0]), c[1:]
+        c = c.reshape(2, -1)
+        mag = np.abs(c)
+        n_sq = np.square(ring.astype(float))
+        grown = np.empty((3, top))
+        grown[:, :edge] = tails
+        u, v, x = grown[:, edge:]
+        np.add(np.square(mag[0]), np.square(mag[1]), out=u)
+        np.multiply(n_sq, u, out=v)
         # first-order sensitivity of the off-diagonal 1/(n-m)^2 sums to a
         # dropped amplitude at n; quadratic mass criteria alone miss it
-        x = (np.abs(cp) + np.abs(cm)) / (ns * ns)
-        yield _Ring(edge, cp, cm, u, v, x, *_tail_estimate((u, v, x)))
+        np.divide(mag[0] + mag[1], n_sq, out=x)
+        amps, tails, edge = np.concatenate((amps, c), axis=1), grown, top
+        sums = tails.sum(axis=1) + (abs(c0) ** 2, 0.0, abs(c0))
+        ests = _tail_estimate(tails)
+        yield _Ring(edge, c0, amps, tails, sums, ests)
+        top = min(2 * edge if rel_tol is None else _next_edge(edge, ests, sums, rel_tol), n_max)
 
 
 # --------------------------------------------------------------------------
@@ -810,19 +866,19 @@ def build_spectrum(
         coeffs = family.coefficients(np.arange(-support, support + 1), alpha)
         return _window(family, alpha, coeffs, 0.0, 0.0, 0.0)
 
-    c0 = complex(family.coefficients(0, alpha)[0])
-    u0 = abs(c0) ** 2
-    for n_edge, cp, cm, u, v, x, u_est, v_est, x_est in _rings(family, alpha, n_max):
+    for n_edge, c0, amps, (u, v, x), sums, (u_est, v_est, x_est) in _rings(
+        family, alpha, n_max, rel_tol
+    ):
         if u_est.kind == "divergent":
             raise NonConvergent(f"{where}the normalization " + _too_slow(_MASS, u_est))
-        u_sum, v_sum = u0 + float(u.sum()), float(v.sum())
+        u_sum, v_sum, x_sum = sums.tolist()
         if u_sum <= _ZERO_FLOOR and u_est.kind == "zero":
             if _probe_ok(family, alpha, n_edge, n_max, _ZERO_FLOOR):
                 raise DegenerateState(where + _DEGENERATE)
         series = (
             _fitted(_MASS, u_sum, u, u_est),
             _fitted(_SECOND, v_sum, v, v_est, completes=True),
-            _fitted(_SENSITIVITY, abs(c0) + float(x.sum()), x, x_est),
+            _fitted(_SENSITIVITY, x_sum, x, x_est),
         )
         probe_threshold = max(rel_tol * max(v_sum, u_sum), _ZERO_FLOOR)
         if all(s.diverges or s.passes(n_edge, rel_tol) for s in series) and _probe_ok(
@@ -836,7 +892,7 @@ def build_spectrum(
         )
 
     cutoff = _cutoff(iter(series), rel_tol, n_edge, where)[0]
-    coeffs = np.concatenate((cm[:cutoff][::-1], [c0], cp[:cutoff]))
+    coeffs = np.concatenate((amps[1, :cutoff][::-1], [c0], amps[0, :cutoff]))
     # the reported tails sum the dropped part of the window directly
     if math.isinf(v_est.bound):
         tail_bound = tail_err = math.inf
@@ -922,13 +978,14 @@ def tail_second_moment(
         for ring in _rings(family, alpha, n_cap):
             if ring.edge <= N:
                 continue
-            beyond = ring.v[N:]  # n = N+1 .. edge
-            tail = _fitted(_SECOND, _fsum(beyond), beyond, ring.v_est, completes=True)
+            beyond = ring.tails[1, N:]  # n = N+1 .. edge
+            v_est = ring.ests[1]
+            tail = _fitted(_SECOND, _fsum(beyond), beyond, v_est, completes=True)
             if tail.diverges:
                 raise NonConvergent(where + tail.diverges)
             threshold = DEFAULT_REL_TOL * max(tail.total, _ZERO_FLOOR)
             if tail.passes(beyond.size, DEFAULT_REL_TOL) and _probe_ok(
-                family, alpha, ring.edge, n_cap, threshold, ring.v_est
+                family, alpha, ring.edge, n_cap, threshold, v_est
             ):
                 out.append(tail.total)
                 break

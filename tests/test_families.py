@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,19 @@ class TestBuiltins:
         assert got[1] == 0.0
         np.testing.assert_allclose(got[0], 2.0**-1.7)
         np.testing.assert_allclose(got[2], 3.0**-1.7)
+
+    @pytest.mark.parametrize("alpha", [1.4, 0.3, 2.2, 700.0, 1e-300])
+    def test_polynomial_rule_bytes_match_the_two_array_form(self, alpha):
+        # the rule overwrites |n| with its power; the amplitudes must be the
+        # bytes of the np.where form over a second full-window array
+        n = np.arange(-17757, 17758)
+        absn = np.abs(n).astype(np.float64)
+        with np.errstate(divide="ignore"):
+            want = np.where(absn == 0.0, 0.0, absn ** (-alpha)).astype(np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = polynomial_family().coefficients(n, alpha)
+        assert got.tobytes() == want.tobytes()
 
     def test_symmetry_metadata_holds_on_samples(self):
         for fam in (exponential_family(), polynomial_family(), two_mode_family()):

@@ -837,10 +837,10 @@ class TestTailEstimate:
         ],
     )
     def test_each_column_classified_as_alone(self, columns, kinds):
-        multi = _tail_estimate(columns)
+        multi = _tail_estimate(np.vstack(columns))
         assert tuple(est.kind for est in multi) == kinds
         for values, est in zip(columns, multi):
-            (alone,) = _tail_estimate((values,))
+            (alone,) = _tail_estimate(values[np.newaxis])
             assert est.kind == alone.kind
             if alone.kind in ("geometric", "power"):
                 assert abs(est.bound - alone.bound) <= self.BOUND_REL * alone.bound
