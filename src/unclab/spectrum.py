@@ -16,6 +16,8 @@ exactly zero.  Any other family (a callable, a renamed copy of a
 built-in) grows its window ring by ring, reads the dropped part of the
 window from sums taken from the far end, fits each ring's tails past the
 edge by least squares, and probes beyond the window for resurgent mass.
+Each ring reaches a margin past the index where the last ring's fits say
+the tails pass, between 2 and 8 times the window before it.
 Every engine evaluates its window in one place and builds the state there.
 
 hbar = 1 throughout; angular-momentum moments are reported in units of
@@ -472,7 +474,9 @@ def _passing_index(est: _TailEstimate, target: float) -> float:
     return math.inf
 
 
-def _next_edge(edge: int, ests: tuple[_TailEstimate, ...], sums: np.ndarray, rel_tol: float) -> int:
+def _next_edge(
+    edge: int, ests: tuple[_TailEstimate, ...], sums: np.ndarray, rel_tol: float
+) -> int:
     """_GROWTH_MARGIN times the index where the fits predict the tails fall
     to rel_tol of their window sums, kept between 2 and _GROWTH_MAX times
     ``edge``; an unresolved or divergent |C_n|^2 or |C_n|/n^2 fit doubles.

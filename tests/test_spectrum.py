@@ -36,6 +36,10 @@ PI = math.pi
 # (grown windows, fitted tails, probes) that callables and documents use.
 RING_EXP = CoefficientFamily("exp_ring", exponential_family().rule)
 RING_POLY = CoefficientFamily("poly_ring", polynomial_family().rule)
+# e^{-alpha |n|} e^{0.7 i n}: complex amplitudes with the exp moduli
+PHASE_EXP = CoefficientFamily(
+    "exp_phase", lambda n, alpha: np.exp(-alpha * np.abs(n) + 0.7j * n), is_real=False
+)
 
 
 def exact_tails(family, alpha, N):
@@ -193,8 +197,8 @@ class TestBuildSpectrum:
         assert s.norm_tail >= 0.0
 
     def test_one_tail_fit_per_ring(self, monkeypatch):
-        fits, edges = [], []
-        real_lstsq, real_rings = np.linalg.lstsq, spectrum._rings
+        fits, edges, ring_calls, probing = [], [], [], []
+        real_lstsq, real_rings, real_probe_ok = np.linalg.lstsq, spectrum._rings, spectrum._probe_ok
 
         def lstsq(a, b, *args, **kwargs):
             fits.append(b.shape)
@@ -205,13 +209,75 @@ class TestBuildSpectrum:
                 edges.append(ring.edge)
                 yield ring
 
+        def probe_ok(*args, **kwargs):
+            probing.append(True)
+            try:
+                return real_probe_ok(*args, **kwargs)
+            finally:
+                probing.pop()
+
+        def counted(rule):
+            def counting(n, alpha):
+                if not probing:
+                    ring_calls.append(n.size)
+                return rule(n, alpha)
+
+            return counting
+
         monkeypatch.setattr(np.linalg, "lstsq", lstsq)
         monkeypatch.setattr(spectrum, "_rings", rings)
-        build_spectrum(RING_POLY, 2.2, rel_tol=1e-8)
-        assert len(edges) > 1
-        # one fit per ring, its right-hand sides the u, v and x tails
-        assert len(fits) == len(edges)
-        assert all(len(shape) == 2 and shape[1] == 3 for shape in fits)
+        monkeypatch.setattr(spectrum, "_probe_ok", probe_ok)
+        for family, alpha, rel_tol in ((RING_POLY, 2.2, 1e-8), (RING_EXP, 0.01, 1e-12)):
+            for log in (fits, edges, ring_calls):
+                log.clear()
+            build_spectrum(CoefficientFamily("counted", counted(family.rule)), alpha, rel_tol)
+            assert len(edges) > 1
+            # one fit per ring, its right-hand sides the u, v and x tails
+            assert len(fits) == len(edges)
+            assert all(len(shape) == 2 and shape[1] == 3 for shape in fits)
+            # one coefficients call per ring on both signs, the first with n = 0
+            assert ring_calls == [2 * edges[0] + 1] + [
+                2 * (b - a) for a, b in zip(edges, edges[1:])
+            ]
+            assert edges[0] == 16
+            assert all(2 * a <= b <= 8 * a for a, b in zip(edges, edges[1:]))
+
+    # Indices evaluated per kept index on two grids of renamed built-ins
+    # when every ring doubled the window (1.5673 and 1.4646, probes
+    # included); the predicted rings must not evaluate more.
+    DOUBLING_EXP_INDICES_PER_KEPT = 1.568
+    DOUBLING_POLY_INDICES_PER_KEPT = 1.465
+
+    @pytest.mark.parametrize(
+        "family, alphas, rel_tol, doubling",
+        [
+            (RING_EXP, np.geomspace(1e-3, 1.0, 24), 1e-12, DOUBLING_EXP_INDICES_PER_KEPT),
+            (RING_POLY, np.geomspace(1.7, 8.0, 24), 1e-8, DOUBLING_POLY_INDICES_PER_KEPT),
+        ],
+        ids=["exp", "poly"],
+    )
+    def test_rings_evaluate_no_more_than_doubling(
+        self, family, alphas, rel_tol, doubling, evaluations
+    ):
+        kept = sum(2 * build_spectrum(family, a, rel_tol).cutoff + 1 for a in alphas.tolist())
+        assert sum(n.size for n in evaluations) / kept <= doubling
+
+    @pytest.mark.parametrize(
+        "family, alpha, rel_tol, cutoff",
+        [
+            (RING_EXP, 0.01, 1e-12, 1703),
+            (RING_POLY, 2.2, 1e-12, 3828),
+            (PHASE_EXP, 0.005, 1e-12, 3405),
+        ],
+        ids=["exp", "poly", "phase"],
+    )
+    def test_series_ring_states(self, family, alpha, rel_tol, cutoff):
+        # the ring-built states of the benchmark's series workload; the phase
+        # family has the exp moduli, so the exp tails
+        s = build_spectrum(family, alpha, rel_tol)
+        assert s.cutoff == cutoff
+        v_exact, _ = exact_tails("poly" if family is RING_POLY else "exp", alpha, s.cutoff)
+        assert abs(s.tail_bound - v_exact) <= s.tail_err
 
     @pytest.mark.parametrize(
         "family, alpha, rel_tol, cutoff",
