@@ -71,6 +71,12 @@ _MALFORMED = {
     "table-rows-number": (dict(_TABLE, table={"1.0": 5}), "table alpha"),
     "table-list": (dict(_TABLE, table=[1]), "table must map"),
     "entries-number": (dict(_SINGLE, entries=5), "entries"),
+    "entry-number": (dict(_SINGLE, entries=[3]), "bad entry 3"),
+    "entry-without-expr": (dict(_SINGLE, entries=[{"n": 0}]), "bad entry {'n': 0}"),
+    "table-key-text": (dict(_TABLE, table={"x": [[0, 1, 0]]}), "table key 'x' is not a number"),
+    "table-key-negative": (
+        dict(_TABLE, table={"-1": [[0, 1, 0]]}), "table alpha '-1' must be positive"
+    ),
     "top-level-array": ([_SINGLE], "JSON object"),
     "entry-index-fraction": (
         dict(_SINGLE, entries=[{"n": 1.5, "expr": "exp"}]), "n must be an integer, got 1.5"

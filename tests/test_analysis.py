@@ -323,6 +323,12 @@ class TestBoundCrossing:
             0.5, abs=1e-5
         )
 
+    def test_target_met_at_a_scan_point_returns_that_point(self):
+        # product - target is exactly 0 at scan point 40, before any sign change
+        grid = np.geomspace(*analysis.CROSSING_WINDOW, 64).tolist()
+        target = evaluate_family(exponential_family(), grid[40]).product
+        assert find_bound_crossing(exponential_family(), target) == grid[40]
+
     def test_unreachable_target(self):
         with pytest.raises(NoBracket):
             find_bound_crossing(exponential_family(), 10.0)

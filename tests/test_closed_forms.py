@@ -201,6 +201,10 @@ class TestPolyClosed:
         with pytest.raises(DivergentMoment):
             poly_closed(alpha)
 
+    def test_invalid_alpha(self):
+        with pytest.raises(InvalidParameter, match="alpha must be positive, got 0.0"):
+            poly_closed(0.0)
+
     def test_fig2_sweep_builds_no_window(self, counted):
         calls = counted(spectrum.build_spectrum)
         rows = sweep(polynomial_family(), 1.6, 50.0, 160, scale="log")

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unclab import (
+    CoefficientFamily,
     InvalidParameter,
     build_spectrum,
     exponential_family,
@@ -68,6 +69,11 @@ class TestBuiltins:
         # np.abs(-2^63) wraps to -2^63, which would drop the mode from the support
         with pytest.raises(InvalidParameter, match="entry n=-9223372036854775808"):
             table_family("t", {0: 1.0, -2**63: 1.0})
+
+    def test_rule_of_the_wrong_shape_is_rejected(self):
+        fam = CoefficientFamily("short", lambda n, alpha: np.ones(3))
+        with pytest.raises(InvalidParameter, match=r"rule returned shape \(3,\), expected \(5,\)"):
+            fam.coefficients(np.arange(5), 1.0)
 
     def test_single_mode_support(self):
         fam = single_mode_family(3)

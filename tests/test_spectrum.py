@@ -196,6 +196,17 @@ class TestBuildSpectrum:
         assert abs(s.tail_bound - v_exact) <= s.tail_err
         assert s.norm_tail >= 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the ring tail_err is not a bound: np.exp(-alpha n) carries about alpha n ulps, "
+        "more than the 8 ulps _TERM_ROUND allows (ROADMAP, Known defects)",
+    )
+    def test_tail_err_bounds_a_steep_exponential_tail(self):
+        # N = 2: |tail_bound - exact| is 2.03 tail_err here
+        s = build_spectrum(RING_EXP, 12.33, rel_tol=1e-12)
+        v_exact, _ = exact_tails("exp", 12.33, s.cutoff)
+        assert abs(s.tail_bound - v_exact) <= s.tail_err
+
     def test_one_tail_fit_per_ring(self, monkeypatch):
         fits, edges, ring_calls, probing = [], [], [], []
         real_lstsq, real_rings, real_probe_ok = np.linalg.lstsq, spectrum._rings, spectrum._probe_ok
@@ -336,6 +347,10 @@ class TestBuildSpectrum:
     def test_invalid_rel_tol(self):
         with pytest.raises(InvalidParameter):
             build_spectrum(exponential_family(), 1.0, rel_tol=0.0)
+
+    def test_invalid_n_max(self):
+        with pytest.raises(InvalidParameter, match="n_max must be >= 1, got 0"):
+            build_spectrum(exponential_family(), 1.0, n_max=0)
 
     @given(coeffs=coeff_dicts())
     @settings(max_examples=60, deadline=None)
